@@ -19,6 +19,7 @@ from .exactring import (
     NonExactDivision,
     RingFraction,
     divide_out_abracket,
+    exact_div,
     qnum,
 )
 from .hecke import lifting_defect
@@ -45,11 +46,6 @@ def limit_ratio(f: LaurentQA) -> LimitValue:
 def limit_ratio_via_derivative(f: LaurentQA) -> LimitValue:
     """The same limit computed as f'_a(1) / 2, an independent route."""
     return LimitValue(f.a_derivative_at_1() * Fraction(1, 2))
-
-
-def _limit_fraction(rf: RingFraction) -> RingFraction:
-    """limit_ratio applied to a fraction with a q-only denominator."""
-    return RingFraction(limit_ratio(rf.num).value, rf.den)
 
 
 def framing_correction(p: int, tau: int) -> ZAPoly:
@@ -134,15 +130,15 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
     normalized_num = colored_sum.num.shift(
         qexp=-hook.kappa * tau, aexp=-w * tau
     )
-    lim_knot = RingFraction(limit_ratio(normalized_num).value, colored_sum.den)
-    lim_unknot = _limit_fraction(unknot_schur_value(lam))
-    ratio = RingFraction(
-        lim_knot.num * lim_unknot.den, lim_knot.den * lim_unknot.num
-    )
+    unknot = unknot_schur_value(lam)
+    # lim_knot / lim_unknot, cross-multiplied: the unknot's limit numerator
+    # is a general polynomial in q, so the ratio is num / den directly
+    num = limit_ratio(normalized_num).value * unknot.den
+    den = colored_sum.den * limit_ratio(unknot.num).value
     expected = alexander(K).to_laurent().adams(w)
-    passed = ratio == RingFraction.from_laurent(expected)
+    passed = num == expected * den
     try:
-        colored = ratio.resolve()
+        colored = exact_div(num, den)
     except NonExactDivision:
         colored = None
     return HookAlexanderReport(

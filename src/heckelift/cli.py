@@ -1,7 +1,8 @@
 """Command line driver: single verification, grid sweeps, character cache.
 
-Exit codes: 0 all verdicts as expected, 1 a check failed, 2 internal error,
-64 usage error.  Sweep reports are deterministic apart from the millis
+Exit codes: 0 all verdicts as expected, 1 a check failed (a sweep case that
+raises counts as failed and the others still run), 2 internal error, 64 usage
+error.  Sweep reports are deterministic apart from the millis
 fields; composite orders are probes whose expected verdict is FAIL.
 """
 
@@ -15,6 +16,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 from math import gcd
 from multiprocessing import Pool
@@ -73,11 +75,43 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
+        if not isinstance(data, dict):
+            raise UsageError("sweep config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         extra = set(data) - known
         if extra:
             raise UsageError(f"unknown sweep config keys: {sorted(extra)}")
-        return cls(**data)
+        cfg = cls(**data)
+        cfg.validate()
+        return cfg
+
+    def validate(self):
+        """Raise UsageError on a wrong type or range, or on a run that checks nothing."""
+        for name in ("primes", "composites", "d_values", "m_values", "lemma_primes"):
+            _check_int_list(name, getattr(self, name), minimum=1)
+        _check_int_list("lmov_framings", self.lmov_framings)
+        if not isinstance(self.lmov_knots, list):
+            raise UsageError("lmov_knots must be a list of [d, m] pairs")
+        for pair in self.lmov_knots:
+            _check_int_list("lmov_knots entries", pair, minimum=1)
+            if len(pair) != 2 or gcd(*pair) != 1:
+                raise UsageError(f"lmov_knots entry {pair} is not a coprime [d, m] pair")
+        for name in ("lemmas", "alexander", "lmov"):
+            if not isinstance(getattr(self, name), bool):
+                raise UsageError(f"{name} must be true or false")
+        if self.max_pd is not None:
+            _check_int("max_pd", self.max_pd, minimum=1)
+        for name in ("lemma_d_max", "lemma_m_max", "degree", "workers"):
+            _check_int(name, getattr(self, name), minimum=1)
+        _check_int("seed", self.seed)
+        if not self.cases():
+            raise UsageError("the sweep grid is empty: no coprime (d, m) with p * d <= max_pd")
+        if self.lemmas and not self.lemma_primes:
+            raise UsageError("lemmas are enabled but lemma_primes is empty")
+        if self.alexander and not any(is_prime(p) or p == 1 for _, _, p in self.cases()):
+            raise UsageError("alexander checks are enabled but the grid has no prime order")
+        if self.lmov and not (self.lmov_knots or self.lmov_framings):
+            raise UsageError("lmov is enabled but lists no knots")
 
     def cases(self) -> list[tuple[int, int, int]]:
         out = set()
@@ -90,6 +124,35 @@ class SweepConfig:
                         continue
                     out.add((d, m, p))
         return sorted(out)
+
+
+def _check_int(name: str, value, minimum: int | None = None):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_int_list(name: str, values, minimum: int | None = None):
+    if not isinstance(values, list):
+        raise UsageError(f"{name} must be a list of integers, got {values!r}")
+    for value in values:
+        _check_int(name, value, minimum)
+
+
+def _isolated_case(task: tuple) -> dict:
+    """_case_worker, with an exception turned into a failed case of its own."""
+    try:
+        return _case_worker(task)
+    except Exception as err:  # noqa: BLE001 - one case must not end the sweep
+        d, m, p = task[:3]
+        print(f"heckelift: case d={d} m={m} p={p} raised:", file=sys.stderr)
+        traceback.print_exc()
+        return {
+            "case": {"d": d, "m": m, "p": p},
+            "error": f"{type(err).__name__}: {err}",
+            "as_expected": False,
+        }
 
 
 def _case_worker(task: tuple) -> dict:
@@ -243,19 +306,18 @@ def cmd_sweep(args) -> int:
         cfg.seed = args.seed
     if args.workers is not None:
         cfg.workers = args.workers
-    if cfg.workers < 1:
-        raise UsageError("--workers must be >= 1")
+    cfg.validate()
 
     specs = [(d, m, p, cfg.alexander, cfg.seed) for d, m, p in cfg.cases()]
     if cfg.workers > 1:
         with Pool(cfg.workers) as pool:
-            results = pool.map(_case_worker, specs)
+            results = pool.map(_isolated_case, specs)
     else:
-        results = [_case_worker(s) for s in specs]
+        results = [_isolated_case(s) for s in specs]
 
     ok = all(r["as_expected"] for r in results)
     numeric_max = max(
-        (r["numeric_residual"] for r in results if r["numeric_residual"] is not None),
+        (r["numeric_residual"] for r in results if r.get("numeric_residual") is not None),
         default=0.0,
     )
     if numeric_max > NUMERIC_TOLERANCE:
@@ -274,9 +336,11 @@ def cmd_sweep(args) -> int:
 
     summary = {
         "cases": len(results),
-        "pass": sum(1 for r in results if r["verdict"]),
+        "pass": sum(1 for r in results if r.get("verdict")),
         "expected_fail": sum(
-            1 for r in results if not r["expected_pass"] and not r["verdict"]
+            1
+            for r in results
+            if "error" not in r and not r["expected_pass"] and not r["verdict"]
         ),
         "unexpected": sum(1 for r in results if not r["as_expected"]),
         "numeric_max_residual": numeric_max,
@@ -286,6 +350,10 @@ def cmd_sweep(args) -> int:
         rows = []
         for r in results:
             body = r["case"]
+            if "error" in r:
+                p_prime = "true" if is_prime(body["p"]) else "false"
+                rows.append([body["d"], body["m"], body["p"], p_prime, "ERROR", "", ""])
+                continue
             quotient = body["quotient"]
             degree = (
                 ""

@@ -3,16 +3,21 @@
 LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients,
 integer a-exponents, and q-exponents that are integers or exact rationals
 (rational exponents appear transiently in cabling sums before they cancel).
-RingFraction is a LaurentQA numerator over a q-only denominator, resolved by
-exact long division.  No floats anywhere except the numeric evaluation
-helpers used by the double-root oracle.
+RingFraction is an int-coefficient LaurentQA numerator over one denominator
+form, a positive int scale times a monomial prod {k}^e_k in the q-brackets
+{k} = q^k - q^-k: sums take the lcm of the two bracket monomials, products
+add exponents, Adams scaling maps {k} to {ek}, and resolve divides the
+brackets out one at a time by exact long division.  No floats anywhere
+except the numeric evaluation helpers used by the double-root oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 
 class NonExactDivision(ArithmeticError):
@@ -495,42 +500,191 @@ def divide_out_abracket(f: LaurentQA, n: int = 1) -> LaurentQA:
 # -- ring fractions -----------------------------------------------------------
 
 
+def _times_bracket(terms: dict, k: int) -> dict:
+    """terms * {k}: each term shifted up and down by k, the lower one negated."""
+    out: dict = {}
+    get = out.get
+    for (qe, ae), c in terms.items():
+        up = (qe + k, ae)
+        out[up] = get(up, 0) + c
+        down = (qe - k, ae)
+        out[down] = get(down, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def _times_brackets(terms: dict, brackets) -> dict:
+    for k, e in brackets.items():
+        for _ in range(e):
+            terms = _times_bracket(terms, k)
+    return terms
+
+
+def _div_bracket(terms: dict, k: int) -> dict:
+    """terms / {k}; NonExactDivision unless {k} divides every a-layer."""
+    layers: dict[int, dict] = {}
+    for (qe, ae), c in terms.items():
+        layers.setdefault(ae, {})[qe] = c
+    out: dict = {}
+    for ae, layer in layers.items():
+        lo = min(layer)
+        work = [0] * (max(layer) - lo + 1)
+        for qe, c in layer.items():
+            work[qe - lo] = c
+        # f = Q q^k - Q q^-k, so from the top down Q[j - k] = f[j] + Q[j + k]
+        for i in range(len(work) - 1, 2 * k - 1, -1):
+            c = work[i]
+            if c:
+                out[(lo + i - k, ae)] = c
+                work[i - 2 * k] += c
+        if any(work[: 2 * k]):
+            remainder = {(lo + i, ae): c for i, c in enumerate(work[: 2 * k]) if c}
+            raise NonExactDivision(
+                f"not divisible by {{{k}}} on a-layer {ae}",
+                remainder=LaurentQA._raw(remainder),
+            )
+    return out
+
+
+def _integral(terms: dict) -> tuple[dict, int]:
+    """(m * terms with int coefficients, m) for the least such m >= 1."""
+    m = 1
+    for c in terms.values():
+        if not isinstance(c, int):
+            m = lcm(m, c.denominator)
+    return {key: int(c * m) for key, c in terms.items()}, m
+
+
+def _peel_brackets(den: LaurentQA) -> tuple[Fraction, int, Counter]:
+    """Write den as c * q^s * prod {k}^e_k; returns (c, s, Counter of k).
+
+    Peels brackets from the largest order down: no {k'} with k' > k divides
+    a product of brackets of order <= k, so the greedy split is the only one.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    if not den.is_a_free() or den.has_fractional_q():
+        raise ValueError("denominator must be c * q^s * prod {k}^e in q only")
+    rest = den.terms
+    brackets: Counter = Counter()
+    k = _qspan(rest) // 2
+    while len(rest) > 1 and k >= 1:
+        try:
+            rest = _div_bracket(rest, k)
+        except NonExactDivision:
+            k -= 1
+            continue
+        brackets[k] += 1
+        k = min(k, _qspan(rest) // 2)
+    if len(rest) > 1:
+        raise ValueError(f"denominator {den.to_text()} is not c * q^s * prod {{k}}^e")
+    (((s, _), c),) = rest.items()
+    return Fraction(c), s, brackets
+
+
+def _qspan(terms: dict) -> int:
+    exps = [qe for qe, _ in terms]
+    return max(exps) - min(exps)
+
+
 class RingFraction:
-    """A LaurentQA numerator over a nonzero q-only denominator."""
+    """num / (scale * prod_k {k}^e_k), with {k} = q^k - q^-k.
 
-    __slots__ = ("num", "den")
+    The numerator has int coefficients, scale is a positive int and the
+    bracket exponents are a Counter over orders k >= 1.  Rational scalars
+    fold into scale, which is kept coprime to the numerator's content.
+    """
 
-    def __init__(self, num: LaurentQA, den: LaurentQA | int = 1):
-        if isinstance(den, (int, Fraction)):
-            den = LaurentQA.monomial(den)
-        if den.is_zero():
+    __slots__ = ("num", "scale", "brackets")
+
+    def __init__(self, num: LaurentQA, den: LaurentQA | int | Fraction = 1):
+        if isinstance(den, LaurentQA):
+            c, shift, brackets = _peel_brackets(den)
+            num = num.shift(qexp=-shift) if shift else num
+        elif den == 0:
             raise ZeroDivisionError("zero denominator")
-        if not den.is_a_free():
-            raise ValueError("denominator must be a polynomial in q only")
-        self.num = num
-        self.den = den
+        else:
+            c, brackets = Fraction(den), Counter()
+        terms, m = _integral(num.terms)
+        if c.denominator != 1:
+            terms = {key: v * c.denominator for key, v in terms.items()}
+        self._set(terms, m * c.numerator, brackets)
+
+    def _set(self, terms: dict, scale: int, brackets: Counter):
+        """Store terms / (scale * brackets) with scale > 0 and coprime to terms."""
+        if not terms:
+            scale, brackets = 1, Counter()
+        elif scale != 1:
+            if scale < 0:
+                terms = {key: -c for key, c in terms.items()}
+                scale = -scale
+            g = gcd(scale, *terms.values())
+            if g > 1:
+                terms = {key: c // g for key, c in terms.items()}
+                scale //= g
+        self.num = LaurentQA._raw(terms)
+        self.scale = scale
+        self.brackets = brackets
+
+    @classmethod
+    def _make(cls, terms: dict, scale: int, brackets: Counter) -> "RingFraction":
+        obj = cls.__new__(cls)
+        obj._set(terms, scale, brackets)
+        return obj
+
+    @classmethod
+    def over_brackets(cls, num: LaurentQA, scale: int = 1, orders=()) -> "RingFraction":
+        """num / (scale * prod of {k} over orders, which may repeat)."""
+        terms, m = _integral(num.terms)
+        return cls._make(terms, scale * m, Counter(orders))
 
     @classmethod
     def from_laurent(cls, f: LaurentQA) -> "RingFraction":
         return cls(f, 1)
 
+    @property
+    def den(self) -> LaurentQA:
+        """The denominator expanded into a Laurent polynomial."""
+        return LaurentQA._raw(_times_brackets({(0, 0): self.scale}, self.brackets))
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def _aligned(self, other: "RingFraction") -> tuple[dict, dict, Counter]:
+        """Both numerators over the lcm of the two bracket monomials."""
+        if self.brackets == other.brackets:
+            return self.num.terms, other.num.terms, self.brackets
+        common = self.brackets | other.brackets
+        return (
+            _times_brackets(self.num.terms, common - self.brackets),
+            _times_brackets(other.num.terms, common - other.brackets),
+            common,
+        )
 
     def __add__(self, other) -> "RingFraction":
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RingFraction(self.num + other.num, self.den)
-        return RingFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        a, b, brackets = self._aligned(other)
+        g = gcd(self.scale, other.scale)
+        ma, mb = other.scale // g, self.scale // g
+        data = {key: c * ma for key, c in a.items()}
+        get = data.get
+        for key, c in b.items():
+            data[key] = get(key, 0) + c * mb
+        return RingFraction._make(
+            {key: c for key, c in data.items() if c}, self.scale * ma, brackets
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingFraction":
-        return RingFraction(-self.num, self.den)
+        return RingFraction._make(
+            {key: -c for key, c in self.num.terms.items()}, self.scale, self.brackets
+        )
 
     def __sub__(self, other):
         other = _coerce_fraction(other)
@@ -546,12 +700,24 @@ class RingFraction:
 
     def __mul__(self, other) -> "RingFraction":
         if isinstance(other, (int, Fraction)):
-            return RingFraction(self.num * other, self.den)
-        if isinstance(other, LaurentQA):
-            return RingFraction(self.num * other, self.den)
-        if isinstance(other, RingFraction):
-            return RingFraction(self.num * other.num, self.den * other.den)
-        return NotImplemented
+            other = Fraction(other)
+            return RingFraction._make(
+                {key: c * other.numerator for key, c in self.num.terms.items()}
+                if other
+                else {},
+                self.scale * other.denominator,
+                self.brackets,
+            )
+        other = _coerce_fraction(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return RingFraction(LaurentQA.zero())
+        return RingFraction._make(
+            (self.num * other.num).terms,
+            self.scale * other.scale,
+            self.brackets + other.brackets,
+        )
 
     __rmul__ = __mul__
 
@@ -559,17 +725,48 @@ class RingFraction:
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        a, b, _ = self._aligned(other)
+        if self.scale == other.scale:
+            return a == b
+        return {key: c * other.scale for key, c in a.items()} == {
+            key: c * self.scale for key, c in b.items()
+        }
 
     def __hash__(self):
         raise TypeError("RingFraction is not hashable")
 
     def __repr__(self) -> str:
-        return f"RingFraction({self.num.to_text()!r}, {self.den.to_text()!r})"
+        return (
+            f"RingFraction({self.num.to_text()!r}, scale={self.scale}, "
+            f"brackets={dict(sorted(self.brackets.items()))})"
+        )
+
+    def adams(self, e: int) -> "RingFraction":
+        """Exponent scaling q -> q^e, a -> a^e; {k} becomes {ek}."""
+        if e == 1:
+            return self
+        return RingFraction._make(
+            self.num.adams(e).terms,
+            self.scale,
+            Counter({k * e: v for k, v in self.brackets.items()}),
+        )
 
     def resolve(self) -> LaurentQA:
-        """Exact quotient as a Laurent polynomial; NonExactDivision if none."""
-        return exact_div(self.num, self.den)
+        """Exact quotient as a Laurent polynomial; NonExactDivision if none.
+
+        Divides out one bracket at a time, then the scale; a coefficient
+        the scale does not divide stays a Fraction.
+        """
+        if self.num.has_fractional_q():
+            raise ResidualFractionalExponent("resolve requires integer q-exponents")
+        out = self.num.terms
+        for k, e in sorted(self.brackets.items(), reverse=True):
+            for _ in range(e):
+                out = _div_bracket(out, k)
+        s = self.scale
+        return LaurentQA._raw(
+            {key: c // s if c % s == 0 else Fraction(c, s) for key, c in out.items()}
+        )
 
     def simplified(self) -> "RingFraction":
         """Collapse the denominator when the quotient happens to be exact."""

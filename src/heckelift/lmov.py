@@ -32,7 +32,7 @@ from .exactring import (
     bracket_of_partition,
     zsquared,
 )
-from .torus import _cofactor, _den_poly, _zlcm, power_sum_invariant
+from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
 from .zbasis import NotInSubring, ZAPoly, to_z2
 
 _ZERO = RingFraction(LaurentQA.zero())
@@ -160,10 +160,6 @@ def _divisors(n: int):
     return [e for e in range(1, n + 1) if n % e == 0]
 
 
-def _adams_fraction(rf: RingFraction, e: int) -> RingFraction:
-    return RingFraction(rf.num.adams(e), rf.den.adams(e))
-
-
 def extract_f(F: PSeries) -> dict[Partition, RingFraction]:
     """Schur-indexed amplitudes from the free energy.
 
@@ -180,7 +176,7 @@ def extract_f(F: PSeries) -> dict[Partition, RingFraction]:
                 if me == 0:
                     continue
                 sub = tuple(x // e for x in mu)
-                total = total + _adams_fraction(F.coefficient(sub), e) * Fraction(me, e)
+                total = total + F.coefficient(sub).adams(e) * Fraction(me, e)
             h[mu] = total
     f: dict[Partition, RingFraction] = {}
     for w in range(1, D + 1):
@@ -205,7 +201,7 @@ def reassemble_free_energy(f: dict[Partition, RingFraction], degree: int) -> PSe
                 fl = f.get(lam)
                 if fl is None or fl.is_zero():
                     continue
-                scaled = _adams_fraction(fl, e)
+                scaled = fl.adams(e)
                 for nu in partitions_of(w):
                     ch = table[(lam, nu)]
                     if not ch:
@@ -244,7 +240,7 @@ def m_inverse(lam: Partition, mu: Partition) -> RingFraction:
         v = table[(lam, nu)] * table[(mu, nu)]
         if v:
             acc = acc + _cofactor(n, nu) * (v * (L // z_mu(nu)))
-    return RingFraction(acc * Fraction(1, L), _den_poly(n))
+    return RingFraction.over_brackets(acc, L, _den_brackets(n))
 
 
 @cache

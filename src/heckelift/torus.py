@@ -216,8 +216,8 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
             raise ResidualFractionalExponent(
                 f"uncancelled q-exponent {Fraction(ue, d)} in the cable of {K}"
             )
-        num[(ue // d, ae + weight * m)] = Fraction(cv, L)
-    return RingFraction(LaurentQA(num), _den_poly(n))
+        num[(ue // d, ae + weight * m)] = cv
+    return RingFraction.over_brackets(LaurentQA._raw(num), L, _den_brackets(n))
 
 
 @cache
@@ -234,13 +234,13 @@ def unknot_schur_value(lam: Partition) -> RingFraction:
         ch = table[(lam, nu)]
         if ch:
             acc = acc + _plane_row(n, nu) * (ch * (L // z_mu(nu)))
-    return RingFraction(acc * Fraction(1, L), _den_poly(n))
+    return RingFraction.over_brackets(acc, L, _den_brackets(n))
 
 
 def power_sum_plane_value(mu: Partition) -> RingFraction:
     """Plane evaluation of a power-sum color: prod_j {mu_j}_a / {mu_j}."""
     mu = as_partition(mu)
-    return RingFraction(abracket_of_partition(mu), bracket_of_partition(mu))
+    return RingFraction.over_brackets(abracket_of_partition(mu), 1, mu)
 
 
 def character_pairing(mu: Partition, nu: Partition) -> LaurentQA:

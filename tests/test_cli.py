@@ -300,3 +300,73 @@ def test_cache_build_into_file_path_is_internal_error(tmp_path, capsys):
     assert run(["cache", "--cache-dir", str(blocker),
                 "build", "--max-weight", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"primes": [0]}, "primes must be >= 1"),
+        ({"primes": "23"}, "primes must be a list"),
+        ({"lmov": True, "degree": 0}, "degree must be >= 1"),
+        ({"workers": True}, "workers must be an integer"),
+        ({"lmov_knots": [[2, 4]]}, "not a coprime"),
+        ({"d_values": [], "composites": []}, "grid is empty"),
+        ({"lemmas": True, "lemma_primes": []}, "lemma_primes is empty"),
+        ({"alexander": True, "primes": []}, "no prime order"),
+        ({"lmov": True, "lmov_knots": [], "lmov_framings": []}, "lists no knots"),
+    ],
+)
+def test_sweep_config_rejects_bad_values(tmp_path, capsys, overrides, message):
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path, **overrides)
+    assert run(["sweep", "--sweep-config", str(cfg_path)]) == 64
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_flag_overrides_are_validated(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path, composites=[], d_values=[1], m_values=[1])
+    base = ["sweep", "--sweep-config", str(cfg_path)]
+    assert run(base + ["--lmov", "--degree", "0"]) == 64
+    assert run(base + ["--workers", "0"]) == 64
+    assert run(base + ["--seed", "x"]) == 64
+    capsys.readouterr()
+
+
+def test_sweep_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
+    import heckelift.cli as cli
+
+    real = cli.verify_hecke
+
+    def flaky(knot, p):
+        if (knot.d, knot.m, p) == (1, 2, 2):
+            raise RuntimeError("injected failure")
+        return real(knot, p)
+
+    monkeypatch.setattr(cli, "verify_hecke", flaky)
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path)
+    out_path = tmp_path / "out.json"
+    assert run(["sweep", "--sweep-config", str(cfg_path), "--out", str(out_path)]) == 1
+    assert "injected failure" in capsys.readouterr().err
+    payload = json.loads(out_path.read_text())
+    broken = [c for c in payload["cases"] if "error" in c]
+    assert broken == [
+        {
+            "case": {"d": 1, "m": 2, "p": 2},
+            "error": "RuntimeError: injected failure",
+            "as_expected": False,
+        }
+    ]
+    others = [c for c in payload["cases"] if "error" not in c]
+    assert others and all(c["as_expected"] for c in others)
+    assert payload["summary"]["cases"] == len(others) + 1
+    assert payload["summary"]["unexpected"] == 1
+    assert payload["summary"]["ok"] is False
+
+    csv_path = tmp_path / "out.csv"
+    assert run(["sweep", "--sweep-config", str(cfg_path), "--out", str(csv_path),
+                "--format", "csv"]) == 1
+    capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+    assert ["1", "2", "2", "true", "ERROR", "", ""] in rows

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,19 @@ def test_character_table_env_cache(tmp_path, monkeypatch):
         monkeypatch.delenv("HECKE_CACHE_DIR")
         character_table.cache_clear()
     assert character_table(2).values[((2,), (2,))] == 1
+
+
+def test_save_character_table_is_atomic(tmp_path, monkeypatch):
+    path = save_character_table(tmp_path, 5)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert load_character_table(tmp_path, 5).values == character_table(5).values
+
+    # a failure between the write and the rename leaves neither a torn
+    # target nor the temporary file behind
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_character_table(tmp_path, 6)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

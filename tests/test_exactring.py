@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_laurent
 from heckelift.exactring import (
@@ -219,3 +221,99 @@ def test_ring_fraction_eval_and_simplified():
     assert abs(rf.eval_numeric(q0, 2.0) - (q0**4 - q0**-4) / (q0**2 - q0**-2)) < 1e-12
     simple = rf.simplified()
     assert simple == rf
+
+
+# -- bracket-monomial fractions against a cross-multiplied oracle -------------
+#
+# The oracle keeps a fraction as a plain (numerator, denominator) pair of
+# LaurentQA values and never cancels: a/b + c/d = (ad + cb)/(bd).
+
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-2, 2)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=3),
+    max_size=4,
+)
+
+
+@st.composite
+def bracket_fractions(draw):
+    """(RingFraction, oracle numerator, oracle denominator)."""
+    num = LaurentQA(draw(_TERMS))
+    scale = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool))
+    den = LaurentQA.monomial(scale, qexp=draw(st.integers(-2, 2)))
+    orders = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
+    for k, e in orders.items():
+        den = den * qbracket(k) ** e
+    return RingFraction(num, den), num, den
+
+
+def _agrees(rf, num, den):
+    return rf.num * den == num * rf.den
+
+
+_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(bracket_fractions(), bracket_fractions())
+def test_ring_fraction_matches_cross_multiplied_oracle(x, y):
+    (fx, nx, dx), (fy, ny, dy) = x, y
+    assert _agrees(fx, nx, dx)
+    assert all(isinstance(c, int) for c in fx.num.terms.values())
+    assert fx.scale >= 1
+    assert _agrees(fx + fy, nx * dy + ny * dx, dx * dy)
+    assert _agrees(fx - fy, nx * dy - ny * dx, dx * dy)
+    assert _agrees(fx * fy, nx * ny, dx * dy)
+    assert _agrees(fx * Fraction(-3, 4), nx * Fraction(-3, 4), dx)
+    assert (fx == fy) == (nx * dy == ny * dx)
+
+
+@_PROPERTY
+@given(bracket_fractions(), st.integers(1, 3))
+def test_ring_fraction_adams_matches_oracle(x, e):
+    fx, nx, dx = x
+    assert _agrees(fx.adams(e), nx.adams(e), dx.adams(e))
+
+
+@_PROPERTY
+@given(bracket_fractions(), st.builds(LaurentQA, _TERMS))
+def test_ring_fraction_resolve_matches_oracle(x, quotient):
+    fx, nx, dx = x
+    assert RingFraction(quotient * dx, dx).resolve() == quotient
+    try:
+        expected = exact_div(nx, dx)
+    except NonExactDivision:
+        expected = None
+    try:
+        got = fx.resolve()
+    except NonExactDivision:
+        got = None
+    assert got == expected
+
+
+@_PROPERTY
+@given(
+    bracket_fractions(),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+    st.integers(-3, 3),
+    st.lists(st.integers(1, 5), max_size=3),
+)
+def test_ring_fraction_equality_across_representations(x, c, s, orders):
+    fx, nx, dx = x
+    extra = LaurentQA.monomial(c, qexp=s) * bracket_of_partition(orders)
+    other = RingFraction(nx * extra, dx * extra)
+    assert other == fx and fx == other
+    assert fx == RingFraction.over_brackets(fx.num * bracket_of_partition(orders),
+                                            fx.scale, list(fx.brackets.elements()) + orders)
+    assert fx + 1 != fx
+
+
+def test_ring_fraction_denominator_form():
+    rf = RingFraction(qbracket(1), qbracket(3) * qbracket(1) ** 2 * Fraction(-4, 3))
+    assert rf.scale == 4
+    assert rf.brackets == {1: 2, 3: 1}
+    assert rf.num == qbracket(1) * -3
+    assert rf.den == qbracket(3) * qbracket(1) ** 2 * 4
+    assert RingFraction(LaurentQA.monomial(6), 4).scale == 2
+    with pytest.raises(ValueError):
+        RingFraction(qbracket(1), qnum(3))

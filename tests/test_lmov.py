@@ -112,3 +112,15 @@ def test_lmov_verdict_validation():
         lmov_verdict(TREFOIL, ())
     with pytest.raises(ValueError):
         lmov_verdict(TREFOIL, (2, 1), degree=2)
+
+
+def test_lmov_degree4():
+    knots = [TREFOIL, TorusKnot(2, 5)] + [FramedUnknot(t) for t in range(-2, 3)]
+    failures = [
+        (knot, mu)
+        for knot in knots
+        for w in range(1, 5)
+        for mu in partitions_of(w)
+        if not lmov_verdict(knot, mu, 4).passed
+    ]
+    assert not failures
