@@ -316,12 +316,17 @@ def cmd_sweep(args) -> int:
         results = [_isolated_case(s) for s in specs]
 
     ok = all(r["as_expected"] for r in results)
-    numeric_max = max(
-        (r["numeric_residual"] for r in results if r.get("numeric_residual") is not None),
-        default=0.0,
-    )
-    if numeric_max > NUMERIC_TOLERANCE:
+    residuals = [
+        r["numeric_residual"] for r in results if r.get("numeric_residual") is not None
+    ]
+    # a NaN residual checks nothing: it fails the sweep, and since max() over
+    # a NaN depends on the order, the summary reports the NaN itself
+    if any(not r <= NUMERIC_TOLERANCE for r in residuals):
         ok = False
+    if any(r != r for r in residuals):
+        numeric_max = float("nan")
+    else:
+        numeric_max = max(residuals, default=0.0)
     for r in results:
         section = r.get("alexander")
         if section and any(v != "pass" for v in section.values()):

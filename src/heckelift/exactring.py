@@ -3,6 +3,9 @@
 LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients,
 integer a-exponents, and q-exponents that are integers or exact rationals
 (rational exponents appear transiently in cabling sums before they cancel).
+Values on the verdict path (invariants, defects, cofactors for prime p) have
+int coefficients throughout; exact_int_div divides by an integer scale and
+raises rather than leave a Fraction behind.
 RingFraction is an int-coefficient LaurentQA numerator over one denominator
 form, a positive int scale times a monomial prod {k}^e_k in the q-brackets
 {k} = q^k - q^-k: sums take the lcm of the two bracket monomials, products
@@ -414,6 +417,29 @@ def exact_div(num: LaurentQA, den: LaurentQA) -> LaurentQA:
             )
         for qe, c in q.items():
             out[(qe, ae)] = c
+    return LaurentQA._raw(out)
+
+
+def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
+    """Divide every coefficient of f by the nonzero int k, exactly.
+
+    Integer coefficients stay int; raises NonExactDivision (with the
+    remainders attached) if k leaves any coefficient with a remainder.
+    """
+    if k == 0:
+        raise ZeroDivisionError("division by zero")
+    out: dict = {}
+    rem: dict = {}
+    for key, c in f.terms.items():
+        q, r = divmod(c, k)
+        if r:
+            rem[key] = r
+        out[key] = q
+    if rem:
+        raise NonExactDivision(
+            f"{len(rem)} coefficients not divisible by {k}",
+            remainder=LaurentQA._raw(rem),
+        )
     return LaurentQA._raw(out)
 
 

@@ -23,6 +23,7 @@ from .exactring import (
     bracket_of_partition,
     divide_out_abracket,
     exact_div,
+    exact_int_div,
     qbracket,
     qnum,
     qnum_power,
@@ -76,12 +77,12 @@ def lifting_defect(K, p: int) -> LaurentQA:
     return scaled_invariant(K, p) - scaled_invariant(K, 1).adams(p) * sign
 
 
-def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, LaurentQA]:
-    """Numerator and denominator of the conjectured defect / [p]^2 cofactor.
+def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, LaurentQA, int]:
+    """Numerator, monic denominator and integer scale of defect / [p]^2.
 
     The value is {1}^2/{p} * a^{pm} * (S1 - sign * S2) with S1 summing the
     weight-pd bracket terms and S2 the weight-d terms reindexed through
-    mu = p*nu.
+    mu = p*nu; it equals num / (den * big) with den a product of brackets.
     """
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
@@ -99,18 +100,19 @@ def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, LaurentQA
     sign = defect_sign(p, d * m)
     combined = s1 * (big // l1) - s2 * (sign * (big // l2))
     num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
-    den = _den_poly(n) * qbracket(c) * qbracket(p) * big
-    return num, den
+    den = _den_poly(n) * qbracket(c) * qbracket(p)
+    return num, den, big
 
 
 def defect_cofactor(p: int, d: int, m: int) -> LaurentQA:
     """The exact polynomial F with lifting_defect == [p]^2 * F.
 
-    Resolves exactly for prime p; composite p generally leaves a genuine
-    fraction and NonExactDivision propagates.
+    Resolves exactly, with int coefficients, for prime p; composite p
+    generally leaves a genuine fraction and NonExactDivision propagates,
+    from the bracket division or from the integer scale.
     """
-    num, den = _defect_cofactor_parts(p, d, m)
-    return exact_div(num, den)
+    num, den, big = _defect_cofactor_parts(p, d, m)
+    return exact_int_div(exact_div(num, den), big)
 
 
 @dataclass
@@ -227,8 +229,8 @@ def _identity_check(g: LaurentQA, p: int, d: int, m: int) -> bool:
     try:
         return g == p2 * defect_cofactor(p, d, m)
     except NonExactDivision:
-        num, den = _defect_cofactor_parts(p, d, m)
-        return g * den == p2 * num
+        num, den, big = _defect_cofactor_parts(p, d, m)
+        return g * den * big == p2 * num
 
 
 # -- single-variable ratio families ------------------------------------------

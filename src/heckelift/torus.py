@@ -5,7 +5,9 @@ P_{d*mu} twisted by fractional framing m/d; evaluating in the plane gives the
 invariant as a finite sum over partitions.  Every sum here is assembled over
 one structured common denominator (a product of quantum brackets) with
 integer-scaled numerators, then resolved by exact division, so no rational
-function arithmetic ever happens term by term.
+function arithmetic ever happens term by term.  The verdict-path values
+(scaled_invariant and everything built from it) have int coefficients: the
+integer scale is divided out exactly at the end.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exactring import (
     bracket_of_partition,
     divide_out_abracket,
     exact_div,
+    exact_int_div,
     qbracket,
 )
 from .zbasis import ZAPoly, to_z2
@@ -153,8 +156,9 @@ def _bracket_sum(n: int, c: int) -> tuple[LaurentQA, int]:
 def scaled_invariant(K, p: int = 1) -> LaurentQA:
     """The bracket-scaled power-sum invariant {p} * H(K * P_p).
 
-    Resolves exactly to a Laurent polynomial for every p >= 1; a division
-    failure here would be an implementation bug, not a conjecture failure.
+    Resolves exactly to a Laurent polynomial with int coefficients for every
+    p >= 1; a division failure here (NonExactDivision) would be an
+    implementation bug, not a conjecture failure.
     """
     if p < 1:
         raise ValueError("color must be >= 1")
@@ -164,7 +168,7 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     n, c = p * d, p * m
     acc, L = _bracket_sum(n, c)
     resolved = exact_div(acc * qbracket(p), _den_poly(n) * qbracket(c))
-    return (resolved * Fraction(1, L)).shift(aexp=p * m)
+    return exact_int_div(resolved, L).shift(aexp=p * m)
 
 
 @cache

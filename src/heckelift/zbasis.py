@@ -252,34 +252,56 @@ def double_root_residual(f: LaurentQA, p: int, a0: complex, s: int = 1) -> float
 
     Values in (a - a^-1)[p]^2 * Z[z^2, a^{+-1}] vanish to second order in q
     at 2p-th roots of unity away from +-1; returns max(|f|, |df/dq|) there.
-    Callers usually draw s coprime to 2p. The sum runs at a working
-    precision sized to the coefficients, so the residual measures the
-    polynomial itself rather than float rounding; large inputs still give
-    absolute residuals far below any reasonable tolerance.
+    Callers usually draw s coprime to 2p.
+
+    Since q0^(2p) = 1, the terms are first folded exactly: coefficients are
+    summed into buckets keyed by (qe mod 2p, ae) for f and, with weight qe,
+    by ((qe - 1) mod 2p, ae) for df/dq (a Fraction exponent folds exactly
+    too), so at most 2p buckets per a-layer are evaluated numerically.  The
+    sum runs at a working precision sized to the unfolded coefficients and
+    q-span, so the residual measures the polynomial itself rather than float
+    rounding; large inputs still give absolute residuals far below any
+    reasonable tolerance.
     """
     import mpmath
 
-    scale = sum(abs(Fraction(c)) for c in f.terms.values()) or Fraction(1)
-    span = max((abs(Fraction(qe)) for qe, _ in f.terms), default=Fraction(1))
-    dps = 40 + len(str(int(scale) + 1)) + len(str(int(span) + 1))
+    period = 2 * p
+    val_buckets: dict = {}
+    dval_buckets: dict = {}
+    scale = 0
+    span = 1
+    for (qe, ae), c in f.terms.items():
+        scale += abs(c)
+        span = max(span, abs(qe))
+        key = (qe % period, ae)
+        val_buckets[key] = val_buckets.get(key, 0) + c
+        if qe != 0:
+            key = ((qe - 1) % period, ae)
+            dval_buckets[key] = dval_buckets.get(key, 0) + qe * c
+    dps = 40 + len(str(int(scale or 1) + 1)) + len(str(int(span) + 1))
+
     with mpmath.workdps(dps):
         a_base = mpmath.mpc(a0)
-        val = mpmath.mpc(0)
-        dval = mpmath.mpc(0)
-        for (qe, ae), c in f.support():
-            cf = Fraction(c)
-            coeff = mpmath.mpf(cf.numerator) / cf.denominator
-            apow = a_base**ae
-            # q0^e = exp(i*pi*s*e/p), evaluated directly per exponent
-            x = Fraction(s) * Fraction(qe) / p
-            val += coeff * mpmath.expjpi(mpmath.mpf(x.numerator) / x.denominator) * apow
-            if qe != 0:
-                qf = Fraction(qe)
-                dx = Fraction(s) * (qf - 1) / p
-                dval += (
-                    coeff
-                    * (mpmath.mpf(qf.numerator) / qf.denominator)
-                    * mpmath.expjpi(mpmath.mpf(dx.numerator) / dx.denominator)
-                    * apow
-                )
+        apows: dict = {}
+        roots: dict = {}
+
+        def _mpq(x):
+            x = Fraction(x)
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        def _evaluate(buckets: dict):
+            total = mpmath.mpc(0)
+            for (r, ae), c in buckets.items():
+                if not c:
+                    continue
+                if r not in roots:
+                    # q0^r = exp(i*pi*s*r/p), evaluated directly per residue
+                    roots[r] = mpmath.expjpi(_mpq(Fraction(s) * r / p))
+                if ae not in apows:
+                    apows[ae] = a_base**ae
+                total += _mpq(c) * roots[r] * apows[ae]
+            return total
+
+        val = _evaluate(val_buckets)
+        dval = _evaluate(dval_buckets)
         return float(max(abs(val), abs(dval)))

@@ -9,6 +9,7 @@ exit codes, emitted files, and stdout. Exit code contract:
 import csv
 import io
 import json
+import math
 from math import gcd
 
 import pytest
@@ -370,3 +371,25 @@ def test_sweep_isolates_a_raising_case(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     rows = list(csv.reader(io.StringIO(csv_path.read_text())))
     assert ["1", "2", "2", "true", "ERROR", "", ""] in rows
+
+
+def test_sweep_fails_on_nan_residual(tmp_path, capsys, monkeypatch):
+    import heckelift.cli as cli
+
+    calls = []
+
+    def nan_first(defect, p, a0, s):
+        calls.append(p)
+        return float("nan") if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(cli, "double_root_residual", nan_first)
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path, composites=[])
+    out_path = tmp_path / "out.json"
+    assert run(["sweep", "--sweep-config", str(cfg_path), "--out", str(out_path)]) == 1
+    capsys.readouterr()
+    assert len(calls) > 1
+    summary = json.loads(out_path.read_text())["summary"]
+    assert summary["ok"] is False
+    assert summary["unexpected"] == 0
+    assert math.isnan(summary["numeric_max_residual"])

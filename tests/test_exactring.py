@@ -17,6 +17,7 @@ from heckelift.exactring import (
     bracket_of_partition,
     divide_out_abracket,
     exact_div,
+    exact_int_div,
     qbracket,
     qnum,
     qnum_power,
@@ -170,6 +171,21 @@ def test_exact_div_remainder_and_errors():
         exact_div(qbracket(2), abracket(1))
     with pytest.raises(ResidualFractionalExponent):
         exact_div(LaurentQA({(Fraction(1, 2), 0): 1}), qbracket(1))
+
+
+def test_exact_int_div():
+    f = LaurentQA({(2, 0): 12, (-1, 3): -30, (Fraction(1, 2), 1): Fraction(6)})
+    q = exact_int_div(f, 6)
+    assert q == LaurentQA({(2, 0): 2, (-1, 3): -5, (Fraction(1, 2), 1): 1})
+    assert all(type(c) is int for c in q.terms.values())
+    assert exact_int_div(f, -3) * -3 == f
+    with pytest.raises(NonExactDivision) as caught:
+        exact_int_div(f, 4)
+    assert caught.value.remainder == LaurentQA({(-1, 3): 2, (Fraction(1, 2), 1): 2})
+    with pytest.raises(NonExactDivision):
+        exact_int_div(LaurentQA.monomial(Fraction(1, 2)), 1)
+    with pytest.raises(ZeroDivisionError):
+        exact_int_div(f, 0)
 
 
 def test_divide_out_abracket():

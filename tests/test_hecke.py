@@ -18,7 +18,7 @@ from heckelift.hecke import (
     sum_split_identity,
     verify_hecke,
 )
-from heckelift.torus import FramedUnknot, TorusKnot
+from heckelift.torus import FramedUnknot, TorusKnot, scaled_invariant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,6 +130,27 @@ def test_defect_factorization_identity():
     for d, m, p in ((1, 1, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (1, 5, 3)):
         g = lifting_defect(TorusKnot(d, m), p)
         assert g == qnum(p) * qnum(p) * defect_cofactor(p, d, m)
+
+
+def _int_coefficients(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_verdict_path_coefficients_are_int():
+    grid = [
+        (TorusKnot(d, m), p)
+        for p in (2, 3, 5, 7)
+        for d in (1, 2, 3)
+        for m in range(1, 6)
+        if gcd(d, m) == 1 and p * d <= 9
+    ]
+    grid += [(FramedUnknot(t), p) for t in range(-2, 3) for p in (2, 3, 5)]
+    for knot, p in grid:
+        for order in (1, p):
+            assert _int_coefficients(scaled_invariant(knot, order)), (knot, order)
+        assert _int_coefficients(lifting_defect(knot, p)), (knot, p)
+    for d, m, p in ((1, 1, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (1, 5, 3), (1, 2, 5)):
+        assert _int_coefficients(defect_cofactor(p, d, m)), (d, m, p)
 
 
 def test_defect_cofactor_not_polynomial_for_composite():

@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -138,3 +139,77 @@ def test_double_root_residual():
         double_root_residual(single, 2, cmath.exp(0.3j), s) for s in (1, 3)
     ]
     assert max(residuals) > 1e-3
+
+
+def _term_by_term_residual(f, p, a0, s):
+    """Reference for double_root_residual: every term evaluated on its own."""
+    import mpmath
+
+    scale = sum(abs(Fraction(c)) for c in f.terms.values()) or Fraction(1)
+    span = max((abs(Fraction(qe)) for qe, _ in f.terms), default=Fraction(1))
+    dps = 40 + len(str(int(scale) + 1)) + len(str(int(span) + 1))
+    with mpmath.workdps(dps):
+        a_base = mpmath.mpc(a0)
+        val = mpmath.mpc(0)
+        dval = mpmath.mpc(0)
+        for (qe, ae), c in f.support():
+            cf = Fraction(c)
+            coeff = mpmath.mpf(cf.numerator) / cf.denominator
+            apow = a_base**ae
+            x = Fraction(s) * Fraction(qe) / p
+            val += coeff * mpmath.expjpi(mpmath.mpf(x.numerator) / x.denominator) * apow
+            if qe != 0:
+                qf = Fraction(qe)
+                dx = Fraction(s) * (qf - 1) / p
+                dval += (
+                    coeff
+                    * (mpmath.mpf(qf.numerator) / qf.denominator)
+                    * mpmath.expjpi(mpmath.mpf(dx.numerator) / dx.denominator)
+                    * apow
+                )
+        return float(max(abs(val), abs(dval)))
+
+
+def _assert_agrees(f, p, a0, s, nonzero):
+    folded = double_root_residual(f, p, a0, s)
+    reference = _term_by_term_residual(f, p, a0, s)
+    if nonzero:
+        assert reference > 1e-3
+        assert folded == pytest.approx(reference, rel=1e-12)
+    else:
+        assert reference < 1e-30 and folded < 1e-30
+
+
+def test_folded_residual_matches_term_by_term():
+    from heckelift import FramedUnknot, TorusKnot, lifting_defect
+
+    rng = random.Random(7)
+    for knot, p in (
+        (TorusKnot(2, 3), 2),
+        (TorusKnot(2, 3), 3),
+        (TorusKnot(3, 2), 3),
+        (TorusKnot(1, 4), 5),
+        (FramedUnknot(-2), 3),
+    ):
+        g = lifting_defect(knot, p)
+        for s in (k for k in range(1, 2 * p) if k % p):
+            _assert_agrees(g, p, cmath.exp(2j * cmath.pi * rng.random()), s, False)
+    # composite probes: nonzero exactly where q0 is not a primitive 2p-th root
+    a0 = cmath.exp(0.7j)
+    for p in (4, 6):
+        g = lifting_defect(TorusKnot(2, 3), p)
+        for s in range(1, p):
+            _assert_agrees(g, p, a0, s, gcd(s, 2 * p) > 1)
+    # fractional q-exponents fold exactly as well
+    f = LaurentQA(
+        {
+            (Fraction(1, 2), 0): 3,
+            (Fraction(-7, 3), 1): Fraction(-2, 5),
+            (Fraction(25, 2), 1): 4,
+            (5, -1): 1,
+            (0, 2): 4,
+        }
+    )
+    for p in (2, 3):
+        for s in range(1, 2 * p):
+            _assert_agrees(f, p, cmath.exp(0.3j), s, True)
