@@ -403,6 +403,17 @@ def _resolve_cache_dir(args) -> Path:
     return Path(path)
 
 
+def _stat_cache_file(directory: Path, path: Path) -> str:
+    """The `cache stat` line of one table file; raises if the file is bad."""
+    digits = path.stem.removeprefix("characters_w")
+    if not digits.isdigit() or cache_path(directory, int(digits)) != path:
+        raise ValueError("the name is not characters_wNN.json with NN the weight")
+    weight = int(digits)
+    load_character_table(directory, weight)
+    rows = len(partitions_of(weight))
+    return f"weight {weight}: {rows}x{rows} entries, digest ok ({path.name})"
+
+
 def cmd_cache(args) -> int:
     directory = _resolve_cache_dir(args)
     if args.action == "build":
@@ -423,13 +434,14 @@ def cmd_cache(args) -> int:
         if not found:
             print(f"no character tables under {directory}")
             return 1
+        bad = 0
         for path in found:
-            weight = int(path.stem.split("_w")[1])
-            table = load_character_table(directory, weight)
-            rows = len(partitions_of(weight))
-            print(f"weight {weight}: {rows}x{rows} entries, digest ok ({path.name})")
-            del table
-        return 0
+            try:
+                print(_stat_cache_file(directory, path))
+            except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+                print(f"bad cache file {path.name}: {type(err).__name__}: {err}")
+                bad += 1
+        return 1 if bad else 0
     if args.action == "clear":
         removed = 0
         if directory.exists():

@@ -88,33 +88,6 @@ def gcd_of_parts(mu: Partition) -> int:
 
 
 @dataclass(frozen=True)
-class PartDivisibility:
-    """Divisibility report for a partition against a modulus p."""
-
-    all_parts_divisible: bool
-    scaled: Partition
-    quotient: Partition | None
-    gcd: int
-
-
-def partition_utils(mu: Partition, p: int) -> PartDivisibility:
-    """Describe how mu interacts with scaling by p.
-
-    ``scaled`` is p*mu (every part multiplied); ``quotient`` is mu/p when
-    every part is divisible by p, else None.
-    """
-    if p <= 0:
-        raise ValueError("modulus must be positive")
-    divisible = all(x % p == 0 for x in mu)
-    return PartDivisibility(
-        all_parts_divisible=divisible,
-        scaled=tuple(p * x for x in mu),
-        quotient=tuple(x // p for x in mu) if divisible else None,
-        gcd=gcd_of_parts(mu),
-    )
-
-
-@dataclass(frozen=True)
 class HookShape:
     """Hook partition (arm | leg) = (arm+1, 1^leg)."""
 

@@ -1,22 +1,21 @@
 """Exact Laurent arithmetic in q and a over the rationals.
 
-LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients,
-integer a-exponents, and q-exponents that are integers or exact rationals
-(rational exponents appear transiently in cabling sums before they cancel).
-Values on the verdict path (invariants, defects, cofactors for prime p) have
-int coefficients throughout; exact_int_div divides by an integer scale and
-raises rather than leave a Fraction behind.
-RingFraction is an int-coefficient LaurentQA numerator over one denominator
-form, a positive int scale times a monomial prod {k}^e_k in the q-brackets
-{k} = q^k - q^-k: sums take the lcm of the two bracket monomials, products
-add exponents, Adams scaling maps {k} to {ek}, and resolve divides the
-brackets out one at a time by exact long division.  No floats anywhere
-except the numeric evaluation helpers used by the double-root oracle.
+LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients
+and int exponents in both q and a; any other q-exponent type raises
+TypeError.  Values on the verdict path (invariants, defects, cofactors for
+prime p) have int coefficients throughout; exact_int_div divides by an
+integer scale and raises rather than leave a Fraction behind.
+Denominators are bracket monomials prod {k}^e_k in the q-brackets
+{k} = q^k - q^-k, divided out exactly by divide_brackets.  RingFraction is
+an int-coefficient LaurentQA numerator over a positive int scale times such
+a monomial: sums take the lcm of the two bracket monomials, products add
+exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
+out.  No floats anywhere except the numeric evaluation helpers used by the
+double-root oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -43,12 +42,11 @@ class ResidualFractionalExponent(ValueError):
     """A fractional q-exponent survived where cancellation was required."""
 
 
-def _norm_qexp(e):
-    """Canonical q-exponent: plain int when integral, Fraction otherwise."""
-    if isinstance(e, int):
-        return e
-    f = Fraction(e)
-    return int(f) if f.denominator == 1 else f
+def _qexp(e) -> int:
+    """A q-exponent, which must be an int: never truncated or converted."""
+    if not isinstance(e, int):
+        raise TypeError(f"q-exponent must be an int, got {e!r}")
+    return e
 
 
 class LaurentQA:
@@ -62,7 +60,7 @@ class LaurentQA:
             for (qe, ae), c in terms.items():
                 if c == 0:
                     continue
-                key = (_norm_qexp(qe), int(ae))
+                key = (_qexp(qe), int(ae))
                 c0 = data.get(key)
                 c = c if c0 is None else c0 + c
                 if c == 0:
@@ -89,7 +87,7 @@ class LaurentQA:
     def monomial(cls, coeff, qexp=0, aexp=0) -> "LaurentQA":
         if coeff == 0:
             return cls.zero()
-        return cls._raw({(_norm_qexp(qexp), int(aexp)): coeff})
+        return cls._raw({(_qexp(qexp), int(aexp)): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -100,7 +98,7 @@ class LaurentQA:
         return bool(self.terms)
 
     def coeff(self, qexp=0, aexp=0):
-        return self.terms.get((_norm_qexp(qexp), int(aexp)), 0)
+        return self.terms.get((_qexp(qexp), int(aexp)), 0)
 
     def support(self):
         """Terms in canonical order: a-exponent major, q-exponent minor."""
@@ -112,9 +110,6 @@ class LaurentQA:
     def a_slice(self, aexp: int) -> dict:
         """q-exponent -> coefficient map of the a^aexp layer."""
         return {qe: c for (qe, ae), c in self.terms.items() if ae == aexp}
-
-    def has_fractional_q(self) -> bool:
-        return any(not isinstance(qe, int) for qe, _ in self.terms)
 
     def is_a_free(self) -> bool:
         return all(ae == 0 for _, ae in self.terms)
@@ -173,8 +168,6 @@ class LaurentQA:
                     data.pop(key, None)
                 else:
                     data[key] = s
-        if any(not isinstance(qe, int) for qe, _ in data):
-            data = {(_norm_qexp(qe), ae): c for (qe, ae), c in data.items()}
         return LaurentQA._raw(data)
 
     __rmul__ = __mul__
@@ -249,7 +242,7 @@ class LaurentQA:
 
     def shift(self, qexp=0, aexp=0) -> "LaurentQA":
         """Multiply by the monomial q^qexp * a^aexp."""
-        qexp = _norm_qexp(qexp)
+        qexp = _qexp(qexp)
         return LaurentQA._raw(
             {(qe + qexp, ae + aexp): c for (qe, ae), c in self.terms.items()}
         )
@@ -259,16 +252,7 @@ class LaurentQA:
     def eval_numeric(self, q0: complex, a0: complex) -> complex:
         total = 0j
         for (qe, ae), c in self.terms.items():
-            total += complex(c) * _cpow(q0, qe) * _cpow(a0, ae)
-        return total
-
-    def eval_dq(self, q0: complex, a0: complex) -> complex:
-        """Numeric q-derivative at (q0, a0)."""
-        total = 0j
-        for (qe, ae), c in self.terms.items():
-            if qe == 0:
-                continue
-            total += complex(c) * complex(Fraction(qe)) * _cpow(q0, qe - 1) * _cpow(a0, ae)
+            total += complex(c) * q0**qe * a0**ae
         return total
 
     # -- text serialization --------------------------------------------------
@@ -293,13 +277,13 @@ class LaurentQA:
             return cls.zero()
         data: dict = {}
         for chunk in text.split(" + "):
-            qe: int | Fraction = 0
+            qe = 0
             ae = 0
             coeff = None
             for factor in chunk.split(" * "):
                 factor = factor.strip()
                 if factor.startswith("q^"):
-                    qe = _norm_qexp(Fraction(factor[2:]))
+                    qe = int(factor[2:])
                 elif factor.startswith("a^"):
                     ae = int(factor[2:])
                 else:
@@ -316,13 +300,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return LaurentQA.monomial(x)
     return NotImplemented
-
-
-def _cpow(base: complex, exp) -> complex:
-    """base**exp on the principal branch, exact for integer exponents."""
-    if isinstance(exp, int):
-        return base**exp
-    return cmath.exp(complex(Fraction(exp)) * cmath.log(base))
 
 
 # -- standard elements -------------------------------------------------------
@@ -398,10 +375,6 @@ def exact_div(num: LaurentQA, den: LaurentQA) -> LaurentQA:
         raise ZeroDivisionError("division by the zero polynomial")
     if not den.is_a_free():
         raise ValueError("denominator must not involve a")
-    if den.has_fractional_q() or num.has_fractional_q():
-        raise ResidualFractionalExponent(
-            "exact division requires integer q-exponents"
-        )
     den_slice = den.a_slice(0)
     dexps = sorted(den_slice)
     dlo, dhi = dexps[0], dexps[-1]
@@ -523,7 +496,7 @@ def divide_out_abracket(f: LaurentQA, n: int = 1) -> LaurentQA:
     )
 
 
-# -- ring fractions -----------------------------------------------------------
+# -- bracket monomials --------------------------------------------------------
 
 
 def _times_bracket(terms: dict, k: int) -> dict:
@@ -545,30 +518,61 @@ def _times_brackets(terms: dict, brackets) -> dict:
     return terms
 
 
-def _div_bracket(terms: dict, k: int) -> dict:
-    """terms / {k}; NonExactDivision unless {k} divides every a-layer."""
+def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
+    """f divided exactly by the product of {k} over orders, which may repeat.
+
+    A negative order k stands for {k} = -{-k}.  Each a-layer is laid out
+    densely once and every bracket is divided out in place: f = Q q^k - Q q^-k,
+    so from the top down Q[j - k] = f[j] + Q[j + k].  Raises NonExactDivision,
+    with the remainder left by the failing bracket attached, unless every
+    bracket divides every a-layer.
+    """
+    sign = 1
+    widths = []
+    for k in orders:
+        if k == 0:
+            raise ZeroDivisionError("the bracket {0} is zero")
+        if k < 0:
+            sign, k = -sign, -k
+        widths.append(2 * k)
     layers: dict[int, dict] = {}
-    for (qe, ae), c in terms.items():
+    for (qe, ae), c in f.terms.items():
         layers.setdefault(ae, {})[qe] = c
     out: dict = {}
-    for ae, layer in layers.items():
-        lo = min(layer)
-        work = [0] * (max(layer) - lo + 1)
+    # terms come out a-layer ascending, q descending, as from exact_div: the
+    # double-root residual sums them in dict order
+    for ae in sorted(layers):
+        layer = layers[ae]
+        # work[i] is the coefficient of q^(i + off); the quotient so far
+        # occupies work[base:]
+        off = min(layer)
+        top = max(layer) - off + 1
+        work = [0] * top
         for qe, c in layer.items():
-            work[qe - lo] = c
-        # f = Q q^k - Q q^-k, so from the top down Q[j - k] = f[j] + Q[j + k]
-        for i in range(len(work) - 1, 2 * k - 1, -1):
+            work[qe - off] = c
+        base = 0
+        for w in widths:
+            for i in range(top - 1, base + w - 1, -1):
+                c = work[i]
+                if c:
+                    work[i - w] += c
+            if any(work[base : base + w]):
+                rest = enumerate(work[base : base + w], base)
+                remainder = {(i + off, ae): c for i, c in rest if c}
+                raise NonExactDivision(
+                    f"not divisible by {{{w // 2}}} on a-layer {ae}",
+                    remainder=LaurentQA._raw(remainder),
+                )
+            base += w
+            off -= w // 2
+        for i in range(top - 1, base - 1, -1):
             c = work[i]
             if c:
-                out[(lo + i - k, ae)] = c
-                work[i - 2 * k] += c
-        if any(work[: 2 * k]):
-            remainder = {(lo + i, ae): c for i, c in enumerate(work[: 2 * k]) if c}
-            raise NonExactDivision(
-                f"not divisible by {{{k}}} on a-layer {ae}",
-                remainder=LaurentQA._raw(remainder),
-            )
-    return out
+                out[(i + off, ae)] = c * sign
+    return LaurentQA._raw(out)
+
+
+# -- ring fractions -----------------------------------------------------------
 
 
 def _integral(terms: dict) -> tuple[dict, int]:
@@ -588,22 +592,22 @@ def _peel_brackets(den: LaurentQA) -> tuple[Fraction, int, Counter]:
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    if not den.is_a_free() or den.has_fractional_q():
+    if not den.is_a_free():
         raise ValueError("denominator must be c * q^s * prod {k}^e in q only")
-    rest = den.terms
+    rest = den
     brackets: Counter = Counter()
-    k = _qspan(rest) // 2
-    while len(rest) > 1 and k >= 1:
+    k = _qspan(rest.terms) // 2
+    while len(rest.terms) > 1 and k >= 1:
         try:
-            rest = _div_bracket(rest, k)
+            rest = divide_brackets(rest, (k,))
         except NonExactDivision:
             k -= 1
             continue
         brackets[k] += 1
-        k = min(k, _qspan(rest) // 2)
-    if len(rest) > 1:
+        k = min(k, _qspan(rest.terms) // 2)
+    if len(rest.terms) > 1:
         raise ValueError(f"denominator {den.to_text()} is not c * q^s * prod {{k}}^e")
-    (((s, _), c),) = rest.items()
+    (((s, _), c),) = rest.terms.items()
     return Fraction(c), s, brackets
 
 
@@ -780,15 +784,11 @@ class RingFraction:
     def resolve(self) -> LaurentQA:
         """Exact quotient as a Laurent polynomial; NonExactDivision if none.
 
-        Divides out one bracket at a time, then the scale; a coefficient
-        the scale does not divide stays a Fraction.
+        Divides out the brackets, largest order first, then the scale; a
+        coefficient the scale does not divide stays a Fraction.
         """
-        if self.num.has_fractional_q():
-            raise ResidualFractionalExponent("resolve requires integer q-exponents")
-        out = self.num.terms
-        for k, e in sorted(self.brackets.items(), reverse=True):
-            for _ in range(e):
-                out = _div_bracket(out, k)
+        orders = sorted(self.brackets.elements(), reverse=True)
+        out = divide_brackets(self.num, orders).terms
         s = self.scale
         return LaurentQA._raw(
             {key: c // s if c % s == 0 else Fraction(c, s) for key, c in out.items()}
@@ -798,7 +798,7 @@ class RingFraction:
         """Collapse the denominator when the quotient happens to be exact."""
         try:
             return RingFraction(self.resolve(), 1)
-        except (NonExactDivision, ResidualFractionalExponent):
+        except NonExactDivision:
             return self
 
     def eval_numeric(self, q0: complex, a0: complex) -> complex:

@@ -21,6 +21,7 @@ from .exactring import (
     NotDivisible,
     abracket_of_partition,
     bracket_of_partition,
+    divide_brackets,
     divide_out_abracket,
     exact_div,
     exact_int_div,
@@ -31,7 +32,7 @@ from .exactring import (
 from .torus import (
     _bracket_sum,
     _cofactor,
-    _den_poly,
+    _den_brackets,
     _zlcm,
     cable_params,
     scaled_invariant,
@@ -77,12 +78,12 @@ def lifting_defect(K, p: int) -> LaurentQA:
     return scaled_invariant(K, p) - scaled_invariant(K, 1).adams(p) * sign
 
 
-def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, LaurentQA, int]:
-    """Numerator, monic denominator and integer scale of defect / [p]^2.
+def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, tuple, int]:
+    """Numerator, denominator bracket orders and integer scale of defect / [p]^2.
 
     The value is {1}^2/{p} * a^{pm} * (S1 - sign * S2) with S1 summing the
     weight-pd bracket terms and S2 the weight-d terms reindexed through
-    mu = p*nu; it equals num / (den * big) with den a product of brackets.
+    mu = p*nu; it equals num / (big * prod of {k} over orders).
     """
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
@@ -100,8 +101,7 @@ def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, LaurentQA
     sign = defect_sign(p, d * m)
     combined = s1 * (big // l1) - s2 * (sign * (big // l2))
     num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
-    den = _den_poly(n) * qbracket(c) * qbracket(p)
-    return num, den, big
+    return num, _den_brackets(n) + (c, p), big
 
 
 def defect_cofactor(p: int, d: int, m: int) -> LaurentQA:
@@ -111,8 +111,8 @@ def defect_cofactor(p: int, d: int, m: int) -> LaurentQA:
     generally leaves a genuine fraction and NonExactDivision propagates,
     from the bracket division or from the integer scale.
     """
-    num, den, big = _defect_cofactor_parts(p, d, m)
-    return exact_int_div(exact_div(num, den), big)
+    num, orders, big = _defect_cofactor_parts(p, d, m)
+    return exact_int_div(divide_brackets(num, orders), big)
 
 
 @dataclass
@@ -225,12 +225,13 @@ def _identity_check(g: LaurentQA, p: int, d: int, m: int) -> bool:
     if m == 0:
         # no twist: the lift equals the Adams image, so the defect vanishes
         return g.is_zero()
-    p2 = qnum(p) * qnum(p)
+    # the division leaves a remainder exactly when no polynomial g has
+    # g * big * prod{k} == [p]^2 num, so a remainder means the identity fails
+    num, orders, big = _defect_cofactor_parts(p, d, m)
     try:
-        return g == p2 * defect_cofactor(p, d, m)
+        return divide_brackets(qnum(p) * qnum(p) * num, orders) == g * big
     except NonExactDivision:
-        num, den, big = _defect_cofactor_parts(p, d, m)
-        return g * den * big == p2 * num
+        return False
 
 
 # -- single-variable ratio families ------------------------------------------

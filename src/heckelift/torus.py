@@ -3,15 +3,17 @@
 The d-fold cabling of the (d, m) torus knot turns a power sum P_mu into
 P_{d*mu} twisted by fractional framing m/d; evaluating in the plane gives the
 invariant as a finite sum over partitions.  Every sum here is assembled over
-one structured common denominator (a product of quantum brackets) with
-integer-scaled numerators, then resolved by exact division, so no rational
-function arithmetic ever happens term by term.  The verdict-path values
-(scaled_invariant and everything built from it) have int coefficients: the
-integer scale is divided out exactly at the end.
+one common denominator D(n) = prod_k {k}^(n//k), kept as its list of bracket
+orders: the term of mu |- n carries the bracket-monomial cofactor D(n)/{mu},
+and the total is resolved by dividing the brackets out exactly, so no
+rational function arithmetic ever happens term by term.  The verdict-path
+values (scaled_invariant and everything built from it) have int
+coefficients: the integer scale is divided out exactly at the end.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -19,7 +21,6 @@ from math import gcd, lcm
 
 from .combinatorics import (
     Partition,
-    WeightMismatch,
     as_partition,
     character_table,
     kappa,
@@ -30,11 +31,12 @@ from .exactring import (
     LaurentQA,
     ResidualFractionalExponent,
     RingFraction,
+    _times_brackets,
     abracket,
     abracket_of_partition,
     bracket_of_partition,
+    divide_brackets,
     divide_out_abracket,
-    exact_div,
     exact_int_div,
     qbracket,
 )
@@ -88,56 +90,29 @@ def _den_brackets(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _den_poly(n: int, scale: int = 1) -> LaurentQA:
-    out = LaurentQA.one()
-    for k in _den_brackets(n):
-        out = out * qbracket(scale * k)
-    return out
-
-
-@cache
 def _zlcm(n: int) -> int:
     return lcm(*(z_mu(mu) for mu in partitions_of(n))) if n else 1
 
 
 @cache
 def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
-    """_den_poly(n, scale) divided by {scale * mu}, built by prefix sharing."""
-    if not mu:
-        return _den_poly(n, scale)
-    return exact_div(_cofactor(n, mu[:-1], scale), qbracket(scale * mu[-1]))
+    """D(n)/{mu} at q -> q^scale for mu |- n, multiplied out.
+
+    The product of the brackets {scale * k} over the orders of D(n) that mu
+    does not use.
+    """
+    rest = Counter(_den_brackets(n)) - Counter(mu)
+    brackets = Counter({scale * k: e for k, e in rest.items()})
+    return LaurentQA._raw(_times_brackets({(0, 0): 1}, brackets))
 
 
 @cache
 def _plane_row(n: int, nu: Partition, scale: int = 1) -> LaurentQA:
-    """{nu}_a times the cofactor of {nu} in _den_poly(n), q-scaled."""
+    """{nu}_a times the bracket-monomial cofactor D(n)/{nu}, q-scaled."""
     return abracket_of_partition(nu) * _cofactor(n, nu, scale)
 
 
 # -- the twisted power-sum expansion -----------------------------------------
-
-
-def twist_power_sum(k: int, d: int, m: int) -> tuple[tuple[Partition, RingFraction], ...]:
-    """Expansion of the m/d-twisted power sum P_{kd} over power sums P_mu.
-
-    Coefficient of P_mu is a^{km} {km*mu} / (z_mu {km}); the zero twist is the
-    identity on P_{kd}.
-    """
-    if k < 1 or d < 1:
-        raise ValueError("cable parameters must be >= 1")
-    out = []
-    for mu in partitions_of(k * d):
-        if m == 0:
-            coeff = RingFraction(
-                LaurentQA.one() if mu == (k * d,) else LaurentQA.zero()
-            )
-        else:
-            num = bracket_of_partition(mu, k * m).shift(aexp=k * m) * Fraction(
-                1, z_mu(mu)
-            )
-            coeff = RingFraction(num, qbracket(k * m))
-        out.append((mu, coeff))
-    return tuple(out)
 
 
 @cache
@@ -167,7 +142,7 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
         return abracket(p)
     n, c = p * d, p * m
     acc, L = _bracket_sum(n, c)
-    resolved = exact_div(acc * qbracket(p), _den_poly(n) * qbracket(c))
+    resolved = divide_brackets(acc * qbracket(p), _den_brackets(n) + (c,))
     return exact_int_div(resolved, L).shift(aexp=p * m)
 
 
@@ -245,25 +220,6 @@ def power_sum_plane_value(mu: Partition) -> RingFraction:
     """Plane evaluation of a power-sum color: prod_j {mu_j}_a / {mu_j}."""
     mu = as_partition(mu)
     return RingFraction.over_brackets(abracket_of_partition(mu), 1, mu)
-
-
-def character_pairing(mu: Partition, nu: Partition) -> LaurentQA:
-    """sum over lam of chi_lam(mu) chi_lam(nu) q^kappa(lam)."""
-    mu, nu = as_partition(mu), as_partition(nu)
-    if sum(mu) != sum(nu):
-        raise WeightMismatch(f"|{mu}| != |{nu}|")
-    table = character_table(sum(mu)).values
-    out: dict = {}
-    for lam in partitions_of(sum(mu)):
-        v = table[(lam, mu)] * table[(lam, nu)]
-        if v:
-            key = (kappa(lam), 0)
-            s = out.get(key, 0) + v
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return LaurentQA._raw(out)
 
 
 def alexander(K) -> ZAPoly:

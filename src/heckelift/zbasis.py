@@ -127,17 +127,13 @@ def _cosh_basis(k: int) -> tuple:
 def to_z2(f: LaurentQA) -> ZAPoly:
     """Rewrite f as a polynomial in z^2 and a^{+-1}.
 
-    Raises NotInSubring naming the violated symmetry: fractional or odd
-    q-exponents, or a q <-> q^{-1} asymmetric a-layer.
+    Raises NotInSubring naming the violated symmetry: odd q-exponents, or
+    a q <-> q^{-1} asymmetric a-layer.
     """
     rows = {}
     for ae in f.a_exponents():
         slice_ = f.a_slice(ae)
         for qe in slice_:
-            if not isinstance(qe, int):
-                raise NotInSubring(
-                    f"fractional q-exponent {qe} on a-layer {ae}"
-                )
             if qe % 2 != 0:
                 raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
         for qe, c in slice_.items():
@@ -256,12 +252,11 @@ def double_root_residual(f: LaurentQA, p: int, a0: complex, s: int = 1) -> float
 
     Since q0^(2p) = 1, the terms are first folded exactly: coefficients are
     summed into buckets keyed by (qe mod 2p, ae) for f and, with weight qe,
-    by ((qe - 1) mod 2p, ae) for df/dq (a Fraction exponent folds exactly
-    too), so at most 2p buckets per a-layer are evaluated numerically.  The
-    sum runs at a working precision sized to the unfolded coefficients and
-    q-span, so the residual measures the polynomial itself rather than float
-    rounding; large inputs still give absolute residuals far below any
-    reasonable tolerance.
+    by ((qe - 1) mod 2p, ae) for df/dq, so at most 2p buckets per a-layer
+    are evaluated numerically.  The sum runs at a working precision sized
+    to the unfolded coefficients and q-span, so the residual measures the
+    polynomial itself rather than float rounding; large inputs still give
+    absolute residuals far below any reasonable tolerance.
     """
     import mpmath
 

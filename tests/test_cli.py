@@ -277,9 +277,37 @@ def test_cache_stat_missing_and_corrupt(tmp_path, capsys):
     data = json.loads(victim.read_text())
     data["table"]["2"]["1+1"] = 99
     victim.write_text(json.dumps(data))
-    # digest mismatch surfaces as an internal error
-    assert run(base + ["stat"]) == 2
     capsys.readouterr()
+    # a digest mismatch is a bad file: named with its reason, not exit 2
+    assert run(base + ["stat"]) == 1
+    out = capsys.readouterr().out
+    assert "bad cache file characters_w02.json: ValueError: " in out
+    assert "digest mismatch" in out
+    assert "weight 1:" in out
+
+
+@pytest.mark.parametrize(
+    "name, text, reason",
+    [
+        ("characters_w03.json", "{bad", "JSONDecodeError: "),
+        ("characters_w03.json", "{}", "ValueError: unsupported cache version None"),
+        ("characters_wxx.json", "{}", "ValueError: the name is not characters_wNN.json"),
+    ],
+    ids=["unparsable", "no-version", "bad-name"],
+)
+def test_cache_stat_lists_every_bad_file(tmp_path, capsys, name, text, reason):
+    cache_dir = tmp_path / "cache"
+    base = ["cache", "--cache-dir", str(cache_dir)]
+    assert run(base + ["build", "--max-weight", "4"]) == 0
+    (cache_dir / name).write_text(text)
+    capsys.readouterr()
+    assert run(base + ["stat"]) == 1
+    out = capsys.readouterr().out
+    assert f"bad cache file {name}: {reason}" in out
+    weights = [1, 2, 4] if name == "characters_w03.json" else [1, 2, 3, 4]
+    for w in weights:
+        assert f"weight {w}: " in out
+    assert len(out.splitlines()) == len(weights) + 1
 
 
 def test_cache_env_var_and_usage(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from heckelift.combinatorics import (
     load_character_table,
     parse_partition_key,
     partition_key,
-    partition_utils,
     partitions_of,
     save_character_table,
     z_mu,
@@ -78,13 +77,6 @@ def test_conjugate_examples():
 def test_gcd_and_divisibility():
     assert gcd_of_parts((6, 4, 2)) == 2
     assert gcd_of_parts((3, 2)) == 1
-    info = partition_utils((6, 4, 2), 2)
-    assert info.all_parts_divisible
-    assert info.quotient == (3, 2, 1)
-    assert partition_utils((6, 4, 2), 2).scaled == (12, 8, 4)
-    info = partition_utils((3, 2), 2)
-    assert not info.all_parts_divisible
-    assert info.quotient is None
 
 
 def test_hook_shapes():

@@ -10,11 +10,11 @@ from heckelift.exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
-    ResidualFractionalExponent,
     RingFraction,
     abracket,
     abracket_of_partition,
     bracket_of_partition,
+    divide_brackets,
     divide_out_abracket,
     exact_div,
     exact_int_div,
@@ -36,9 +36,17 @@ def test_constructors_and_basic_queries():
     f = qbracket(2) + LaurentQA.monomial(5, qexp=0, aexp=1)
     assert f.a_exponents() == [0, 1]
     assert f.a_slice(1) == {0: 5}
-    assert not f.has_fractional_q()
     assert not f.is_a_free()
     assert qbracket(3).is_a_free()
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        LaurentQA({(half, 0): 1})
+    with pytest.raises(TypeError):
+        LaurentQA.monomial(1, qexp=half)
+    with pytest.raises(TypeError):
+        f.coeff(half, 0)
+    with pytest.raises(TypeError):
+        f.shift(qexp=half)
 
 
 def test_support_ordering_is_a_major_q_minor():
@@ -141,12 +149,14 @@ def test_shift_and_eval_numeric():
 def test_text_round_trip_and_format():
     assert qbracket(2).to_text() == "-1 * q^-2 + 1 * q^2"
     assert LaurentQA.zero().to_text() == "0"
-    f = LaurentQA({(Fraction(1, 2), 2): Fraction(-3, 2), (0, 0): 1})
-    assert f.to_text() == "1 + -3/2 * q^1/2 * a^2"
+    f = LaurentQA({(-1, 2): Fraction(-3, 2), (0, 0): 1})
+    assert f.to_text() == "1 + -3/2 * q^-1 * a^2"
     rng = random.Random(99)
     for _ in range(40):
-        g = random_laurent(rng, fractional=True)
+        g = random_laurent(rng)
         assert LaurentQA.from_text(g.to_text()) == g
+    with pytest.raises(ValueError):
+        LaurentQA.from_text("1 * q^1/2")
 
 
 def test_exact_div_round_trip():
@@ -169,19 +179,17 @@ def test_exact_div_remainder_and_errors():
     assert err.remainder == LaurentQA.one()
     with pytest.raises(ValueError):
         exact_div(qbracket(2), abracket(1))
-    with pytest.raises(ResidualFractionalExponent):
-        exact_div(LaurentQA({(Fraction(1, 2), 0): 1}), qbracket(1))
 
 
 def test_exact_int_div():
-    f = LaurentQA({(2, 0): 12, (-1, 3): -30, (Fraction(1, 2), 1): Fraction(6)})
+    f = LaurentQA({(2, 0): 12, (-1, 3): -30, (3, 1): Fraction(6)})
     q = exact_int_div(f, 6)
-    assert q == LaurentQA({(2, 0): 2, (-1, 3): -5, (Fraction(1, 2), 1): 1})
+    assert q == LaurentQA({(2, 0): 2, (-1, 3): -5, (3, 1): 1})
     assert all(type(c) is int for c in q.terms.values())
     assert exact_int_div(f, -3) * -3 == f
     with pytest.raises(NonExactDivision) as caught:
         exact_int_div(f, 4)
-    assert caught.value.remainder == LaurentQA({(-1, 3): 2, (Fraction(1, 2), 1): 2})
+    assert caught.value.remainder == LaurentQA({(-1, 3): 2, (3, 1): 2})
     with pytest.raises(NonExactDivision):
         exact_int_div(LaurentQA.monomial(Fraction(1, 2)), 1)
     with pytest.raises(ZeroDivisionError):
@@ -333,3 +341,37 @@ def test_ring_fraction_denominator_form():
     assert RingFraction(LaurentQA.monomial(6), 4).scale == 2
     with pytest.raises(ValueError):
         RingFraction(qbracket(1), qnum(3))
+
+
+# -- divide_brackets ------------------------------------------------------------
+
+_ORDERS = st.lists(st.integers(-4, 4).filter(bool), max_size=6)
+
+
+@_PROPERTY
+@given(st.builds(LaurentQA, _TERMS), _ORDERS)
+def test_divide_brackets_round_trip(f, orders):
+    # bracket_of_partition takes negative orders as {k} = -{-k}
+    assert divide_brackets(f * bracket_of_partition(orders), orders) == f
+
+
+@_PROPERTY
+@given(
+    st.builds(LaurentQA, _TERMS),
+    _ORDERS.filter(bool),
+    st.integers(-6, 6),
+    st.integers(-2, 2),
+)
+def test_divide_brackets_remainder(f, orders, qe, ae):
+    # a monomial is never a multiple of a bracket, so neither is this sum
+    g = f * bracket_of_partition(orders) + LaurentQA.monomial(1, qexp=qe, aexp=ae)
+    with pytest.raises(NonExactDivision) as caught:
+        divide_brackets(g, orders)
+    remainder = caught.value.remainder
+    assert not remainder.is_zero()
+    assert remainder.a_exponents() == [ae]
+    if len(orders) == 1:
+        # one bracket: what is left after taking the remainder away divides
+        divide_brackets(g - remainder, orders)
+    with pytest.raises(ZeroDivisionError):
+        divide_brackets(g, orders + [0])

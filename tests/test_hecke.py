@@ -5,10 +5,17 @@ from pathlib import Path
 import pytest
 
 from heckelift.combinatorics import partitions_of
-from heckelift.exactring import NonExactDivision, qnum
+from heckelift.exactring import (
+    NonExactDivision,
+    abracket,
+    bracket_of_partition,
+    qnum,
+)
 from heckelift.hecke import (
     CongruenceReport,
     PreconditionViolated,
+    _defect_cofactor_parts,
+    _identity_check,
     defect_cofactor,
     defect_sign,
     divisible_family_check,
@@ -18,7 +25,7 @@ from heckelift.hecke import (
     sum_split_identity,
     verify_hecke,
 )
-from heckelift.torus import FramedUnknot, TorusKnot, scaled_invariant
+from heckelift.torus import FramedUnknot, TorusKnot, cable_params, scaled_invariant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,3 +225,39 @@ def test_family_sweep_coprime():
 def test_sum_split_identity():
     for p, d, m in ((2, 1, 1), (2, 2, 1), (2, 1, 3), (3, 1, 2), (2, 3, 1)):
         assert sum_split_identity(p, d, m), (p, d, m)
+
+
+def _cross_multiplied_identity(g, p, d, m):
+    """g * big * prod{k} == [p]^2 num, with the bracket product expanded."""
+    if p == 1 or m == 0:
+        return g.is_zero()
+    num, orders, big = _defect_cofactor_parts(p, d, m)
+    return g * bracket_of_partition(orders) * big == qnum(p) * qnum(p) * num
+
+
+def test_identity_check_matches_cross_multiplied():
+    cases = [
+        (TorusKnot(d, m), p)
+        for p in (2, 3, 5, 7)
+        for d in (1, 2, 3)
+        for m in range(1, 6)
+        if gcd(d, m) == 1 and p * d <= 9
+    ]
+    cases += [(FramedUnknot(t), p) for t in range(-2, 3) for p in (2, 3)]
+    cases += [(TorusKnot(2, 3), 4), (TorusKnot(2, 3), 6)]
+    for knot, p in cases:
+        d, m = cable_params(knot)
+        g = lifting_defect(knot, p)
+        for h, expected in ((g, True), (g + abracket(1), False)):
+            assert _identity_check(h, p, d, m) is expected, (knot, p)
+            assert _cross_multiplied_identity(h, p, d, m) is expected, (knot, p)
+
+
+def test_identity_check_false_when_division_fails(monkeypatch):
+    from heckelift import hecke
+
+    num, orders, big = _defect_cofactor_parts(3, 2, 3)
+    monkeypatch.setattr(
+        hecke, "_defect_cofactor_parts", lambda p, d, m: (num + 1, orders, big)
+    )
+    assert _identity_check(lifting_defect(TorusKnot(2, 3), 3), 3, 2, 3) is False

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import character_pairing, twist_power_sum
 from heckelift.combinatorics import (
     WeightMismatch,
     chi,
@@ -13,19 +14,20 @@ from heckelift.exactring import (
     RingFraction,
     abracket,
     bracket_of_partition,
+    exact_div,
     qbracket,
     zsquared,
 )
 from heckelift.torus import (
     FramedUnknot,
+    _cofactor,
+    _den_brackets,
     TorusKnot,
     alexander,
     cable_params,
-    character_pairing,
     power_sum_invariant,
     power_sum_plane_value,
     scaled_invariant,
-    twist_power_sum,
     unknot_schur_value,
 )
 
@@ -149,3 +151,22 @@ def test_alexander_closed_form():
     assert alexander(FramedUnknot(0)).to_json_dict() == {"0": ["1"]}
     assert alexander(FramedUnknot(-2)).to_json_dict() == {"0": ["1"]}
     assert alexander(TorusKnot(1, 7)).to_json_dict() == {"0": ["1"]}
+
+
+def _prefix_cofactor(n, mu, scale=1):
+    """D(n)/{mu} by dense long division, one part of mu at a time."""
+    if not mu:
+        return bracket_of_partition(_den_brackets(n), scale)
+    return exact_div(_prefix_cofactor(n, mu[:-1], scale), qbracket(scale * mu[-1]))
+
+
+def test_cofactor_is_bracket_monomial_quotient():
+    for n in range(1, 9):
+        full = _cofactor(n, ())
+        assert full == bracket_of_partition(_den_brackets(n))
+        for mu in partitions_of(n):
+            assert _cofactor(n, mu) * bracket_of_partition(mu) == full, mu
+            assert _cofactor(n, mu) == _prefix_cofactor(n, mu), mu
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            assert _cofactor(n, mu, 2) == _prefix_cofactor(n, mu, 2), mu
