@@ -199,9 +199,20 @@ class CharacterTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CharacterTable":
+        """Parse a cache body, raising ValueError if it is malformed.
+
+        Malformed: a body, table or row that is not a JSON object, a wrong
+        version or digest, or a table whose rows are not the partitions.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"cache body is a JSON {type(data).__name__}, not an object")
         if data.get("version") != CACHE_FORMAT_VERSION:
             raise ValueError(f"unsupported cache version {data.get('version')!r}")
         table = data["table"]
+        if not isinstance(table, dict) or not all(
+            isinstance(row, dict) for row in table.values()
+        ):
+            raise ValueError("cache table and its rows must be JSON objects")
         if data.get("sha256") != _table_digest(table):
             raise ValueError("character table cache digest mismatch")
         weight = int(data["weight"])

@@ -19,8 +19,6 @@ from .exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
-    abracket_of_partition,
-    bracket_of_partition,
     divide_brackets,
     divide_out_abracket,
     exact_div,
@@ -31,8 +29,7 @@ from .exactring import (
 )
 from .torus import (
     _bracket_sum,
-    _cofactor,
-    _den_brackets,
+    _twisted_sum,
     _zlcm,
     cable_params,
     scaled_invariant,
@@ -81,27 +78,26 @@ def lifting_defect(K, p: int) -> LaurentQA:
 def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, tuple, int]:
     """Numerator, denominator bracket orders and integer scale of defect / [p]^2.
 
-    The value is {1}^2/{p} * a^{pm} * (S1 - sign * S2) with S1 summing the
-    weight-pd bracket terms and S2 the weight-d terms reindexed through
-    mu = p*nu; it equals num / (big * prod of {k} over orders).
+    The value is {1}^2/({c}{p}) * a^c * (S1 - sign * S2), c = pm, with S1
+    the twisted sum over mu |- pd, terms (L/z_mu) {mu}_a prod_i [c]_{q^{mu_i}},
+    and S2 the weight-d terms reindexed through mu = p*nu, where
+    {c*nu_i}/{p*nu_i} = [m]_{q^{p*nu_i}}; it equals num / (big * {c}{p}).
     """
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
     if m == 0:
         raise ValueError("zero framing has no twist bracket")
-    n, c = p * d, p * m
-    s1, l1 = _bracket_sum(n, c)
+    c = p * m
+    s1, l1 = _bracket_sum(p * d, c)
     l2 = _zlcm(d)
-    s2 = LaurentQA.zero()
-    for nu in partitions_of(d):
-        pnu = tuple(p * x for x in nu)
-        qpart = bracket_of_partition(nu, c) * _cofactor(n, pnu)
-        s2 = s2 + abracket_of_partition(pnu) * qpart * (l2 // z_mu(nu))
+    s2 = _twisted_sum(
+        ((tuple(p * x for x in nu), l2 // z_mu(nu)) for nu in partitions_of(d)), m
+    )
     big = lcm(l1, l2)
     sign = defect_sign(p, d * m)
     combined = s1 * (big // l1) - s2 * (sign * (big // l2))
     num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
-    return num, _den_brackets(n) + (c, p), big
+    return num, (c, p), big
 
 
 def defect_cofactor(p: int, d: int, m: int) -> LaurentQA:
@@ -302,31 +298,25 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
 
 
 def sum_split_identity(p: int, d: int, m: int) -> bool:
-    """The weight-pd bracket sum splits into p-divisible and coprime parts.
+    """The weight-pd twisted sum splits into p-divisible and coprime parts.
 
     The divisible part is generated independently from nu |- d through
     mu = p*nu with z_{p nu} = p^len(nu) z_nu; exact equality of the three
-    accumulated numerators proves the reindexing step.
+    twisted sums (terms (L/z_mu) {mu}_a prod_i [pm]_{q^{mu_i}}) proves the
+    reindexing step.
     """
     if p < 1 or d < 1 or m == 0:
         raise ValueError("need p, d >= 1 and m != 0")
     n, c = p * d, p * m
     full, L = _bracket_sum(n, c)
-    nondiv = LaurentQA.zero()
-    for mu in partitions_of(n):
-        if all(x % p == 0 for x in mu):
-            continue
-        qpart = bracket_of_partition(mu, c) * _cofactor(n, mu)
-        nondiv = nondiv + abracket_of_partition(mu) * qpart * (L // z_mu(mu))
-    div = LaurentQA.zero()
+    nondiv = [(mu, L // z_mu(mu)) for mu in partitions_of(n) if any(x % p for x in mu)]
+    div = []
     for nu in partitions_of(d):
-        pnu = tuple(p * x for x in nu)
         denom = p ** len(nu) * z_mu(nu)
         if L % denom:
             return False
-        qpart = bracket_of_partition(pnu, c) * _cofactor(n, pnu)
-        div = div + abracket_of_partition(pnu) * qpart * (L // denom)
-    return full == nondiv + div
+        div.append((tuple(p * x for x in nu), L // denom))
+    return full == _twisted_sum(nondiv, c) + _twisted_sum(div, c)
 
 
 __all__ = [

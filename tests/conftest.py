@@ -2,16 +2,37 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from heckelift.combinatorics import (
+    CACHE_FORMAT_VERSION,
     WeightMismatch,
+    _table_digest,
     as_partition,
     character_table,
     kappa,
     partitions_of,
     z_mu,
 )
-from heckelift.exactring import LaurentQA, RingFraction, bracket_of_partition, qbracket
+from heckelift.exactring import (
+    LaurentQA,
+    RingFraction,
+    abracket,
+    abracket_of_partition,
+    bracket_of_partition,
+    divide_brackets,
+    exact_int_div,
+    qbracket,
+)
+from heckelift.hecke import defect_sign
+from heckelift.torus import (
+    FramedUnknot,
+    TorusKnot,
+    _cofactor,
+    _den_brackets,
+    _zlcm,
+    cable_params,
+)
 
 
 def frobenius_chi_table(n):
@@ -64,6 +85,24 @@ def random_laurent(rng, terms=4, qspan=5, aspan=3):
     return LaurentQA(data)
 
 
+def _weight3_body(table):
+    return {
+        "version": CACHE_FORMAT_VERSION,
+        "weight": 3,
+        "table": table,
+        "sha256": _table_digest(table),
+    }
+
+
+# character-table cache bodies with a JSON array where an object belongs; the
+# digests match, so only the shape is wrong
+NON_OBJECT_CACHE_BODIES = {
+    "array": [],
+    "table-array": _weight3_body([]),
+    "row-array": _weight3_body({"3": [1]}),
+}
+
+
 # -- cross-check references for the torus invariants --------------------------
 
 
@@ -107,3 +146,65 @@ def character_pairing(mu, nu):
             else:
                 out[key] = s
     return LaurentQA._raw(out)
+
+
+# -- the D(n) route of the twisted sums, kept as the reference -----------------
+
+
+def twisted_sum_grid():
+    """(knot, p) cases the twisted sums are checked on against the D(n) route.
+
+    p*d <= 12 with p in 2, 3, 5, 7 and m <= 7, FramedUnknot(-3..3) at
+    p = 2..5 (c < 0, and c = 0), and the composite T(2,3) at p = 4 and 6.
+    """
+    cases = [
+        (TorusKnot(d, m), p)
+        for p in (2, 3, 5, 7)
+        for d in (1, 2, 3)
+        for m in range(1, 8)
+        if gcd(d, m) == 1 and p * d <= 12
+    ]
+    cases += [(FramedUnknot(t), p) for t in range(-3, 4) for p in range(2, 6)]
+    return cases + [(TorusKnot(2, 3), 4), (TorusKnot(2, 3), 6)]
+
+# Every summand carries the common denominator D(n) = prod_k {k}^(n//k) as
+# the cofactor D(n)/{mu}, and the brackets of D(n) are divided back out.
+
+
+def dn_bracket_sum(n, c):
+    """sum over mu |- n of (L/z_mu) {mu}_a {c*mu} (D(n)/{mu}); returns (sum, L)."""
+    L = _zlcm(n)
+    acc = LaurentQA.zero()
+    for mu in partitions_of(n):
+        qpart = bracket_of_partition(mu, c) * _cofactor(n, mu)
+        contrib = abracket_of_partition(mu) * qpart
+        acc = acc + contrib * (L // z_mu(mu))
+    return acc, L
+
+
+def dn_scaled_invariant(K, p=1):
+    """{p} * H(K * P_p) through the D(n) bracket sum."""
+    d, m = cable_params(K)
+    if m == 0:
+        return abracket(p)
+    n, c = p * d, p * m
+    acc, L = dn_bracket_sum(n, c)
+    resolved = divide_brackets(acc * qbracket(p), _den_brackets(n) + (c,))
+    return exact_int_div(resolved, L).shift(aexp=p * m)
+
+
+def dn_defect_cofactor_parts(p, d, m):
+    """Numerator, bracket orders D(n) + (c, p) and integer scale of defect / [p]^2."""
+    n, c = p * d, p * m
+    s1, l1 = dn_bracket_sum(n, c)
+    l2 = _zlcm(d)
+    s2 = LaurentQA.zero()
+    for nu in partitions_of(d):
+        pnu = tuple(p * x for x in nu)
+        qpart = bracket_of_partition(nu, c) * _cofactor(n, pnu)
+        s2 = s2 + abracket_of_partition(pnu) * qpart * (l2 // z_mu(nu))
+    big = lcm(l1, l2)
+    sign = defect_sign(p, d * m)
+    combined = s1 * (big // l1) - s2 * (sign * (big // l2))
+    num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
+    return num, _den_brackets(n) + (c, p), big

@@ -14,6 +14,7 @@ from math import gcd
 
 import pytest
 
+from conftest import NON_OBJECT_CACHE_BODIES
 from heckelift import CongruenceReport, TorusKnot, verify_hecke
 from heckelift.cli import SweepConfig, UsageError, main
 
@@ -308,6 +309,21 @@ def test_cache_stat_lists_every_bad_file(tmp_path, capsys, name, text, reason):
     for w in weights:
         assert f"weight {w}: " in out
     assert len(out.splitlines()) == len(weights) + 1
+
+
+@pytest.mark.parametrize(
+    "body", NON_OBJECT_CACHE_BODIES.values(), ids=NON_OBJECT_CACHE_BODIES
+)
+def test_cache_build_replaces_non_object_json(tmp_path, capsys, body):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    base = ["cache", "--cache-dir", str(cache_dir)]
+    (cache_dir / "characters_w03.json").write_text(json.dumps(body))
+    assert run(base + ["stat"]) == 1
+    assert "bad cache file characters_w03.json: ValueError: " in capsys.readouterr().out
+    assert run(base + ["build", "--max-weight", "3"]) == 0
+    assert run(base + ["stat"]) == 0
+    assert "weight 3: 3x3 entries, digest ok" in capsys.readouterr().out
 
 
 def test_cache_env_var_and_usage(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import frobenius_chi_table
+from conftest import NON_OBJECT_CACHE_BODIES, frobenius_chi_table
 from heckelift.combinatorics import (
     CharacterTable,
     HookShape,
@@ -192,6 +192,25 @@ def test_character_table_env_cache(tmp_path, monkeypatch):
         monkeypatch.delenv("HECKE_CACHE_DIR")
         character_table.cache_clear()
     assert character_table(2).values[((2,), (2,))] == 1
+
+
+@pytest.mark.parametrize(
+    "body", NON_OBJECT_CACHE_BODIES.values(), ids=NON_OBJECT_CACHE_BODIES
+)
+def test_character_table_cache_rejects_non_object_json(tmp_path, monkeypatch, body):
+    with pytest.raises(ValueError, match="not an object|must be JSON objects"):
+        CharacterTable.from_json_dict(body)
+    # under HECKE_CACHE_DIR such a file is ignored and the table recomputed
+    cache_path(tmp_path, 3).write_text(json.dumps(body))
+    monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path))
+    character_table.cache_clear()
+    try:
+        values = character_table(3).values
+    finally:
+        monkeypatch.delenv("HECKE_CACHE_DIR")
+        character_table.cache_clear()
+    parts = partitions_of(3)
+    assert values == {(lam, mu): chi(lam, mu) for lam in parts for mu in parts}
 
 
 def test_save_character_table_is_atomic(tmp_path, monkeypatch):

@@ -4,11 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dn_defect_cofactor_parts, twisted_sum_grid
 from heckelift.combinatorics import partitions_of
 from heckelift.exactring import (
     NonExactDivision,
     abracket,
     bracket_of_partition,
+    divide_brackets,
+    exact_int_div,
     qnum,
 )
 from heckelift.hecke import (
@@ -235,22 +238,30 @@ def _cross_multiplied_identity(g, p, d, m):
     return g * bracket_of_partition(orders) * big == qnum(p) * qnum(p) * num
 
 
+def _dn_identity(g, p, parts):
+    """The identity check on the D(n) parts: numerator over D(n) + (c, p)."""
+    if parts is None:
+        return g.is_zero()
+    num, orders, big = parts
+    try:
+        return divide_brackets(qnum(p) * qnum(p) * num, orders) == g * big
+    except NonExactDivision:
+        return False
+
+
 def test_identity_check_matches_cross_multiplied():
-    cases = [
-        (TorusKnot(d, m), p)
-        for p in (2, 3, 5, 7)
-        for d in (1, 2, 3)
-        for m in range(1, 6)
-        if gcd(d, m) == 1 and p * d <= 9
-    ]
-    cases += [(FramedUnknot(t), p) for t in range(-2, 3) for p in (2, 3)]
-    cases += [(TorusKnot(2, 3), 4), (TorusKnot(2, 3), 6)]
-    for knot, p in cases:
+    for knot, p in twisted_sum_grid():
         d, m = cable_params(knot)
         g = lifting_defect(knot, p)
+        old = dn_defect_cofactor_parts(p, d, m) if m else None
         for h, expected in ((g, True), (g + abracket(1), False)):
             assert _identity_check(h, p, d, m) is expected, (knot, p)
             assert _cross_multiplied_identity(h, p, d, m) is expected, (knot, p)
+            assert _dn_identity(h, p, old) is expected, (knot, p)
+        if m and is_prime(p):
+            num, orders, big = old
+            quotient = exact_int_div(divide_brackets(num, orders), big)
+            assert defect_cofactor(p, d, m) == quotient, (knot, p)
 
 
 def test_identity_check_false_when_division_fails(monkeypatch):
@@ -261,3 +272,12 @@ def test_identity_check_false_when_division_fails(monkeypatch):
         hecke, "_defect_cofactor_parts", lambda p, d, m: (num + 1, orders, big)
     )
     assert _identity_check(lifting_defect(TorusKnot(2, 3), 3), 3, 2, 3) is False
+
+
+def test_verify_reaches_past_the_sweep_grid():
+    """T(3,2) at p = 7 has p*d = 21, past the default sweep's max_pd of 15."""
+    report = verify_hecke(TorusKnot(3, 2), 7)
+    assert report.verdict
+    assert report.identity_gp_eq_p2F
+    assert report.strong_divisible
+    assert report.quotient.is_integral

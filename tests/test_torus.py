@@ -1,8 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import character_pairing, twist_power_sum
+from conftest import (
+    character_pairing,
+    dn_scaled_invariant,
+    twist_power_sum,
+    twisted_sum_grid,
+)
 from heckelift.combinatorics import (
     WeightMismatch,
     chi,
@@ -16,12 +23,14 @@ from heckelift.exactring import (
     bracket_of_partition,
     exact_div,
     qbracket,
+    qnum_power,
     zsquared,
 )
 from heckelift.torus import (
     FramedUnknot,
     _cofactor,
     _den_brackets,
+    _qnum_product,
     TorusKnot,
     alexander,
     cable_params,
@@ -170,3 +179,29 @@ def test_cofactor_is_bracket_monomial_quotient():
     for n in range(1, 6):
         for mu in partitions_of(n):
             assert _cofactor(n, mu, 2) == _prefix_cofactor(n, mu, 2), mu
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=6),
+    st.integers(1, 7),
+    st.booleans(),
+)
+def test_qnum_product_matches_multiplied_out(parts, size, negative):
+    c = -size if negative else size
+    dense = _qnum_product(tuple(parts), c)
+    span = (size - 1) * sum(parts)
+    assert len(dense) == 2 * span + 1
+    expected = LaurentQA.one()
+    for k in parts:
+        expected = expected * qnum_power(c, k)
+    assert LaurentQA({(j - span, 0): v for j, v in enumerate(dense)}) == expected
+
+
+def test_scaled_invariant_matches_dn_route():
+    """Same value and the same term order as the D(n) bracket-sum route."""
+    for knot, p in twisted_sum_grid():
+        for k in (1, p):
+            new = scaled_invariant(knot, k)
+            old = dn_scaled_invariant(knot, k)
+            assert list(new.terms.items()) == list(old.terms.items()), (knot, k)
