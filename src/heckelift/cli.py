@@ -421,9 +421,14 @@ def cmd_cache(args) -> int:
             raise UsageError("--max-weight must be >= 1")
         directory.mkdir(parents=True, exist_ok=True)
         for w in range(1, args.max_weight + 1):
-            existed = cache_path(directory, w).exists()
+            target = cache_path(directory, w)
+            before = target.read_bytes() if target.exists() else None
             path = save_character_table(directory, w)
-            state = "kept" if existed else "written"
+            if before is None:
+                state = "written"
+            else:
+                # an invalid file is replaced; a valid one is left untouched
+                state = "kept" if path.read_bytes() == before else "rewritten"
             print(f"weight {w}: {state} {path}")
         return 0
     if args.action == "stat":

@@ -5,35 +5,32 @@ power-sum invariant and the degree-p exponent scaling of its first one, with
 a framing-dependent sign.  For prime p the defect is conjectured (proved for
 framed torus knots) to land in (a - a^-1) [p]^2 Z[z^2, a^{+-1}]; everything
 here checks that membership exactly and produces reproducible witnesses when
-it fails, e.g. for composite probes.
+it fails, e.g. for composite probes.  The identity check is a second route:
+it rebuilds the Adams image of the order-1 invariant from the partitions of
+d (the paper's splitting step) and compares Z_p minus it with the defect.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .combinatorics import Partition, as_partition, partitions_of, z_mu
 from .exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
+    abracket_of_partition,
     divide_brackets,
     divide_out_abracket,
     exact_div,
     exact_int_div,
     qbracket,
-    qnum,
     qnum_power,
+    zsquared,
 )
-from .torus import (
-    _bracket_sum,
-    _twisted_sum,
-    _zlcm,
-    cable_params,
-    scaled_invariant,
-)
+from .torus import _zlcm, cable_params, scaled_invariant
 from .zbasis import (
     NotInSubring,
     ZAPoly,
@@ -75,40 +72,39 @@ def lifting_defect(K, p: int) -> LaurentQA:
     return scaled_invariant(K, p) - scaled_invariant(K, 1).adams(p) * sign
 
 
-def _defect_cofactor_parts(p: int, d: int, m: int) -> tuple[LaurentQA, tuple, int]:
-    """Numerator, denominator bracket orders and integer scale of defect / [p]^2.
+def _adams_term(d: int, m: int, p: int) -> LaurentQA:
+    """Adams_p of the order-1 invariant, from the partitions of d alone.
 
-    The value is {1}^2/({c}{p}) * a^c * (S1 - sign * S2), c = pm, with S1
-    the twisted sum over mu |- pd, terms (L/z_mu) {mu}_a prod_i [c]_{q^{mu_i}},
-    and S2 the weight-d terms reindexed through mu = p*nu, where
-    {c*nu_i}/{p*nu_i} = [m]_{q^{p*nu_i}}; it equals num / (big * {c}{p}).
+    a^c {p}/{c} (1/L) sum_{nu |- d} (L/z_nu) {p*nu}_a prod_i [m]_{q^{p*nu_i}}
+    with c = pm: the p-divisible partitions mu = p*nu of pd, reindexed
+    through nu |- d.  This is the paper's splitting step; it shares no code
+    with the closed form of scaled_invariant.
     """
-    if p < 1 or d < 1:
-        raise ValueError("p and d must be >= 1")
+    c = p * m
+    L = _zlcm(d)
+    acc = LaurentQA.zero()
+    for nu in partitions_of(d):
+        term = abracket_of_partition(nu, p) * (L // z_mu(nu))
+        for part in nu:
+            term = term * qnum_power(m, p * part)
+        acc = acc + term
+    return exact_int_div(divide_brackets(acc * qbracket(p), (c,)), L).shift(aexp=c)
+
+
+def defect_cofactor(K, p: int) -> LaurentQA:
+    """The exact polynomial F with lifting_defect(K, p) == [p]^2 * F.
+
+    F = (Z_p - sign * A) {1}^2 / {p}^2, with A the Adams term built by the
+    splitting step.  Resolves exactly, with int coefficients, for prime p;
+    composite p generally leaves a genuine fraction and NonExactDivision
+    propagates from the bracket division.
+    """
+    d, m = cable_params(K)
     if m == 0:
         raise ValueError("zero framing has no twist bracket")
-    c = p * m
-    s1, l1 = _bracket_sum(p * d, c)
-    l2 = _zlcm(d)
-    s2 = _twisted_sum(
-        ((tuple(p * x for x in nu), l2 // z_mu(nu)) for nu in partitions_of(d)), m
-    )
-    big = lcm(l1, l2)
-    sign = defect_sign(p, d * m)
-    combined = s1 * (big // l1) - s2 * (sign * (big // l2))
-    num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
-    return num, (c, p), big
-
-
-def defect_cofactor(p: int, d: int, m: int) -> LaurentQA:
-    """The exact polynomial F with lifting_defect == [p]^2 * F.
-
-    Resolves exactly, with int coefficients, for prime p; composite p
-    generally leaves a genuine fraction and NonExactDivision propagates,
-    from the bracket division or from the integer scale.
-    """
-    num, orders, big = _defect_cofactor_parts(p, d, m)
-    return exact_int_div(divide_brackets(num, orders), big)
+    sign = defect_sign(p, K.framing)
+    defect = scaled_invariant(K, p) - _adams_term(d, m, p) * sign
+    return divide_brackets(defect * zsquared(), (p, p))
 
 
 @dataclass
@@ -195,7 +191,7 @@ def verify_hecke(K, p: int) -> CongruenceReport:
         except NotInSubring:
             strong = False
 
-    identity = _identity_check(g, p, d, m)
+    identity = _identity_check(K, g, p)
 
     millis = (time.perf_counter() - t0) * 1000.0
     return CongruenceReport(
@@ -215,19 +211,14 @@ def verify_hecke(K, p: int) -> CongruenceReport:
     )
 
 
-def _identity_check(g: LaurentQA, p: int, d: int, m: int) -> bool:
-    if p == 1:
+def _identity_check(K, g: LaurentQA, p: int) -> bool:
+    """g == Z_p - sign * A, with A built by the splitting step over nu |- d."""
+    d, m = cable_params(K)
+    if p == 1 or m == 0:
+        # no twist, or order 1: the lift equals the Adams image
         return g.is_zero()
-    if m == 0:
-        # no twist: the lift equals the Adams image, so the defect vanishes
-        return g.is_zero()
-    # the division leaves a remainder exactly when no polynomial g has
-    # g * big * prod{k} == [p]^2 num, so a remainder means the identity fails
-    num, orders, big = _defect_cofactor_parts(p, d, m)
-    try:
-        return divide_brackets(qnum(p) * qnum(p) * num, orders) == g * big
-    except NonExactDivision:
-        return False
+    sign = defect_sign(p, K.framing)
+    return g == scaled_invariant(K, p) - _adams_term(d, m, p) * sign
 
 
 # -- single-variable ratio families ------------------------------------------
@@ -297,28 +288,6 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
     return _family_ratio(num, p, m)
 
 
-def sum_split_identity(p: int, d: int, m: int) -> bool:
-    """The weight-pd twisted sum splits into p-divisible and coprime parts.
-
-    The divisible part is generated independently from nu |- d through
-    mu = p*nu with z_{p nu} = p^len(nu) z_nu; exact equality of the three
-    twisted sums (terms (L/z_mu) {mu}_a prod_i [pm]_{q^{mu_i}}) proves the
-    reindexing step.
-    """
-    if p < 1 or d < 1 or m == 0:
-        raise ValueError("need p, d >= 1 and m != 0")
-    n, c = p * d, p * m
-    full, L = _bracket_sum(n, c)
-    nondiv = [(mu, L // z_mu(mu)) for mu in partitions_of(n) if any(x % p for x in mu)]
-    div = []
-    for nu in partitions_of(d):
-        denom = p ** len(nu) * z_mu(nu)
-        if L % denom:
-            return False
-        div.append((tuple(p * x for x in nu), L // denom))
-    return full == _twisted_sum(nondiv, c) + _twisted_sum(div, c)
-
-
 __all__ = [
     "CongruenceReport",
     "PreconditionViolated",
@@ -328,6 +297,5 @@ __all__ = [
     "is_prime",
     "lifting_defect",
     "nondivisible_family_check",
-    "sum_split_identity",
     "verify_hecke",
 ]

@@ -1,18 +1,14 @@
 """Framed torus knots, framed unknots, and their exact colored invariants.
 
-The d-fold cabling of the (d, m) torus knot turns a power sum P_mu into
-P_{d*mu} twisted by fractional framing m/d; evaluating in the plane gives the
-invariant as a finite sum over partitions.  The verdict path
-(scaled_invariant, and the defect cofactor and the identity check built
-beside it) sums over mu |- n the terms (L/z_mu) {mu}_a prod_i [c]_{q^{mu_i}},
-using {c*k}/{k} = [c]_{q^k}: every q-part is a polynomial over the same span,
-built and accumulated as dense int lists, and only {p}/{c} and the integer
-scale L are divided out exactly at the end.  The power-sum, Schur and LMOV
-routes, whose twist is a monomial, keep one common denominator
-D(n) = prod_k {k}^(n//k) as its list of bracket orders: the term of mu |- n
-carries the bracket-monomial cofactor D(n)/{mu}, and the total is a
-RingFraction over D(n), so no rational function arithmetic ever happens
-term by term.
+The verdict-path invariant (scaled_invariant) is a closed form: with
+c = pm and n = pd, one a-layer per j = 0..min(|c|, n), each the product of
+two symmetric q-binomials built as dense int lists, and a single exact
+division by {n}/{p} at the end; no partitions and no integer scale.  The
+power-sum, Schur and LMOV routes evaluate the d-fold cable as a sum over
+partitions and keep one common denominator D(n) = prod_k {k}^(n//k) as its
+list of bracket orders: the term of mu |- n carries the bracket-monomial
+cofactor D(n)/{mu}, and the total is a RingFraction over D(n), so no
+rational function arithmetic ever happens term by term.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from .exactring import (
     abracket_of_partition,
     divide_brackets,
     divide_out_abracket,
-    exact_int_div,
     qbracket,
 )
 from .zbasis import ZAPoly, to_z2
@@ -117,82 +112,49 @@ def _plane_row(n: int, nu: Partition, scale: int = 1) -> LaurentQA:
     return abracket_of_partition(nu) * _cofactor(n, nu, scale)
 
 
-# -- the twisted power-sum expansion -----------------------------------------
+# -- the closed q-binomial form ------------------------------------------------
 
 
-def _qnum_product(parts, c: int) -> list[int]:
-    """prod_i [c]_{q^{k_i}} over the parts k_i, as a dense list.
+def _gauss(N: int, K: int) -> list[int]:
+    """The Gaussian binomial G_x(N, K) as a dense list, entry i at x^i.
 
-    Entry j is the coefficient of q^(j - s) with s = (|c| - 1) * sum(parts),
-    the span every product over parts of the same total shares.  With
-    C = |c|, each factor is one sliding window of stride 2k:
-    [C]_{q^k} = q^(k(C-1)) (1 - q^-2kC) / (1 - q^-2k), a shifted difference
-    followed by running sums along each residue class mod 2k; [c] = -[-c]
-    for c < 0.
+    Built from the product formula prod_{i=1..K} (1 - x^(N-K+i)) / (1 - x^i):
+    one shifted difference per numerator factor, then running sums of stride
+    i along each residue class for the denominator.  Each partial product is
+    G_x(N-K+i, i), a polynomial, so nothing is ever truncated.
     """
-    mag = abs(c)
-    size = 2 * (mag - 1) * sum(parts) + 1
-    out = [0] * size
-    out[size // 2] = -1 if c < 0 and len(parts) % 2 else 1
-    if mag == 1:
-        return out
-    for k in parts:
-        h, w = k * (mag - 1), 2 * k
-        pad = [0] * (h + w)
-        ext = pad + out + pad
-        # out[i] = sum_j out[i + h - 2kj], j < |c|; a product over fewer
-        # parts leaves the top and bottom h entries zero, so nothing is lost
-        out = list(map(sub, ext[2 * h + w : 2 * h + w + size], ext[:size]))
-        for r in range(min(w, size)):
-            out[r::w] = accumulate(out[r::w])
+    K = min(K, N - K)
+    out = [1]
+    for i in range(1, K + 1):
+        s = N - K + i
+        out = list(map(sub, out + [0] * s, [0] * s + out))
+        for r in range(i):
+            out[r::i] = accumulate(out[r::i])
+        del out[len(out) - i :]
     return out
 
 
-def _twisted_sum(terms, c: int) -> LaurentQA:
-    """sum of w {mu}_a prod_i [c]_{q^{mu_i}} over (mu, w) in terms.
-
-    Every mu must have the same weight n, so each q-part is a dense list over
-    the same span and the a-layers accumulate densely.
-    """
-    layers: dict[int, list[int]] = {}
-    span = 0
-    for mu, weight in terms:
-        qpart = _qnum_product(mu, c)
-        span = len(qpart) // 2
-        for (_, ae), ca in abracket_of_partition(mu).terms.items():
-            scale = ca * weight
-            layer = layers.get(ae) or [0] * len(qpart)
-            layers[ae] = [y + scale * x for y, x in zip(layer, qpart)]
-    return LaurentQA._raw(
-        {
-            (j - span, ae): v
-            for ae, layer in layers.items()
-            for j, v in enumerate(layer)
-            if v
-        }
-    )
-
-
-@cache
-def _bracket_sum(n: int, c: int) -> tuple[LaurentQA, int]:
-    """sum over mu |- n of (L/z_mu) {mu}_a prod_i [c]_{q^{mu_i}}; returns (sum, L).
-
-    This is the twisted sum of (L/z_mu) {mu}_a {c*mu}/{mu} with no common
-    denominator: {c*k}/{k} = [c]_{q^k} is a polynomial.
-    """
-    L = _zlcm(n)
-    return _twisted_sum(((mu, L // z_mu(mu)) for mu in partitions_of(n)), c), L
+def _symmetric_binomial(N: int, K: int, aexp: int = 0, coeff: int = 1) -> LaurentQA:
+    """coeff * a^aexp * [N, K], with [N, K] = q^(-K(N-K)) G_{q^2}(N, K)."""
+    low = K * (N - K)
+    gauss = _gauss(N, K)
+    return LaurentQA._raw({(2 * i - low, aexp): coeff * v for i, v in enumerate(gauss)})
 
 
 @cache
 def scaled_invariant(K, p: int = 1) -> LaurentQA:
     """The bracket-scaled power-sum invariant {p} * H(K * P_p).
 
-    Equals a^{pm} {p}/{c} times the twisted sum over mu |- pd divided by its
-    integer scale L, c = pm.  Resolves exactly to a Laurent polynomial with
-    int coefficients for every p >= 1; a division failure here
-    (NonExactDivision) would be an implementation bug, not a conjecture
-    failure.
+    With c = pm and n = pd, for c > 0
+
+        a^c ({p}/{n}) sum_{j=0}^{min(c,n)} (-1)^j a^(n-2j) [n, j] [c+n-1-j, n-1]
+
+    where [N, K] = q^(-K(N-K)) G_{q^2}(N, K) is the symmetric q-binomial.
+    For c < 0 the sum is mirrored (q, a -> 1/q, 1/a; the q-binomials are
+    palindromic, so only a moves) and {n} becomes {-n}.  Resolves exactly to
+    a Laurent polynomial with int coefficients for every p >= 1; a division
+    failure here (NonExactDivision) would be an implementation bug, not a
+    conjecture failure.
     """
     if p < 1:
         raise ValueError("color must be >= 1")
@@ -200,9 +162,15 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     if m == 0:
         return abracket(p)
     n, c = p * d, p * m
-    acc, L = _bracket_sum(n, c)
-    resolved = divide_brackets(acc * qbracket(p), (c,))
-    return exact_int_div(resolved, L).shift(aexp=p * m)
+    size = abs(c)
+    mirror = 1 if c > 0 else -1
+    acc: dict = {}
+    for j in range(min(size, n) + 1):
+        # each j fills its own a-layer, so the products never overlap
+        layer = _symmetric_binomial(n, j, mirror * (n - 2 * j), (-1) ** j)
+        acc.update((layer * _symmetric_binomial(size + n - 1 - j, n - 1)).terms)
+    summed = LaurentQA._raw(acc) * qbracket(p)
+    return divide_brackets(summed, (mirror * n,)).shift(aexp=c)
 
 
 @cache

@@ -152,7 +152,7 @@ def character_pairing(mu, nu):
 
 
 def twisted_sum_grid():
-    """(knot, p) cases the twisted sums are checked on against the D(n) route.
+    """(knot, p) cases the verdict path is checked on against the D(n) route.
 
     p*d <= 12 with p in 2, 3, 5, 7 and m <= 7, FramedUnknot(-3..3) at
     p = 2..5 (c < 0, and c = 0), and the composite T(2,3) at p = 4 and 6.

@@ -326,6 +326,20 @@ def test_cache_build_replaces_non_object_json(tmp_path, capsys, body):
     assert "weight 3: 3x3 entries, digest ok" in capsys.readouterr().out
 
 
+def test_cache_build_reports_a_rewritten_file(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    base = ["cache", "--cache-dir", str(cache_dir)]
+    assert run(base + ["build", "--max-weight", "2"]) == 0
+    assert "weight 2: written " in capsys.readouterr().out
+    (cache_dir / "characters_w02.json").write_text("[]")
+    assert run(base + ["build", "--max-weight", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "weight 1: kept " in out
+    assert "weight 2: rewritten " in out
+    assert run(base + ["stat"]) == 0
+    assert "weight 2: 2x2 entries, digest ok" in capsys.readouterr().out
+
+
 def test_cache_env_var_and_usage(tmp_path, capsys, monkeypatch):
     cache_dir = tmp_path / "envcache"
     monkeypatch.setenv("HECKE_CACHE_DIR", str(cache_dir))

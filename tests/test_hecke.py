@@ -17,7 +17,7 @@ from heckelift.exactring import (
 from heckelift.hecke import (
     CongruenceReport,
     PreconditionViolated,
-    _defect_cofactor_parts,
+    _adams_term,
     _identity_check,
     defect_cofactor,
     defect_sign,
@@ -25,7 +25,6 @@ from heckelift.hecke import (
     is_prime,
     lifting_defect,
     nondivisible_family_check,
-    sum_split_identity,
     verify_hecke,
 )
 from heckelift.torus import FramedUnknot, TorusKnot, cable_params, scaled_invariant
@@ -138,8 +137,9 @@ def test_verify_composite_probes_match_goldens():
 
 def test_defect_factorization_identity():
     for d, m, p in ((1, 1, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (1, 5, 3)):
-        g = lifting_defect(TorusKnot(d, m), p)
-        assert g == qnum(p) * qnum(p) * defect_cofactor(p, d, m)
+        knot = TorusKnot(d, m)
+        g = lifting_defect(knot, p)
+        assert g == qnum(p) * qnum(p) * defect_cofactor(knot, p)
 
 
 def _int_coefficients(f):
@@ -160,12 +160,18 @@ def test_verdict_path_coefficients_are_int():
             assert _int_coefficients(scaled_invariant(knot, order)), (knot, order)
         assert _int_coefficients(lifting_defect(knot, p)), (knot, p)
     for d, m, p in ((1, 1, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (1, 5, 3), (1, 2, 5)):
-        assert _int_coefficients(defect_cofactor(p, d, m)), (d, m, p)
+        assert _int_coefficients(defect_cofactor(TorusKnot(d, m), p)), (d, m, p)
 
 
 def test_defect_cofactor_not_polynomial_for_composite():
     with pytest.raises(NonExactDivision):
-        defect_cofactor(4, 2, 3)
+        defect_cofactor(TorusKnot(2, 3), 4)
+
+
+def test_defect_cofactor_zero_framing_is_value_error():
+    for p in (1, 2, 3, 5):
+        with pytest.raises(ValueError):
+            defect_cofactor(FramedUnknot(0), p)
 
 
 def test_verify_unknot_framings():
@@ -225,17 +231,14 @@ def test_family_sweep_coprime():
                     assert ok, (p, m, mu)
 
 
-def test_sum_split_identity():
-    for p, d, m in ((2, 1, 1), (2, 2, 1), (2, 1, 3), (3, 1, 2), (2, 3, 1)):
-        assert sum_split_identity(p, d, m), (p, d, m)
-
-
-def _cross_multiplied_identity(g, p, d, m):
-    """g * big * prod{k} == [p]^2 num, with the bracket product expanded."""
-    if p == 1 or m == 0:
+def _dn_cross_multiplied(g, p, parts):
+    """g * big * {c}{p} == [p]^2 num / D(n), on the D(n) parts."""
+    if parts is None:
         return g.is_zero()
-    num, orders, big = _defect_cofactor_parts(p, d, m)
-    return g * bracket_of_partition(orders) * big == qnum(p) * qnum(p) * num
+    num, orders, big = parts
+    c = orders[-2]
+    rest = divide_brackets(num, orders[:-2])
+    return g * bracket_of_partition((c, p)) * big == qnum(p) * qnum(p) * rest
 
 
 def _dn_identity(g, p, parts):
@@ -250,34 +253,37 @@ def _dn_identity(g, p, parts):
 
 
 def test_identity_check_matches_cross_multiplied():
+    """The splitting-step identity agrees with the D(n) reference on g and g + {1}_a."""
     for knot, p in twisted_sum_grid():
         d, m = cable_params(knot)
         g = lifting_defect(knot, p)
         old = dn_defect_cofactor_parts(p, d, m) if m else None
         for h, expected in ((g, True), (g + abracket(1), False)):
-            assert _identity_check(h, p, d, m) is expected, (knot, p)
-            assert _cross_multiplied_identity(h, p, d, m) is expected, (knot, p)
+            assert _identity_check(knot, h, p) is expected, (knot, p)
+            assert _dn_cross_multiplied(h, p, old) is expected, (knot, p)
             assert _dn_identity(h, p, old) is expected, (knot, p)
         if m and is_prime(p):
             num, orders, big = old
             quotient = exact_int_div(divide_brackets(num, orders), big)
-            assert defect_cofactor(p, d, m) == quotient, (knot, p)
+            assert defect_cofactor(knot, p) == quotient, (knot, p)
 
 
-def test_identity_check_false_when_division_fails(monkeypatch):
+def test_identity_check_false_when_adams_term_is_off(monkeypatch):
     from heckelift import hecke
 
-    num, orders, big = _defect_cofactor_parts(3, 2, 3)
-    monkeypatch.setattr(
-        hecke, "_defect_cofactor_parts", lambda p, d, m: (num + 1, orders, big)
-    )
-    assert _identity_check(lifting_defect(TorusKnot(2, 3), 3), 3, 2, 3) is False
+    knot = TorusKnot(2, 3)
+    adams = _adams_term(2, 3, 3)
+    assert _identity_check(knot, lifting_defect(knot, 3), 3) is True
+    for wrong in (adams + 1, adams * 2, adams.shift(qexp=2)):
+        monkeypatch.setattr(hecke, "_adams_term", lambda d, m, p: wrong)
+        assert _identity_check(knot, lifting_defect(knot, 3), 3) is False
 
 
 def test_verify_reaches_past_the_sweep_grid():
-    """T(3,2) at p = 7 has p*d = 21, past the default sweep's max_pd of 15."""
-    report = verify_hecke(TorusKnot(3, 2), 7)
-    assert report.verdict
-    assert report.identity_gp_eq_p2F
-    assert report.strong_divisible
-    assert report.quotient.is_integral
+    """T(3,2) at p = 7 and 11 has p*d = 21 and 33, past the sweep's max_pd of 15."""
+    for p in (7, 11):
+        report = verify_hecke(TorusKnot(3, 2), p)
+        assert report.verdict, p
+        assert report.identity_gp_eq_p2F, p
+        assert report.strong_divisible, p
+        assert report.quotient.is_integral, p

@@ -1,8 +1,7 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     character_pairing,
@@ -23,14 +22,13 @@ from heckelift.exactring import (
     bracket_of_partition,
     exact_div,
     qbracket,
-    qnum_power,
     zsquared,
 )
 from heckelift.torus import (
     FramedUnknot,
     _cofactor,
     _den_brackets,
-    _qnum_product,
+    _gauss,
     TorusKnot,
     alexander,
     cable_params,
@@ -181,21 +179,19 @@ def test_cofactor_is_bracket_monomial_quotient():
             assert _cofactor(n, mu, 2) == _prefix_cofactor(n, mu, 2), mu
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.integers(1, 5), max_size=6),
-    st.integers(1, 7),
-    st.booleans(),
-)
-def test_qnum_product_matches_multiplied_out(parts, size, negative):
-    c = -size if negative else size
-    dense = _qnum_product(tuple(parts), c)
-    span = (size - 1) * sum(parts)
-    assert len(dense) == 2 * span + 1
-    expected = LaurentQA.one()
-    for k in parts:
-        expected = expected * qnum_power(c, k)
-    assert LaurentQA({(j - span, 0): v for j, v in enumerate(dense)}) == expected
+def test_gauss_binomial_properties():
+    """G(N, K): comb(N, K) at x = 1, palindromic, and q-Pascal."""
+    for N in range(15):
+        for K in range(N + 1):
+            g = _gauss(N, K)
+            assert len(g) == K * (N - K) + 1, (N, K)
+            assert sum(g) == comb(N, K), (N, K)
+            assert g == g[::-1], (N, K)
+            if 0 < K < N:
+                # G(N, K) = G(N-1, K-1) + x^K G(N-1, K)
+                low, high = _gauss(N - 1, K - 1), [0] * K + _gauss(N - 1, K)
+                low += [0] * (len(high) - len(low))
+                assert g == [x + y for x, y in zip(low, high)], (N, K)
 
 
 def test_scaled_invariant_matches_dn_route():
