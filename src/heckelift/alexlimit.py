@@ -23,7 +23,7 @@ from .exactring import (
     qnum,
 )
 from .hecke import lifting_defect
-from .torus import alexander, power_sum_invariant, unknot_schur_value
+from .torus import power_sum_invariant, scaled_invariant, unknot_schur_value
 from .zbasis import CongruenceFragment, ZAPoly, congruence_verdict, divide_by_qnum_sq, to_z2
 
 
@@ -76,7 +76,7 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
 def limit_identity_check(K, p: int) -> bool:
     """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, exactly."""
     lhs = limit_ratio(lifting_defect(K, p)).value
-    alex_p = alexander(K).to_laurent().adams(p)
+    alex_p = limit_ratio(scaled_invariant(K, 1)).value.adams(p)
     corr = framing_correction(p, K.framing).to_laurent()
     return lhs == qnum(p) * qnum(p) * alex_p * corr
 
@@ -135,7 +135,7 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
     # is a general polynomial in q, so the ratio is num / den directly
     num = limit_ratio(normalized_num).value * unknot.den
     den = colored_sum.den * limit_ratio(unknot.num).value
-    expected = alexander(K).to_laurent().adams(w)
+    expected = limit_ratio(scaled_invariant(K, 1)).value.adams(w)
     passed = num == expected * den
     try:
         colored = exact_div(num, den)

@@ -362,6 +362,35 @@ def zsquared() -> LaurentQA:
     return qbracket(1) * qbracket(1)
 
 
+# -- dense int-list products ---------------------------------------------------
+
+
+def kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two dense int lists (entry i at x^i), by Kronecker substitution.
+
+    Each list is packed into one int at x = 2^(8w), w bytes per slot holding
+    max|a| max|b| min(len a, len b), and the ints are multiplied once.  Slots
+    are biased by 2^(8w-1), so packing and unpacking are one from_bytes and
+    one to_bytes each, linear in size.
+    """
+    if not a or not b:
+        return []
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
+    w = max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() // 8 + 1
+    bias = 1 << (8 * w - 1)
+    slot = bias.to_bytes(w, "little")
+
+    def pack(lst):
+        biased = b"".join((c + bias).to_bytes(w, "little") for c in lst)
+        return int.from_bytes(biased, "little") - int.from_bytes(slot * len(lst), "little")
+
+    n = len(a) + len(b) - 1
+    prod = pack(a) * pack(b) + int.from_bytes(slot * n, "little")
+    buf = prod.to_bytes(w * n, "little")
+    return [int.from_bytes(buf[i : i + w], "little") - bias for i in range(0, w * n, w)]
+
+
 # -- exact division -----------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import gcd
 
 from .combinatorics import Partition, as_partition, partitions_of, z_mu
@@ -32,6 +33,7 @@ from .exactring import (
 )
 from .torus import _zlcm, cable_params, scaled_invariant
 from .zbasis import (
+    CongruenceFragment,
     NotInSubring,
     ZAPoly,
     congruence_verdict,
@@ -168,28 +170,32 @@ def verify_hecke(K, p: int) -> CongruenceReport:
 
     Failures are verdicts, not errors: composite p is allowed and expected
     to FAIL with a remainder witness.
+
+    Only core = g / (a - a^-1) is converted: its layers are running sums of
+    g's, so g passes the z^2 and [p]^2 checks exactly when core does, with
+    quotient (a - a^-1) times core's.  Otherwise g itself is checked, so the
+    remainder witness is g's.
     """
     t0 = time.perf_counter()
     d, m = cable_params(K)
     g = lifting_defect(K, p)
 
+    strong = False
     try:
         core = divide_out_abracket(g)
         a_ok = True
+        zc = to_z2(core)
+        quot, exact, _ = divide_by_qnum_sq(zc, p)
+        strong = exact and zc.is_integral and quot.is_integral
     except NotDivisible:
-        core = None
         a_ok = False
+    except NotInSubring:
+        pass
 
-    frag = congruence_verdict(g, p)
-
-    strong = False
-    if a_ok and core is not None:
-        try:
-            zc = to_z2(core)
-            quot, exact, _ = divide_by_qnum_sq(zc, p)
-            strong = exact and zc.is_integral and quot.is_integral
-        except NotInSubring:
-            strong = False
+    if strong:
+        frag = CongruenceFragment(True, True, _times_abracket(quot), None)
+    else:
+        frag = congruence_verdict(g, p)
 
     identity = _identity_check(K, g, p)
 
@@ -209,6 +215,15 @@ def verify_hecke(K, p: int) -> CongruenceReport:
         strong_divisible=strong,
         millis=millis,
     )
+
+
+def _times_abracket(f: ZAPoly) -> ZAPoly:
+    """(a - a^-1) * f, row by row: row e is f's row e - 1 minus its row e + 1."""
+    rows, out = f.row_map(), {}
+    for ae in {e + s for e in rows for s in (1, -1)}:
+        pairs = zip_longest(rows.get(ae - 1, ()), rows.get(ae + 1, ()), fillvalue=0)
+        out[ae] = [u - v for u, v in pairs]
+    return ZAPoly.from_rows(out)
 
 
 def _identity_check(K, g: LaurentQA, p: int) -> bool:

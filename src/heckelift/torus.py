@@ -31,14 +31,14 @@ from .combinatorics import (
 )
 from .exactring import (
     LaurentQA,
+    NonExactDivision,
     ResidualFractionalExponent,
     RingFraction,
     _times_brackets,
     abracket,
     abracket_of_partition,
-    divide_brackets,
     divide_out_abracket,
-    qbracket,
+    kronecker_mul,
 )
 from .zbasis import ZAPoly, to_z2
 
@@ -115,30 +115,34 @@ def _plane_row(n: int, nu: Partition, scale: int = 1) -> LaurentQA:
 # -- the closed q-binomial form ------------------------------------------------
 
 
+def _times_ratio(out: list[int], s: int, i: int) -> list[int]:
+    """The dense list out times (1 - x^s) / (1 - x^i), exactly.
+
+    One shifted difference for the numerator, then running sums of stride i
+    along each residue class for the denominator; the top i entries must
+    come out zero, else NonExactDivision.
+    """
+    out = list(map(sub, out + [0] * s, [0] * s + out))
+    for r in range(i):
+        out[r::i] = accumulate(out[r::i])
+    if any(out[-i:]):
+        raise NonExactDivision(f"not divisible by 1 - x^{i}")
+    del out[-i:]
+    return out
+
+
 def _gauss(N: int, K: int) -> list[int]:
     """The Gaussian binomial G_x(N, K) as a dense list, entry i at x^i.
 
-    Built from the product formula prod_{i=1..K} (1 - x^(N-K+i)) / (1 - x^i):
-    one shifted difference per numerator factor, then running sums of stride
-    i along each residue class for the denominator.  Each partial product is
-    G_x(N-K+i, i), a polynomial, so nothing is ever truncated.
+    Built from the product formula prod_{i=1..K} (1 - x^(N-K+i)) / (1 - x^i).
+    Each partial product is G_x(N-K+i, i), a polynomial, so nothing is ever
+    truncated.
     """
     K = min(K, N - K)
     out = [1]
     for i in range(1, K + 1):
-        s = N - K + i
-        out = list(map(sub, out + [0] * s, [0] * s + out))
-        for r in range(i):
-            out[r::i] = accumulate(out[r::i])
-        del out[len(out) - i :]
+        out = _times_ratio(out, N - K + i, i)
     return out
-
-
-def _symmetric_binomial(N: int, K: int, aexp: int = 0, coeff: int = 1) -> LaurentQA:
-    """coeff * a^aexp * [N, K], with [N, K] = q^(-K(N-K)) G_{q^2}(N, K)."""
-    low = K * (N - K)
-    gauss = _gauss(N, K)
-    return LaurentQA._raw({(2 * i - low, aexp): coeff * v for i, v in enumerate(gauss)})
 
 
 @cache
@@ -154,7 +158,8 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     palindromic, so only a moves) and {n} becomes {-n}.  Resolves exactly to
     a Laurent polynomial with int coefficients for every p >= 1; a division
     failure here (NonExactDivision) would be an implementation bug, not a
-    conjecture failure.
+    conjecture failure.  Each a-layer stays a dense list in q^2: Kronecker
+    products, and {p}/{n} = q^(n-p) (1 - q^2p) / (1 - q^2n) as _times_ratio.
     """
     if p < 1:
         raise ValueError("color must be >= 1")
@@ -162,15 +167,21 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     if m == 0:
         return abracket(p)
     n, c = p * d, p * m
-    size = abs(c)
-    mirror = 1 if c > 0 else -1
-    acc: dict = {}
-    for j in range(min(size, n) + 1):
-        # each j fills its own a-layer, so the products never overlap
-        layer = _symmetric_binomial(n, j, mirror * (n - 2 * j), (-1) ** j)
-        acc.update((layer * _symmetric_binomial(size + n - 1 - j, n - 1)).terms)
-    summed = LaurentQA._raw(acc) * qbracket(p)
-    return divide_brackets(summed, (mirror * n,)).shift(aexp=c)
+    size, mirror = abs(c), (1 if c > 0 else -1)
+    top = min(size, n)
+    out: dict = {}
+    # one a-layer per j, emitted a ascending and q descending: the double-root
+    # residual sums the terms in dict order
+    for j in range(top, -1, -1) if mirror > 0 else range(top + 1):
+        prod = kronecker_mul(_gauss(n, j), _gauss(size + n - 1 - j, n - 1))
+        layer = _times_ratio(prod, p, n)
+        # q-exponent of layer[0]: the product starts at q^-(j(n-j) + (n-1)(size-j))
+        low = n - p - j * (n - j) - (n - 1) * (size - j)
+        ae, sign = c + mirror * (n - 2 * j), mirror * (-1) ** j
+        for i in range(len(layer) - 1, -1, -1):
+            if layer[i]:
+                out[(2 * i + low, ae)] = sign * layer[i]
+    return LaurentQA._raw(out)
 
 
 @cache

@@ -1,10 +1,11 @@
 """Conversion into the subring Q[z^2, a^{+-1}] with z = q - q^{-1}.
 
 A Laurent polynomial lies in this subring iff every a-layer has only even
-integer q-exponents and is palindromic under q <-> q^{-1}.  The conversion
-uses the recursion for q^{2k} + q^{-2k} as a polynomial in w = z^2 + 2, so
-no division ever happens on the way in.  Division by [p]^2 (monic of degree
-p - 1 in z^2) is plain univariate long division per a-layer.
+integer q-exponents and is palindromic under q <-> q^{-1}, i.e. it is
+sum_k c_k B_k with B_k = q^(2k) + q^(-2k) = (z^2 + 2) B_(k-1) - B_(k-2).
+Each layer is converted by Clenshaw's recurrence in powers of z^2, holding
+three dense rows: no division, no recursion, no table of the B_k.  Division
+by [p]^2 (monic of degree p - 1 in z^2) is long division per a-layer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from operator import add, sub
 
 from .exactring import LaurentQA, qnum
 
@@ -21,17 +22,12 @@ class NotInSubring(ValueError):
     """The value is not a polynomial in z^2 and a^{+-1}."""
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _trim(row: tuple) -> tuple:
+def _trim(row) -> tuple:
+    """row without trailing zeros, integral Fractions turned into int."""
     i = len(row)
     while i > 0 and row[i - 1] == 0:
         i -= 1
-    return tuple(_norm_coeff(c) for c in row[:i])
+    return tuple(c if type(c) is int or c.denominator != 1 else int(c) for c in row[:i])
 
 
 @dataclass(frozen=True)
@@ -42,12 +38,8 @@ class ZAPoly:
 
     @classmethod
     def from_rows(cls, rows: dict) -> "ZAPoly":
-        cleaned = {}
-        for ae, row in rows.items():
-            t = _trim(tuple(row))
-            if t:
-                cleaned[int(ae)] = t
-        return cls(rows=tuple(sorted(cleaned.items())))
+        cleaned = ((int(ae), _trim(row)) for ae, row in rows.items())
+        return cls(rows=tuple(sorted((ae, row) for ae, row in cleaned if row)))
 
     @classmethod
     def zero(cls) -> "ZAPoly":
@@ -61,9 +53,7 @@ class ZAPoly:
 
     @property
     def is_integral(self) -> bool:
-        return all(
-            Fraction(c).denominator == 1 for _, row in self.rows for c in row
-        )
+        return all(c.denominator == 1 for _, row in self.rows for c in row)
 
     def z2_degree(self) -> int:
         """Highest power of z^2 present; -1 for the zero polynomial."""
@@ -72,19 +62,19 @@ class ZAPoly:
         return max(len(row) - 1 for _, row in self.rows)
 
     def to_laurent(self) -> LaurentQA:
-        """Expand back into q and a."""
-        out = LaurentQA.zero()
+        """Expand back into q and a: Horner's rule in z^2 = q^2 - 2 + q^-2."""
+        out: dict = {}
         for ae, row in self.rows:
-            for k, c in enumerate(row):
-                if c == 0:
-                    continue
-                out = out + _z2_power_laurent(k).shift(aexp=ae) * c
-        return out
+            acc: list = []  # acc[i] is the coefficient of q^(2(i - depth))
+            for depth, c in enumerate(reversed(row)):
+                up, down, mid = [0, 0] + acc, acc + [0, 0], [0] + acc + [0]
+                acc = list(map(sub, map(add, up, down), map(add, mid, mid)))
+                acc[depth] += c
+            out.update(((2 * (i - depth), ae), c) for i, c in enumerate(acc) if c)
+        return LaurentQA._raw(out)
 
     def to_json_dict(self) -> dict:
-        return {
-            str(ae): [str(Fraction(c)) for c in row] for ae, row in self.rows
-        }
+        return {str(ae): [str(c) for c in row] for ae, row in self.rows}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ZAPoly":
@@ -93,35 +83,21 @@ class ZAPoly:
         )
 
 
-@cache
-def _z2_power_laurent(k: int) -> LaurentQA:
-    """(z^2)^k = (q - q^-1)^(2k) expanded in q."""
-    return LaurentQA(
-        {(2 * k - 2 * i, 0): (-1) ** i * comb(2 * k, i) for i in range(2 * k + 1)}
-    )
+def _cosh_to_z2(coeffs: list) -> list:
+    """c_0 + sum_k c_k (q^(2k) + q^(-2k)) as a dense list in powers of z^2.
 
-
-@cache
-def _cosh_basis(k: int) -> tuple:
-    """q^(2k) + q^(-2k) written in powers of z^2.
-
-    B_0 = 2, B_1 = z^2 + 2, B_k = (z^2 + 2) B_(k-1) - B_(k-2).
+    Clenshaw: b_k = c_k + (z^2 + 2) b_(k+1) - b_(k+2) for k = K..0, and the
+    sum is b_0 - b_2 as B_0 = 2.  It runs on d_k = b_k - b_(k+1), one addition
+    per entry each: d_k = d_(k+1) + z^2 b_(k+1) + c_k, b_k = b_(k+1) + d_k,
+    and the sum is d_0 + d_1.  Entry i of a row is the coefficient of z^(2i).
     """
-    if k == 0:
-        return (2,)
-    if k == 1:
-        return (2, 1)
-    prev, cur = _cosh_basis(k - 2), _cosh_basis(k - 1)
-    shifted = (0,) + cur
-    doubled = tuple(2 * c for c in cur) + (0,)
-    width = max(len(shifted), len(doubled), len(prev))
-
-    def at(t, i):
-        return t[i] if i < len(t) else 0
-
-    return tuple(
-        at(shifted, i) + at(doubled, i) - at(prev, i) for i in range(width)
-    )
+    b: list = []
+    d: list = []
+    d_prev: list = []
+    for c in reversed(coeffs):
+        d_prev, d = d, list(map(add, [c] + b, d + [0]))
+        b = list(map(add, b + [0], d))
+    return list(map(add, d, d_prev + [0]))
 
 
 def to_z2(f: LaurentQA) -> ZAPoly:
@@ -130,30 +106,20 @@ def to_z2(f: LaurentQA) -> ZAPoly:
     Raises NotInSubring naming the violated symmetry: odd q-exponents, or
     a q <-> q^{-1} asymmetric a-layer.
     """
+    layers: dict[int, dict] = {}
+    for (qe, ae), c in f.terms.items():
+        layers.setdefault(ae, {})[qe] = c
     rows = {}
-    for ae in f.a_exponents():
-        slice_ = f.a_slice(ae)
+    for ae in sorted(layers):
+        slice_ = layers[ae]
         for qe in slice_:
             if qe % 2 != 0:
                 raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
         for qe, c in slice_.items():
             if slice_.get(-qe, 0) != c:
-                raise NotInSubring(
-                    f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}"
-                )
-        top = max(qe for qe in slice_) if slice_ else 0
-        width = top // 2 + 1
-        acc = [0] * max(width, 1)
-        const = slice_.get(0, 0)
-        if const:
-            acc[0] = const
-        for qe, c in slice_.items():
-            if qe <= 0:
-                continue
-            basis = _cosh_basis(qe // 2)
-            for i, b in enumerate(basis):
-                acc[i] += c * b
-        rows[ae] = tuple(acc)
+                raise NotInSubring(f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}")
+        get = slice_.get
+        rows[ae] = _cosh_to_z2([get(qe, 0) for qe in range(0, max(slice_) + 1, 2)])
     return ZAPoly.from_rows(rows)
 
 
@@ -162,9 +128,10 @@ def qnum_sq_z2(p: int) -> tuple:
     """[p]^2 in the z^2 basis: monic of degree p - 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    sq = to_z2(qnum(p) * qnum(p))
-    row = sq.row_map().get(0, ())
-    assert len(row) == p and row[-1] == 1, "[p]^2 must be monic of degree p-1"
+    row = to_z2(qnum(p) * qnum(p)).row_map().get(0, ())
+    if len(row) != p or row[-1] != 1:
+        # divide_by_qnum_sq divides by a leading coefficient of 1
+        raise ArithmeticError(f"[{p}]^2 is not monic of degree {p - 1} in z^2: {row}")
     return row
 
 
@@ -226,14 +193,12 @@ def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
     member = zp.is_integral
     quotient, exact, remainder = divide_by_qnum_sq(zp, p)
     divisible = exact and quotient.is_integral
-    if member and not exact:
-        detail = "remainder after [p]^2 division"
-    elif member and exact and not quotient.is_integral:
-        detail = "quotient not integral"
-    elif not member:
+    if not member:
         detail = "coefficients not integral"
+    elif not exact:
+        detail = "remainder after [p]^2 division"
     else:
-        detail = ""
+        detail = "" if quotient.is_integral else "quotient not integral"
     return CongruenceFragment(
         z2_member=member,
         p2_divisible=divisible,

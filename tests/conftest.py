@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from heckelift.combinatorics import (
@@ -16,22 +17,32 @@ from heckelift.combinatorics import (
 )
 from heckelift.exactring import (
     LaurentQA,
+    NotDivisible,
     RingFraction,
     abracket,
     abracket_of_partition,
     bracket_of_partition,
     divide_brackets,
+    divide_out_abracket,
     exact_int_div,
     qbracket,
 )
-from heckelift.hecke import defect_sign
+from heckelift.hecke import defect_sign, lifting_defect
 from heckelift.torus import (
     FramedUnknot,
     TorusKnot,
     _cofactor,
     _den_brackets,
+    _gauss,
     _zlcm,
     cable_params,
+)
+from heckelift.zbasis import (
+    NotInSubring,
+    ZAPoly,
+    congruence_verdict,
+    divide_by_qnum_sq,
+    to_z2,
 )
 
 
@@ -208,3 +219,85 @@ def dn_defect_cofactor_parts(p, d, m):
     combined = s1 * (big // l1) - s2 * (sign * (big // l2))
     num = (qbracket(1) * qbracket(1) * combined).shift(aexp=c)
     return num, _den_brackets(n) + (c, p), big
+
+
+# -- the earlier verdict-path routes, kept as references -------------------------
+
+
+def sparse_scaled_invariant(K, p=1):
+    """The closed form with sparse q-binomial products and one bracket division."""
+    d, m = cable_params(K)
+    if m == 0:
+        return abracket(p)
+    n, c = p * d, p * m
+    size = abs(c)
+    mirror = 1 if c > 0 else -1
+
+    def binomial(N, k, aexp=0, coeff=1):
+        low = k * (N - k)
+        return LaurentQA._raw(
+            {(2 * i - low, aexp): coeff * v for i, v in enumerate(_gauss(N, k))}
+        )
+
+    acc = {}
+    for j in range(min(size, n) + 1):
+        layer = binomial(n, j, mirror * (n - 2 * j), (-1) ** j)
+        acc.update((layer * binomial(size + n - 1 - j, n - 1)).terms)
+    summed = LaurentQA._raw(acc) * qbracket(p)
+    return divide_brackets(summed, (mirror * n,)).shift(aexp=c)
+
+
+@cache
+def _recursive_cosh_basis(k):
+    """q^(2k) + q^(-2k) in powers of z^2: B_k = (z^2 + 2) B_(k-1) - B_(k-2)."""
+    if k == 0:
+        return (2,)
+    if k == 1:
+        return (2, 1)
+    prev, cur = _recursive_cosh_basis(k - 2), _recursive_cosh_basis(k - 1)
+    shifted = (0,) + cur
+    doubled = tuple(2 * c for c in cur) + (0,)
+    width = max(len(shifted), len(doubled), len(prev))
+
+    def at(t, i):
+        return t[i] if i < len(t) else 0
+
+    return tuple(at(shifted, i) + at(doubled, i) - at(prev, i) for i in range(width))
+
+
+def recursive_to_z2(f):
+    """to_z2 term by term through the memoized recursion for B_k, one a_slice per layer."""
+    rows = {}
+    for ae in f.a_exponents():
+        slice_ = f.a_slice(ae)
+        for qe in slice_:
+            if qe % 2 != 0:
+                raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
+        for qe, c in slice_.items():
+            if slice_.get(-qe, 0) != c:
+                raise NotInSubring(f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}")
+        top = max(slice_) if slice_ else 0
+        acc = [0] * max(top // 2 + 1, 1)
+        acc[0] = slice_.get(0, 0)
+        for qe, c in slice_.items():
+            if qe > 0:
+                for i, b in enumerate(_recursive_cosh_basis(qe // 2)):
+                    acc[i] += c * b
+        rows[ae] = tuple(acc)
+    return ZAPoly.from_rows(rows)
+
+
+def two_conversion_verdict(K, p):
+    """(a_factor, fragment of g, strong flag): g and core converted separately."""
+    g = lifting_defect(K, p)
+    try:
+        core = divide_out_abracket(g)
+    except NotDivisible:
+        return False, congruence_verdict(g, p), False
+    frag = congruence_verdict(g, p)
+    try:
+        zc = to_z2(core)
+    except NotInSubring:
+        return True, frag, False
+    quot, exact, _ = divide_by_qnum_sq(zc, p)
+    return True, frag, exact and zc.is_integral and quot.is_integral

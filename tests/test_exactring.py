@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_laurent
@@ -18,6 +18,7 @@ from heckelift.exactring import (
     divide_out_abracket,
     exact_div,
     exact_int_div,
+    kronecker_mul,
     qbracket,
     qnum,
     qnum_power,
@@ -375,3 +376,44 @@ def test_divide_brackets_remainder(f, orders, qe, ae):
         divide_brackets(g - remainder, orders)
     with pytest.raises(ZeroDivisionError):
         divide_brackets(g, orders + [0])
+
+
+def _schoolbook(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# signed entries, some wider than 64 bits, with runs of zeros at either end
+_kronecker_lists = st.tuples(
+    st.integers(0, 3),
+    st.lists(
+        st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 3),
+).map(lambda t: [0] * t[0] + t[1] + [0] * t[2])
+
+
+@_PROPERTY
+@given(_kronecker_lists, _kronecker_lists)
+@example([7], [-3])
+@example([0], [2**64 + 1])
+@example([-(2**64)], [-(2**64)])
+@example([0, 0, 5, 0], [0, -1])
+def test_kronecker_mul_matches_schoolbook(a, b):
+    assert kronecker_mul(a, b) == _schoolbook(a, b)
+
+
+def test_kronecker_mul_edges():
+    assert kronecker_mul([], [1, 2]) == []
+    assert kronecker_mul([0, 0], [0, 0, 0]) == [0, 0, 0, 0]
+    assert kronecker_mul([1], [1]) == [1]
+    # one slot holds the product exactly at a byte boundary of the width
+    big = 2**63
+    assert kronecker_mul([big, -big], [big, big]) == [big * big, 0, -big * big]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dn_defect_cofactor_parts, twisted_sum_grid
+from conftest import dn_defect_cofactor_parts, twisted_sum_grid, two_conversion_verdict
 from heckelift.combinatorics import partitions_of
 from heckelift.exactring import (
     NonExactDivision,
@@ -287,3 +287,16 @@ def test_verify_reaches_past_the_sweep_grid():
         assert report.identity_gp_eq_p2F, p
         assert report.strong_divisible, p
         assert report.quotient.is_integral, p
+
+
+def test_one_conversion_matches_two_conversion_route():
+    """Converting only g / (a - a^-1) gives g's flags, quotient and witness."""
+    for knot, p in twisted_sum_grid():
+        a_ok, frag, strong = two_conversion_verdict(knot, p)
+        report = verify_hecke(knot, p)
+        assert report.a_factor is a_ok, (knot, p)
+        assert report.strong_divisible is strong, (knot, p)
+        assert report.z2_member is frag.z2_member, (knot, p)
+        assert report.p2_divisible is frag.p2_divisible, (knot, p)
+        assert report.quotient == frag.quotient, (knot, p)
+        assert report.remainder_witness == frag.remainder_witness, (knot, p)

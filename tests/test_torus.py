@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     character_pairing,
     dn_scaled_invariant,
+    sparse_scaled_invariant,
     twist_power_sum,
     twisted_sum_grid,
 )
@@ -17,6 +18,7 @@ from heckelift.combinatorics import (
 )
 from heckelift.exactring import (
     LaurentQA,
+    NonExactDivision,
     RingFraction,
     abracket,
     bracket_of_partition,
@@ -29,6 +31,7 @@ from heckelift.torus import (
     _cofactor,
     _den_brackets,
     _gauss,
+    _times_ratio,
     TorusKnot,
     alexander,
     cable_params,
@@ -194,10 +197,28 @@ def test_gauss_binomial_properties():
                 assert g == [x + y for x, y in zip(low, high)], (N, K)
 
 
+def test_times_ratio_is_exact_or_raises():
+    """out * (1 - x^s) / (1 - x^i): exact quotients come back, remainders raise."""
+    assert _times_ratio([1, 1], 3, 1) == [1, 2, 2, 1]  # (1 + x)(1 + x + x^2)
+    assert _times_ratio([1, 0, 1], 2, 4) == [1]  # (1 + x^2)(1 - x^2) = 1 - x^4
+    for out, s, i in (([1], 1, 2), ([1], 1, 5), ([1, 2], 3, 2)):
+        with pytest.raises(NonExactDivision):
+            _times_ratio(out, s, i)
+
+
 def test_scaled_invariant_matches_dn_route():
     """Same value and the same term order as the D(n) bracket-sum route."""
     for knot, p in twisted_sum_grid():
         for k in (1, p):
             new = scaled_invariant(knot, k)
             old = dn_scaled_invariant(knot, k)
+            assert list(new.terms.items()) == list(old.terms.items()), (knot, k)
+
+
+def test_scaled_invariant_matches_sparse_products():
+    """The Kronecker products and the dense {p}/{n} step keep value and term order."""
+    for knot, p in twisted_sum_grid() + [(TorusKnot(3, 2), 11), (TorusKnot(1, 7), 13)]:
+        for k in (1, p):
+            new = scaled_invariant(knot, k)
+            old = sparse_scaled_invariant(knot, k)
             assert list(new.terms.items()) == list(old.terms.items()), (knot, k)

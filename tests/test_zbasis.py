@@ -1,10 +1,12 @@
 import cmath
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from conftest import recursive_to_z2
 from heckelift.exactring import LaurentQA, abracket, qbracket, qnum, zsquared
 from heckelift.zbasis import (
     NotInSubring,
@@ -52,6 +54,100 @@ def test_to_z2_rejections():
         to_z2(LaurentQA({(2, 0): 1, (-2, 0): 2}))
 
 
+def _palindromic_terms(rng, coeff, max_k=30):
+    """Random even palindromic a-layers, as a term list in shuffled order."""
+    data = {}
+    for ae in rng.sample(range(-4, 5), rng.randrange(1, 4)):
+        for e in range(rng.randrange(0, max_k) + 1):
+            c = coeff(rng)
+            if c:
+                data[(2 * e, ae)] = data[(-2 * e, ae)] = c
+    terms = list(data.items())
+    rng.shuffle(terms)
+    return terms
+
+
+def _raised(fn, f):
+    with pytest.raises(NotInSubring) as err:
+        fn(f)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_to_z2_matches_recursive_route(kind):
+    """Clenshaw agrees with the term-by-term recursion, coefficient types included,
+    and names the same violation when the input is not a member."""
+    rng = random.Random(2024 if kind == "int" else 2025)
+    if kind == "int":
+        coeff = lambda r: r.randrange(-9, 10)  # noqa: E731
+    else:
+        coeff = lambda r: Fraction(r.randrange(-9, 10), r.choice([1, 2, 3, 6]))  # noqa: E731
+    for _ in range(60):
+        terms = _palindromic_terms(rng, coeff)
+        f = LaurentQA(dict(terms))
+        new, old = to_z2(f), recursive_to_z2(f)
+        assert new.rows == old.rows
+        assert [list(map(type, row)) for _, row in new.rows] == [
+            list(map(type, row)) for _, row in old.rows
+        ]
+        # break one layer: an odd exponent, or one side of a symmetric pair
+        (qe, ae), _ = rng.choice(terms)
+        broken = dict(terms)
+        if rng.random() < 0.5:
+            broken[(qe + rng.choice([1, -1]), ae)] = coeff(rng) or 1
+        else:
+            qe = abs(qe) or 2
+            broken[(qe, ae)] = broken.get((-qe, ae), 0) + 1
+        items = list(broken.items())
+        rng.shuffle(items)
+        g = LaurentQA(dict(items))
+        assert _raised(to_z2, g) == _raised(recursive_to_z2, g)
+
+
+def test_to_z2_wide_layer_from_cold_memos():
+    """q^2800 + q^-2800: the earlier memoized recursion overflowed the stack here."""
+    k = 1400
+    row = to_z2(LaurentQA({(2 * k, 0): 1, (-2 * k, 0): 1})).row_map()[0]
+    assert len(row) == k + 1
+    # q^2k + q^-2k = sum_i (2k / (k + i)) C(k + i, 2i) z^(2i)
+    for i in (0, 1, 2, 700, k - 1, k):
+        assert row[i] * (k + i) == 2 * k * comb(k + i, 2 * i), i
+    # at z^2 = 1 it is the Lucas number L_2k
+    lucas = [2, 1]
+    while len(lucas) <= 2 * k:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert sum(row) == lucas[2 * k]
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_conversions_run_under_a_low_recursion_limit():
+    """A layer of width 1200 converts, divides and expands back with 50 free frames."""
+    rng = random.Random(31)
+    data = {}
+    for ae in (-1, 1):
+        # widest terms first: a memo filled term by term would start deepest
+        for e in range(600, -1, -1):
+            data[(2 * e, ae)] = data[(-2 * e, ae)] = rng.randrange(-5, 6) or 1
+    f = LaurentQA(data)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        z = to_z2(f)
+        back = z.to_laurent()
+        quotient, _, remainder = divide_by_qnum_sq(z, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back == f
+    assert z.z2_degree() == 600
+    assert quotient.z2_degree() == 598 and remainder.z2_degree() <= 1
+
+
 def test_zapoly_structure():
     poly = ZAPoly.from_rows({0: (Fraction(1), Fraction(2)), 2: (Fraction(0),)})
     assert poly.rows == ((0, (Fraction(1), Fraction(2))),)
@@ -74,6 +170,16 @@ def test_qnum_sq_z2_values():
         for k, c in enumerate(coeffs):
             rebuilt = rebuilt + zsquared() ** k * c
         assert rebuilt == qnum(p) * qnum(p)
+
+
+def test_qnum_sq_z2_rejects_a_non_monic_square(monkeypatch):
+    """The monic check is an explicit raise, so it also holds under python -O."""
+    from heckelift import zbasis
+
+    for p, row in ((2, (4, 2)), (3, (9, 1))):
+        monkeypatch.setattr(zbasis, "to_z2", lambda f, row=row: ZAPoly.from_rows({0: row}))
+        with pytest.raises(ArithmeticError, match=f"not monic of degree {p - 1}"):
+            qnum_sq_z2.__wrapped__(p)
 
 
 def test_divide_by_qnum_sq_reconstruction():
