@@ -1,4 +1,4 @@
-"""Command line driver: single verification, grid sweeps, character cache.
+"""Command line driver: single verification and grid sweeps.
 
 Exit codes: 0 all verdicts as expected, 1 a check failed (a sweep case that
 raises counts as failed and the others still run), 2 internal error, 64 usage
@@ -23,13 +23,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .alexlimit import limit_identity_check, limit_membership_verdict
-from .combinatorics import (
-    cache_path,
-    load_character_table,
-    partition_key,
-    partitions_of,
-    save_character_table,
-)
+from .combinatorics import partition_key, partitions_of
 from .hecke import (
     CongruenceReport,
     divisible_family_check,
@@ -309,8 +303,11 @@ def cmd_sweep(args) -> int:
     cfg.validate()
 
     specs = [(d, m, p, cfg.alexander, cfg.seed) for d, m, p in cfg.cases()]
-    if cfg.workers > 1:
-        with Pool(cfg.workers) as pool:
+    # more processes than cases or cores only costs forks; the config still
+    # echoes the requested count
+    workers = min(cfg.workers, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_isolated_case, specs)
     else:
         results = [_isolated_case(s) for s in specs]
@@ -396,68 +393,6 @@ def cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
-def _resolve_cache_dir(args) -> Path:
-    path = args.cache_dir or os.environ.get("HECKE_CACHE_DIR")
-    if not path:
-        raise UsageError("no cache directory: pass --cache-dir or set HECKE_CACHE_DIR")
-    return Path(path)
-
-
-def _stat_cache_file(directory: Path, path: Path) -> str:
-    """The `cache stat` line of one table file; raises if the file is bad."""
-    digits = path.stem.removeprefix("characters_w")
-    if not digits.isdigit() or cache_path(directory, int(digits)) != path:
-        raise ValueError("the name is not characters_wNN.json with NN the weight")
-    weight = int(digits)
-    load_character_table(directory, weight)
-    rows = len(partitions_of(weight))
-    return f"weight {weight}: {rows}x{rows} entries, digest ok ({path.name})"
-
-
-def cmd_cache(args) -> int:
-    directory = _resolve_cache_dir(args)
-    if args.action == "build":
-        if args.max_weight < 1:
-            raise UsageError("--max-weight must be >= 1")
-        directory.mkdir(parents=True, exist_ok=True)
-        for w in range(1, args.max_weight + 1):
-            target = cache_path(directory, w)
-            before = target.read_bytes() if target.exists() else None
-            path = save_character_table(directory, w)
-            if before is None:
-                state = "written"
-            else:
-                # an invalid file is replaced; a valid one is left untouched
-                state = "kept" if path.read_bytes() == before else "rewritten"
-            print(f"weight {w}: {state} {path}")
-        return 0
-    if args.action == "stat":
-        if not directory.exists():
-            print(f"cache directory {directory} does not exist")
-            return 1
-        found = sorted(directory.glob("characters_w*.json"))
-        if not found:
-            print(f"no character tables under {directory}")
-            return 1
-        bad = 0
-        for path in found:
-            try:
-                print(_stat_cache_file(directory, path))
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
-                print(f"bad cache file {path.name}: {type(err).__name__}: {err}")
-                bad += 1
-        return 1 if bad else 0
-    if args.action == "clear":
-        removed = 0
-        if directory.exists():
-            for path in sorted(directory.glob("characters_w*.json")):
-                path.unlink()
-                removed += 1
-        print(f"removed {removed} cached tables from {directory}")
-        return 0
-    raise UsageError(f"unknown cache action {args.action!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -495,11 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None, help="numeric spot-check seed")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cache = sub.add_parser("cache", help="manage the character table cache")
-    p_cache.add_argument("action", choices=["build", "stat", "clear"])
-    p_cache.add_argument("--max-weight", type=int, default=12)
-    p_cache.add_argument("--cache-dir", help="overrides HECKE_CACHE_DIR")
-    p_cache.set_defaults(func=cmd_cache)
     return parser
 
 

@@ -2,23 +2,16 @@
 
 Partitions are plain tuples of weakly decreasing positive ints, so they can
 key dicts and memo tables directly.  Characters come from the
-Murnaghan-Nakayama rule over beta-numbers, memoized in process and optionally
-sealed to a per-weight JSON cache on disk.
+Murnaghan-Nakayama rule over beta-numbers, memoized in process.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cache
-from pathlib import Path
 
 Partition = tuple[int, ...]
-
-CACHE_FORMAT_VERSION = 1
 
 
 class WeightMismatch(ValueError):
@@ -123,9 +116,6 @@ def hook_shapes(weight: int) -> tuple[HookShape, ...]:
     return tuple(HookShape(weight - 1 - leg, leg) for leg in range(weight))
 
 
-_chi_memo: dict[tuple[Partition, Partition], int] = {}
-
-
 def chi(lam: Partition, mu: Partition) -> int:
     """Irreducible character chi^lam at the conjugacy class mu.
 
@@ -137,13 +127,10 @@ def chi(lam: Partition, mu: Partition) -> int:
     return _chi_rec(lam, mu)
 
 
+@cache
 def _chi_rec(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    got = _chi_memo.get(key)
-    if got is not None:
-        return got
     t, rest = mu[0], mu[1:]
     n = len(lam)
     beta = [lam[i] + n - 1 - i for i in range(n)]
@@ -160,19 +147,12 @@ def _chi_rec(lam: Partition, mu: Partition) -> int:
         newlam = tuple(x - (n - 1 - i) for i, x in enumerate(newbeta))
         newlam = tuple(x for x in newlam if x > 0)
         total += (-1) ** crossed * _chi_rec(newlam, rest)
-    _chi_memo[key] = total
     return total
 
 
 def partition_key(mu: Partition) -> str:
-    """Serialize a partition as the cache key, e.g. (3, 1, 1) -> "3+1+1"."""
+    """Serialize a partition as a JSON key, e.g. (3, 1, 1) -> "3+1+1"."""
     return "+".join(str(x) for x in mu)
-
-
-def parse_partition_key(key: str) -> Partition:
-    if key == "":
-        return ()
-    return as_partition(key.split("+"))
 
 
 @dataclass(frozen=True)
@@ -185,116 +165,10 @@ class CharacterTable:
     def chi(self, lam: Partition, mu: Partition) -> int:
         return self.values[(lam, mu)]
 
-    def to_json_dict(self) -> dict:
-        table = {
-            partition_key(lam): {
-                partition_key(mu): self.values[(lam, mu)]
-                for mu in partitions_of(self.weight)
-            }
-            for lam in partitions_of(self.weight)
-        }
-        body = {"version": CACHE_FORMAT_VERSION, "weight": self.weight, "table": table}
-        body["sha256"] = _table_digest(table)
-        return body
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CharacterTable":
-        """Parse a cache body, raising ValueError if it is malformed.
-
-        Malformed: a body, table or row that is not a JSON object, a wrong
-        version or digest, or a table whose rows are not the partitions.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(f"cache body is a JSON {type(data).__name__}, not an object")
-        if data.get("version") != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported cache version {data.get('version')!r}")
-        table = data["table"]
-        if not isinstance(table, dict) or not all(
-            isinstance(row, dict) for row in table.values()
-        ):
-            raise ValueError("cache table and its rows must be JSON objects")
-        if data.get("sha256") != _table_digest(table):
-            raise ValueError("character table cache digest mismatch")
-        weight = int(data["weight"])
-        values = {
-            (parse_partition_key(lk), parse_partition_key(mk)): int(v)
-            for lk, row in table.items()
-            for mk, v in row.items()
-        }
-        expected = set(partitions_of(weight))
-        seen_rows = {lam for lam, _ in values}
-        if seen_rows != expected:
-            raise ValueError("character table cache is incomplete")
-        return cls(weight=weight, values=values)
-
-
-def _table_digest(table: dict) -> str:
-    canon = json.dumps(table, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
 
 @cache
 def character_table(n: int) -> CharacterTable:
-    """Compute (and memoize) the full character table of S_n.
-
-    When HECKE_CACHE_DIR is set and holds a valid file for this weight the
-    table is read from disk instead of recomputed.
-    """
-    cache_dir = os.environ.get("HECKE_CACHE_DIR")
-    if cache_dir:
-        try:
-            cached = load_character_table(cache_dir, n)
-        except (ValueError, KeyError, json.JSONDecodeError):
-            cached = None
-        if cached is not None:
-            return cached
+    """The full character table of S_n, memoized in process."""
     parts = partitions_of(n)
     values = {(lam, mu): chi(lam, mu) for lam in parts for mu in parts}
     return CharacterTable(weight=n, values=values)
-
-
-def cache_path(cache_dir: str | Path, weight: int) -> Path:
-    return Path(cache_dir) / f"characters_w{weight:02d}.json"
-
-
-def save_character_table(cache_dir: str | Path, n: int) -> Path:
-    """Write the weight-n table to disk; returns the path.
-
-    Rewrites are skipped when a valid file for this weight already exists,
-    so repeated builds are idempotent.
-    """
-    path = cache_path(cache_dir, n)
-    if path.exists():
-        try:
-            cached = CharacterTable.from_json_dict(json.loads(path.read_text()))
-            if cached.weight == n:
-                return path
-        except (ValueError, KeyError, json.JSONDecodeError):
-            pass
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(character_table(n).to_json_dict(), sort_keys=True)
-    # write beside the target, then rename over it: a reader sees the old
-    # file or the whole new one, never a torn write.  tempfile is imported
-    # here because it adds about 8 ms to every `import heckelift`.
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def load_character_table(cache_dir: str | Path, n: int) -> CharacterTable | None:
-    """Read the weight-n table from disk if present and valid."""
-    path = cache_path(cache_dir, n)
-    if not path.exists():
-        return None
-    table = CharacterTable.from_json_dict(json.loads(path.read_text()))
-    if table.weight != n:
-        raise ValueError(f"{path} holds weight {table.weight}, expected {n}")
-    return table

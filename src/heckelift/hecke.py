@@ -25,7 +25,6 @@ from .exactring import (
     abracket_of_partition,
     divide_brackets,
     divide_out_abracket,
-    exact_div,
     exact_int_div,
     qbracket,
     qnum_power,
@@ -240,9 +239,9 @@ def _identity_check(K, g: LaurentQA, p: int) -> bool:
 
 
 def _family_ratio(num: LaurentQA, p: int, m: int) -> tuple[bool, ZAPoly | None]:
-    den = qnum_power(p * m, 1) * qnum_power(p, 1)
+    # [pm][p] = {pm}{p} / {1}^2
     try:
-        val = exact_div(num, den)
+        val = divide_brackets(num * zsquared(), (p * m, p))
     except NonExactDivision:
         return False, None
     try:

@@ -6,9 +6,7 @@ from functools import cache
 from math import gcd, lcm
 
 from heckelift.combinatorics import (
-    CACHE_FORMAT_VERSION,
     WeightMismatch,
-    _table_digest,
     as_partition,
     character_table,
     kappa,
@@ -17,6 +15,7 @@ from heckelift.combinatorics import (
 )
 from heckelift.exactring import (
     LaurentQA,
+    NonExactDivision,
     NotDivisible,
     RingFraction,
     abracket,
@@ -24,8 +23,10 @@ from heckelift.exactring import (
     bracket_of_partition,
     divide_brackets,
     divide_out_abracket,
+    exact_div,
     exact_int_div,
     qbracket,
+    qnum_power,
 )
 from heckelift.hecke import defect_sign, lifting_defect
 from heckelift.torus import (
@@ -94,24 +95,6 @@ def random_laurent(rng, terms=4, qspan=5, aspan=3):
         ae = rng.randrange(-aspan, aspan + 1)
         data[(qe, ae)] = data.get((qe, ae), 0) + Fraction(num, den)
     return LaurentQA(data)
-
-
-def _weight3_body(table):
-    return {
-        "version": CACHE_FORMAT_VERSION,
-        "weight": 3,
-        "table": table,
-        "sha256": _table_digest(table),
-    }
-
-
-# character-table cache bodies with a JSON array where an object belongs; the
-# digests match, so only the shape is wrong
-NON_OBJECT_CACHE_BODIES = {
-    "array": [],
-    "table-array": _weight3_body([]),
-    "row-array": _weight3_body({"3": [1]}),
-}
 
 
 # -- cross-check references for the torus invariants --------------------------
@@ -285,6 +268,18 @@ def recursive_to_z2(f):
                     acc[i] += c * b
         rows[ae] = tuple(acc)
     return ZAPoly.from_rows(rows)
+
+
+def exact_div_family_ratio(num, p, m):
+    """The ratio family's (flag, quotient) by long division through [pm][p]."""
+    try:
+        val = exact_div(num, qnum_power(p * m, 1) * qnum_power(p, 1))
+    except NonExactDivision:
+        return False, None
+    try:
+        return True, to_z2(val)
+    except NotInSubring:
+        return False, None
 
 
 def two_conversion_verdict(K, p):

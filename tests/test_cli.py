@@ -14,7 +14,6 @@ from math import gcd
 
 import pytest
 
-from conftest import NON_OBJECT_CACHE_BODIES
 from heckelift import CongruenceReport, TorusKnot, verify_hecke
 from heckelift.cli import SweepConfig, UsageError, main
 
@@ -41,10 +40,24 @@ def test_verify_usage_errors(capsys):
     # non-positive values
     assert run(["verify", "--d", "0", "--m", "3", "--p", "2"]) == 64
     assert run(["verify", "--d", "2", "--m", "3", "--p", "0"]) == 64
-    # unknown subcommand and empty argv
+    # unknown subcommands and empty argv
     assert run(["frobnicate"]) == 64
+    assert run(["cache", "stat"]) == 64
     assert run([]) == 64
     capsys.readouterr()
+
+
+def test_verify_internal_error_exits_2(capsys, monkeypatch):
+    import heckelift.cli as cli
+
+    def broken(knot, p):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(cli, "verify_hecke", broken)
+    assert run(["verify", "--d", "2", "--m", "3", "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert "injected failure" in err
 
 
 def test_verify_json_report_matches_library(tmp_path, capsys):
@@ -156,6 +169,46 @@ def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     assert outs[0] == outs[2]
 
 
+@pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 10), (None, 1)])
+def test_sweep_pool_is_sized_by_cases_and_cores(
+    tmp_path, capsys, monkeypatch, cpus, expected
+):
+    """--workers 5000 forks at most one process per case and per core."""
+    import heckelift.cli as cli
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path)
+    outs = []
+    for name, workers in [("serial.json", "1"), ("wide.json", "5000")]:
+        out_path = tmp_path / name
+        assert run(["sweep", "--sweep-config", str(cfg_path),
+                    "--out", str(out_path), "--workers", workers]) == 0
+        outs.append(strip_timings(json.loads(out_path.read_text())))
+    capsys.readouterr()
+    assert len(outs[0]["cases"]) == 10
+    assert sizes == ([expected] if expected > 1 else [])
+    assert outs[1]["config"]["workers"] == 5000
+    outs[1]["config"]["workers"] = 1
+    assert outs[0] == outs[1]
+
+
 def test_sweep_csv_format(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
     write_config(cfg_path)
@@ -238,127 +291,6 @@ def test_sweep_config_round_trip():
     assert again.to_json_dict() == cfg.to_json_dict()
     with pytest.raises(UsageError):
         SweepConfig.from_json_dict({"bogus": True})
-
-
-def test_cache_build_stat_clear(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    base = ["cache", "--cache-dir", str(cache_dir)]
-    assert run(base + ["build", "--max-weight", "3"]) == 0
-    files = sorted(p.name for p in cache_dir.glob("*.json"))
-    assert files == ["characters_w01.json", "characters_w02.json",
-                     "characters_w03.json"]
-
-    assert run(base + ["stat"]) == 0
-    out = capsys.readouterr().out
-    assert "weight 3" in out
-
-    # rebuilding keeps existing files untouched
-    before = [(p.name, p.stat().st_mtime_ns)
-              for p in sorted(cache_dir.glob("*.json"))]
-    assert run(base + ["build", "--max-weight", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "kept" in out
-    after = [(p.name, p.stat().st_mtime_ns)
-             for p in sorted(cache_dir.glob("*.json"))]
-    assert before == after
-
-    assert run(base + ["clear"]) == 0
-    assert list(cache_dir.glob("*.json")) == []
-    capsys.readouterr()
-
-
-def test_cache_stat_missing_and_corrupt(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    base = ["cache", "--cache-dir", str(cache_dir)]
-    # nothing built yet
-    assert run(base + ["stat"]) == 1
-
-    assert run(base + ["build", "--max-weight", "2"]) == 0
-    victim = cache_dir / "characters_w02.json"
-    data = json.loads(victim.read_text())
-    data["table"]["2"]["1+1"] = 99
-    victim.write_text(json.dumps(data))
-    capsys.readouterr()
-    # a digest mismatch is a bad file: named with its reason, not exit 2
-    assert run(base + ["stat"]) == 1
-    out = capsys.readouterr().out
-    assert "bad cache file characters_w02.json: ValueError: " in out
-    assert "digest mismatch" in out
-    assert "weight 1:" in out
-
-
-@pytest.mark.parametrize(
-    "name, text, reason",
-    [
-        ("characters_w03.json", "{bad", "JSONDecodeError: "),
-        ("characters_w03.json", "{}", "ValueError: unsupported cache version None"),
-        ("characters_wxx.json", "{}", "ValueError: the name is not characters_wNN.json"),
-    ],
-    ids=["unparsable", "no-version", "bad-name"],
-)
-def test_cache_stat_lists_every_bad_file(tmp_path, capsys, name, text, reason):
-    cache_dir = tmp_path / "cache"
-    base = ["cache", "--cache-dir", str(cache_dir)]
-    assert run(base + ["build", "--max-weight", "4"]) == 0
-    (cache_dir / name).write_text(text)
-    capsys.readouterr()
-    assert run(base + ["stat"]) == 1
-    out = capsys.readouterr().out
-    assert f"bad cache file {name}: {reason}" in out
-    weights = [1, 2, 4] if name == "characters_w03.json" else [1, 2, 3, 4]
-    for w in weights:
-        assert f"weight {w}: " in out
-    assert len(out.splitlines()) == len(weights) + 1
-
-
-@pytest.mark.parametrize(
-    "body", NON_OBJECT_CACHE_BODIES.values(), ids=NON_OBJECT_CACHE_BODIES
-)
-def test_cache_build_replaces_non_object_json(tmp_path, capsys, body):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    base = ["cache", "--cache-dir", str(cache_dir)]
-    (cache_dir / "characters_w03.json").write_text(json.dumps(body))
-    assert run(base + ["stat"]) == 1
-    assert "bad cache file characters_w03.json: ValueError: " in capsys.readouterr().out
-    assert run(base + ["build", "--max-weight", "3"]) == 0
-    assert run(base + ["stat"]) == 0
-    assert "weight 3: 3x3 entries, digest ok" in capsys.readouterr().out
-
-
-def test_cache_build_reports_a_rewritten_file(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    base = ["cache", "--cache-dir", str(cache_dir)]
-    assert run(base + ["build", "--max-weight", "2"]) == 0
-    assert "weight 2: written " in capsys.readouterr().out
-    (cache_dir / "characters_w02.json").write_text("[]")
-    assert run(base + ["build", "--max-weight", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "weight 1: kept " in out
-    assert "weight 2: rewritten " in out
-    assert run(base + ["stat"]) == 0
-    assert "weight 2: 2x2 entries, digest ok" in capsys.readouterr().out
-
-
-def test_cache_env_var_and_usage(tmp_path, capsys, monkeypatch):
-    cache_dir = tmp_path / "envcache"
-    monkeypatch.setenv("HECKE_CACHE_DIR", str(cache_dir))
-    assert run(["cache", "build", "--max-weight", "2"]) == 0
-    assert (cache_dir / "characters_w02.json").exists()
-
-    monkeypatch.delenv("HECKE_CACHE_DIR", raising=False)
-    assert run(["cache", "stat"]) == 64
-    assert run(["cache", "build", "--max-weight", "0",
-                "--cache-dir", str(cache_dir)]) == 64
-    capsys.readouterr()
-
-
-def test_cache_build_into_file_path_is_internal_error(tmp_path, capsys):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
-    assert run(["cache", "--cache-dir", str(blocker),
-                "build", "--max-weight", "2"]) == 2
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

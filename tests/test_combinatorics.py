@@ -1,26 +1,20 @@
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from conftest import NON_OBJECT_CACHE_BODIES, frobenius_chi_table
+from conftest import frobenius_chi_table
 from heckelift.combinatorics import (
-    CharacterTable,
     HookShape,
     WeightMismatch,
-    cache_path,
+    _chi_rec,
     character_table,
     chi,
     conjugate,
     gcd_of_parts,
     hook_shapes,
     kappa,
-    load_character_table,
-    parse_partition_key,
     partition_key,
     partitions_of,
-    save_character_table,
     z_mu,
 )
 
@@ -142,88 +136,18 @@ def test_chi_weight_mismatch():
 def test_partition_key_round_trip():
     assert partition_key((3, 1, 1)) == "3+1+1"
     assert partition_key(()) == ""
-    assert parse_partition_key("3+1+1") == (3, 1, 1)
-    assert parse_partition_key("") == ()
     for n in range(0, 9):
         for mu in partitions_of(n):
-            assert parse_partition_key(partition_key(mu)) == mu
+            key = partition_key(mu)
+            assert tuple(int(x) for x in key.split("+") if x) == mu
 
 
-def test_character_table_round_trip(tmp_path):
-    path = save_character_table(tmp_path, 5)
-    assert path == cache_path(tmp_path, 5)
-    loaded = load_character_table(tmp_path, 5)
-    assert loaded == character_table(5)
-    first_stat = path.stat().st_mtime_ns
-    save_character_table(tmp_path, 5)
-    assert path.stat().st_mtime_ns == first_stat
-
-
-def test_character_table_rejects_tampering(tmp_path):
-    path = save_character_table(tmp_path, 4)
-    data = json.loads(path.read_text())
-    key = sorted(data["table"])[0]
-    inner = sorted(data["table"][key])[0]
-    data["table"][key][inner] += 1
-    with pytest.raises(ValueError):
-        CharacterTable.from_json_dict(data)
-    bad_version = json.loads(path.read_text())
-    bad_version["version"] = 99
-    with pytest.raises(ValueError):
-        CharacterTable.from_json_dict(bad_version)
-
-
-def test_character_table_env_cache(tmp_path, monkeypatch):
-    """HECKE_CACHE_DIR is consulted before recomputing a table."""
-    values = {
-        (lam, mu): chi(lam, mu)
-        for lam in partitions_of(2)
-        for mu in partitions_of(2)
-    }
-    values[((2,), (2,))] = 7
-    doctored = CharacterTable(weight=2, values=values)
-    path = cache_path(tmp_path, 2)
-    path.write_text(json.dumps(doctored.to_json_dict()))
-    monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path))
+def test_character_table_against_frobenius_oracle_and_memoized():
     character_table.cache_clear()
-    try:
-        assert character_table(2).values[((2,), (2,))] == 7
-    finally:
-        monkeypatch.delenv("HECKE_CACHE_DIR")
-        character_table.cache_clear()
-    assert character_table(2).values[((2,), (2,))] == 1
-
-
-@pytest.mark.parametrize(
-    "body", NON_OBJECT_CACHE_BODIES.values(), ids=NON_OBJECT_CACHE_BODIES
-)
-def test_character_table_cache_rejects_non_object_json(tmp_path, monkeypatch, body):
-    with pytest.raises(ValueError, match="not an object|must be JSON objects"):
-        CharacterTable.from_json_dict(body)
-    # under HECKE_CACHE_DIR such a file is ignored and the table recomputed
-    cache_path(tmp_path, 3).write_text(json.dumps(body))
-    monkeypatch.setenv("HECKE_CACHE_DIR", str(tmp_path))
-    character_table.cache_clear()
-    try:
-        values = character_table(3).values
-    finally:
-        monkeypatch.delenv("HECKE_CACHE_DIR")
-        character_table.cache_clear()
-    parts = partitions_of(3)
-    assert values == {(lam, mu): chi(lam, mu) for lam in parts for mu in parts}
-
-
-def test_save_character_table_is_atomic(tmp_path, monkeypatch):
-    path = save_character_table(tmp_path, 5)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-    assert load_character_table(tmp_path, 5).values == character_table(5).values
-
-    # a failure between the write and the rename leaves neither a torn
-    # target nor the temporary file behind
-    def refuse(src, dst):
-        raise OSError("rename refused")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError):
-        save_character_table(tmp_path, 6)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    _chi_rec.cache_clear()
+    table = character_table(5)
+    assert table.values == frobenius_chi_table(5)
+    assert table.chi((5,), (5,)) == 1
+    assert character_table(5) is table
+    assert character_table.cache_info().hits == 1
+    assert _chi_rec.cache_info().currsize > 0

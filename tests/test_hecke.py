@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dn_defect_cofactor_parts, twisted_sum_grid, two_conversion_verdict
+from conftest import (
+    dn_defect_cofactor_parts,
+    exact_div_family_ratio,
+    twisted_sum_grid,
+    two_conversion_verdict,
+)
 from heckelift.combinatorics import partitions_of
+import heckelift.hecke as hecke
 from heckelift.exactring import (
+    LaurentQA,
     NonExactDivision,
     abracket,
     bracket_of_partition,
@@ -229,6 +236,38 @@ def test_family_sweep_coprime():
                         continue
                     ok, _ = nondivisible_family_check(p, m, mu)
                     assert ok, (p, m, mu)
+
+
+def test_family_ratio_matches_long_division(monkeypatch):
+    """Bracket division by {pm}{p} / {1}^2 agrees with long division by [pm][p].
+
+    Every family numerator for p in {2, 3, 5}, m <= 5, d <= 3, and each one
+    plus q^2, which is no longer divisible by [pm][p].
+    """
+    numerators = []
+    monkeypatch.setattr(
+        hecke, "_family_ratio", lambda num, p, m: numerators.append((num, p, m))
+    )
+    for p in (2, 3, 5):
+        for m in range(1, 6):
+            for d in range(1, 4):
+                if gcd(d, m) != 1:
+                    continue
+                for nu in partitions_of(d):
+                    divisible_family_check(p, m, nu)
+                for mu in partitions_of(p * d):
+                    if any(x % p for x in mu):
+                        nondivisible_family_check(p, m, mu)
+    monkeypatch.undo()
+    bump = LaurentQA({(2, 0): 1})
+    flags = []
+    for num, p, m in numerators:
+        for f in (num, num + bump):
+            got = hecke._family_ratio(f, p, m)
+            assert got == exact_div_family_ratio(f, p, m), (p, m, f.to_text())
+            flags.append(got[0])
+    assert len(flags) == 2 * len(numerators) > 2000
+    assert flags.count(False) == len(numerators)
 
 
 def _dn_cross_multiplied(g, p, parts):
