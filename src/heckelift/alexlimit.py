@@ -22,7 +22,7 @@ from .exactring import (
     exact_div,
     qnum,
 )
-from .hecke import lifting_defect
+from .hecke import defect_core
 from .torus import power_sum_invariant, scaled_invariant, unknot_schur_value
 from .zbasis import CongruenceFragment, ZAPoly, congruence_verdict, divide_by_qnum_sq, to_z2
 
@@ -41,11 +41,6 @@ def limit_ratio(f: LaurentQA) -> LimitValue:
     limit does not exist in the polynomial sense.
     """
     return LimitValue(divide_out_abracket(f).substitute_a(1))
-
-
-def limit_ratio_via_derivative(f: LaurentQA) -> LimitValue:
-    """The same limit computed as f'_a(1) / 2, an independent route."""
-    return LimitValue(f.a_derivative_at_1() * Fraction(1, 2))
 
 
 def framing_correction(p: int, tau: int) -> ZAPoly:
@@ -75,7 +70,7 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
 
 def limit_identity_check(K, p: int) -> bool:
     """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, exactly."""
-    lhs = limit_ratio(lifting_defect(K, p)).value
+    lhs = defect_core(K, p).substitute_a(1)
     alex_p = limit_ratio(scaled_invariant(K, 1)).value.adams(p)
     corr = framing_correction(p, K.framing).to_laurent()
     return lhs == qnum(p) * qnum(p) * alex_p * corr
@@ -92,7 +87,7 @@ class LimitMembership:
 
 def limit_membership_verdict(K, p: int) -> LimitMembership:
     """Check the a -> 1 limit of the defect against [p]^2 Z[z^2] membership."""
-    lim = limit_ratio(lifting_defect(K, p)).value
+    lim = defect_core(K, p).substitute_a(1)
     frag = congruence_verdict(lim, p)
     return LimitMembership(
         passed=frag.z2_member and frag.p2_divisible, value=lim, fragment=frag

@@ -226,34 +226,12 @@ class LaurentQA:
                 data[key] = s
         return LaurentQA._raw(data)
 
-    def a_derivative_at_1(self) -> "LaurentQA":
-        """d/da at a = 1, exact, as a Laurent polynomial in q."""
-        data: dict = {}
-        for (qe, ae), c in self.terms.items():
-            if ae == 0:
-                continue
-            key = (qe, 0)
-            s = data.get(key, 0) + c * ae
-            if s == 0:
-                data.pop(key, None)
-            else:
-                data[key] = s
-        return LaurentQA._raw(data)
-
     def shift(self, qexp=0, aexp=0) -> "LaurentQA":
         """Multiply by the monomial q^qexp * a^aexp."""
         qexp = _qexp(qexp)
         return LaurentQA._raw(
             {(qe + qexp, ae + aexp): c for (qe, ae), c in self.terms.items()}
         )
-
-    # -- numeric evaluation (oracle support only) ---------------------------
-
-    def eval_numeric(self, q0: complex, a0: complex) -> complex:
-        total = 0j
-        for (qe, ae), c in self.terms.items():
-            total += complex(c) * q0**qe * a0**ae
-        return total
 
     # -- text serialization --------------------------------------------------
 
@@ -829,9 +807,6 @@ class RingFraction:
             return RingFraction(self.resolve(), 1)
         except NonExactDivision:
             return self
-
-    def eval_numeric(self, q0: complex, a0: complex) -> complex:
-        return self.num.eval_numeric(q0, a0) / self.den.eval_numeric(q0, a0)
 
 
 def _coerce_fraction(x):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 
@@ -71,6 +72,17 @@ def lifting_defect(K, p: int) -> LaurentQA:
         raise ValueError("order must be >= 1")
     sign = defect_sign(p, K.framing)
     return scaled_invariant(K, p) - scaled_invariant(K, 1).adams(p) * sign
+
+
+@lru_cache(maxsize=4)
+def defect_core(K, p: int) -> LaurentQA:
+    """lifting_defect(K, p) / (a - a^-1); NotDivisible carries the witness.
+
+    verify_hecke and the a -> 1 limit checks of one case share it, so the
+    defect is divided once per case.  They ask for it back to back, so a
+    few entries suffice.
+    """
+    return divide_out_abracket(lifting_defect(K, p))
 
 
 def _adams_term(d: int, m: int, p: int) -> LaurentQA:
@@ -181,7 +193,7 @@ def verify_hecke(K, p: int) -> CongruenceReport:
 
     strong = False
     try:
-        core = divide_out_abracket(g)
+        core = defect_core(K, p)
         a_ok = True
         zc = to_z2(core)
         quot, exact, _ = divide_by_qnum_sq(zc, p)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from operator import add, sub
 
 from .exactring import LaurentQA, qnum
@@ -135,28 +136,32 @@ def qnum_sq_z2(p: int) -> tuple:
     return row
 
 
+def _divmod_monic(f, g) -> tuple[list, list]:
+    """Quotient and remainder of f by the monic g; lists, lowest coefficient first."""
+    work = list(f)
+    k = len(g) - 1
+    quot = [0] * max(len(work) - k, 0)
+    for i in range(len(work) - 1, k - 1, -1):
+        c = work[i]
+        if c == 0:
+            continue
+        pos = i - k
+        quot[pos] = c
+        for j in range(k + 1):
+            work[pos + j] -= c * g[j]
+    return quot, work[:k]
+
+
 def divide_by_qnum_sq(f: ZAPoly, p: int) -> tuple["ZAPoly", bool, "ZAPoly"]:
     """Divide every a-layer by [p]^2 in the z^2 basis.
 
     Returns (quotient, exact, remainder); quotient * [p]^2 + remainder == f.
     """
     divisor = qnum_sq_z2(p)
-    dn = len(divisor)
     q_rows = {}
     r_rows = {}
     for ae, row in f.rows:
-        work = list(row)
-        qrow = [0] * max(len(work) - dn + 1, 0)
-        for i in range(len(work) - 1, dn - 2, -1):
-            c = work[i]
-            if c == 0:
-                continue
-            pos = i - dn + 1
-            qrow[pos] = c
-            for j in range(dn):
-                work[pos + j] -= c * divisor[j]
-        q_rows[ae] = tuple(qrow)
-        r_rows[ae] = tuple(work[: dn - 1])
+        q_rows[ae], r_rows[ae] = _divmod_monic(row, divisor)
     quotient = ZAPoly.from_rows(q_rows)
     remainder = ZAPoly.from_rows(r_rows)
     return quotient, remainder.is_zero(), remainder
@@ -208,60 +213,65 @@ def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
     )
 
 
+def _cyclotomic(n: int) -> list[int]:
+    """Phi_n, lowest coefficient first.
+
+    Phi_d = (x^d - 1) / prod Phi_e over the proper divisors e of d, for d | n.
+    """
+    phis: dict = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]
+            for e, phi in phis.items():
+                if d % e == 0:
+                    poly = _divmod_monic(poly, phi)[0]
+            phis[d] = poly
+    return phis[n]
+
+
 def double_root_residual(f: LaurentQA, p: int, a0: complex, s: int = 1) -> float:
-    """Numeric double-root check at q0 = exp(i*pi*s/p).
+    """Double-root check at q0 = exp(i*pi*s/p): max(|f|, |df/dq|) there.
 
     Values in (a - a^-1)[p]^2 * Z[z^2, a^{+-1}] vanish to second order in q
-    at 2p-th roots of unity away from +-1; returns max(|f|, |df/dq|) there.
-    Callers usually draw s coprime to 2p.
+    at 2p-th roots of unity away from +-1.  Callers usually draw s coprime
+    to 2p.
 
-    Since q0^(2p) = 1, the terms are first folded exactly: coefficients are
-    summed into buckets keyed by (qe mod 2p, ae) for f and, with weight qe,
-    by ((qe - 1) mod 2p, ae) for df/dq, so at most 2p buckets per a-layer
-    are evaluated numerically.  The sum runs at a working precision sized
-    to the unfolded coefficients and q-span, so the residual measures the
-    polynomial itself rather than float rounding; large inputs still give
-    absolute residuals far below any reasonable tolerance.
+    q0 is a primitive n-th root of unity, n = 2p / gcd(s, 2p), so the terms
+    are first folded exactly: per a-layer, coefficients are summed into the
+    buckets qe mod n for f and, with weight qe, (qe - 1) mod n for df/dq.
+    Each bucket polynomial is then reduced modulo Phi_n, the minimal
+    polynomial of q0 (monic, so long division stays in Z).  When every
+    residue is zero both f and df/dq vanish at q0 for every a, and the
+    result is exactly 0.0; mpmath is not imported.  Otherwise the buckets are
+    evaluated at a working precision sized to the unfolded coefficients and
+    q-span, so the residual measures the polynomial rather than rounding.
     """
+    n = 2 * p // gcd(s, 2 * p)
+    val_rows: dict = {}
+    dval_rows: dict = {}
+    for (qe, ae), c in f.terms.items():
+        row = val_rows.get(ae)
+        if row is None:
+            row = val_rows[ae] = [0] * n
+            dval_rows[ae] = [0] * n
+        row[qe % n] += c
+        dval_rows[ae][(qe - 1) % n] += qe * c
+    phi = _cyclotomic(n)
+    rows = (*val_rows.values(), *dval_rows.values())
+    if not any(any(_divmod_monic(row, phi)[1]) for row in rows):
+        return 0.0
+
     import mpmath
 
-    period = 2 * p
-    val_buckets: dict = {}
-    dval_buckets: dict = {}
-    scale = 0
-    span = 1
-    for (qe, ae), c in f.terms.items():
-        scale += abs(c)
-        span = max(span, abs(qe))
-        key = (qe % period, ae)
-        val_buckets[key] = val_buckets.get(key, 0) + c
-        if qe != 0:
-            key = ((qe - 1) % period, ae)
-            dval_buckets[key] = dval_buckets.get(key, 0) + qe * c
-    dps = 40 + len(str(int(scale or 1) + 1)) + len(str(int(span) + 1))
-
+    scale = sum(abs(c) for c in f.terms.values())
+    span = max(abs(qe) for qe, _ in f.terms)
+    dps = 40 + len(str(int(scale) + 1)) + len(str(max(span, 1) + 1))
     with mpmath.workdps(dps):
         a_base = mpmath.mpc(a0)
-        apows: dict = {}
-        roots: dict = {}
-
-        def _mpq(x):
-            x = Fraction(x)
-            return mpmath.mpf(x.numerator) / x.denominator
-
-        def _evaluate(buckets: dict):
-            total = mpmath.mpc(0)
-            for (r, ae), c in buckets.items():
-                if not c:
-                    continue
-                if r not in roots:
-                    # q0^r = exp(i*pi*s*r/p), evaluated directly per residue
-                    roots[r] = mpmath.expjpi(_mpq(Fraction(s) * r / p))
-                if ae not in apows:
-                    apows[ae] = a_base**ae
-                total += _mpq(c) * roots[r] * apows[ae]
-            return total
-
-        val = _evaluate(val_buckets)
-        dval = _evaluate(dval_buckets)
+        # q0^r = exp(i*pi*s*r/p), evaluated directly per residue
+        roots = [mpmath.expjpi(mpmath.mpf(s * r) / p) for r in range(n)]
+        val, dval = (
+            mpmath.fsum(mpmath.fdot(row, roots) * a_base**ae for ae, row in layers.items())
+            for layers in (val_rows, dval_rows)
+        )
         return float(max(abs(val), abs(dval)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from heckelift.alexlimit import LimitValue
 from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
@@ -95,6 +96,30 @@ def random_laurent(rng, terms=4, qspan=5, aspan=3):
         ae = rng.randrange(-aspan, aspan + 1)
         data[(qe, ae)] = data.get((qe, ae), 0) + Fraction(num, den)
     return LaurentQA(data)
+
+
+# -- oracles: a second route to the a -> 1 limit, numeric evaluation -----------
+
+
+def a_derivative_at_1(f):
+    """d/da at a = 1, exact, as a Laurent polynomial in q."""
+    data = {}
+    for (qe, ae), c in f.terms.items():
+        if ae:
+            data[(qe, 0)] = data.get((qe, 0), 0) + c * ae
+    return LaurentQA(data)
+
+
+def limit_ratio_via_derivative(f):
+    """lim_{a -> 1} f / (a - a^-1) computed as f'_a(1) / 2."""
+    return LimitValue(a_derivative_at_1(f) * Fraction(1, 2))
+
+
+def eval_numeric(f, q0, a0):
+    """f at (q0, a0) in complex floats; a RingFraction is num / den."""
+    if isinstance(f, RingFraction):
+        return eval_numeric(f.num, q0, a0) / eval_numeric(f.den, q0, a0)
+    return sum(complex(c) * q0**qe * a0**ae for (qe, ae), c in f.terms.items())
 
 
 # -- cross-check references for the torus invariants --------------------------

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_laurent
+from conftest import limit_ratio_via_derivative, random_laurent
 from heckelift.alexlimit import (
     framing_correction,
     hook_alexander_check,
     limit_identity_check,
     limit_membership_verdict,
     limit_ratio,
-    limit_ratio_via_derivative,
 )
 from heckelift.combinatorics import HookShape, hook_shapes
 from heckelift.exactring import LaurentQA, NotDivisible, abracket, qnum

@@ -339,3 +339,26 @@ def test_one_conversion_matches_two_conversion_route():
         assert report.p2_divisible is frag.p2_divisible, (knot, p)
         assert report.quotient == frag.quotient, (knot, p)
         assert report.remainder_witness == frag.remainder_witness, (knot, p)
+
+
+def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
+    """One case divides its defect by (a - a^-1) once; Z_1's limit is the other call."""
+    import heckelift.alexlimit as alexlimit
+
+    calls = []
+    divide = hecke.divide_out_abracket
+
+    def counting(f, n=1):
+        calls.append(n)
+        return divide(f, n)
+
+    monkeypatch.setattr(alexlimit, "divide_out_abracket", counting)
+    monkeypatch.setattr(hecke, "divide_out_abracket", counting)
+    hecke.defect_core.cache_clear()
+    knot = TorusKnot(2, 3)
+    assert verify_hecke(knot, 3).verdict
+    assert alexlimit.limit_identity_check(knot, 3)
+    assert alexlimit.limit_membership_verdict(knot, 3).passed
+    assert len(calls) == 2
+    maxsize = hecke.defect_core.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize <= 16

@@ -1,8 +1,11 @@
 import cmath
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -281,7 +284,7 @@ def _assert_agrees(f, p, a0, s, nonzero):
         assert reference > 1e-3
         assert folded == pytest.approx(reference, rel=1e-12)
     else:
-        assert reference < 1e-30 and folded < 1e-30
+        assert reference < 1e-30 and folded == 0.0
 
 
 def test_folded_residual_matches_term_by_term():
@@ -296,13 +299,17 @@ def test_folded_residual_matches_term_by_term():
         (FramedUnknot(-2), 3),
     ):
         g = lifting_defect(knot, p)
-        for s in (k for k in range(1, 2 * p) if k % p):
-            _assert_agrees(g, p, cmath.exp(2j * cmath.pi * rng.random()), s, False)
+        for s in range(1, 2 * p):
+            a0 = cmath.exp(2j * cmath.pi * rng.random())
+            # [p] vanishes at every 2p-th root of unity but +-1; s = p is q0 = -1
+            _assert_agrees(g, p, a0, s, s == p)
+            k, j = rng.randrange(-9, 10), rng.randrange(-3, 4)
+            _assert_agrees(g + LaurentQA.monomial(1, qexp=k, aexp=j), p, a0, s, True)
     # composite probes: nonzero exactly where q0 is not a primitive 2p-th root
     a0 = cmath.exp(0.7j)
     for p in (4, 6):
         g = lifting_defect(TorusKnot(2, 3), p)
-        for s in range(1, p):
+        for s in range(1, 2 * p):
             _assert_agrees(g, p, a0, s, gcd(s, 2 * p) > 1)
     # rational coefficients and exponents far outside one period fold too
     f = LaurentQA(
@@ -317,3 +324,38 @@ def test_folded_residual_matches_term_by_term():
     for p in (2, 3):
         for s in range(1, 2 * p):
             _assert_agrees(f, p, cmath.exp(0.3j), s, True)
+
+
+def test_double_root_residual_is_exactly_zero_on_the_grid():
+    from conftest import twisted_sum_grid
+    from heckelift import lifting_defect, verify_hecke
+
+    rng = random.Random(3)
+    for knot, p in twisted_sum_grid():
+        if not verify_hecke(knot, p).verdict:
+            continue
+        g = lifting_defect(knot, p)
+        for s in (k for k in range(1, 2 * p) if gcd(k, 2 * p) == 1):
+            a0 = cmath.exp(2j * cmath.pi * rng.random())
+            assert double_root_residual(g, p, a0, s) == 0.0, (knot, p, s)
+
+
+def test_vanishing_residual_does_not_import_mpmath():
+    import heckelift
+
+    script = (
+        "import sys\n"
+        "from heckelift import TorusKnot, double_root_residual, lifting_defect\n"
+        "g = lifting_defect(TorusKnot(2, 3), 5)\n"
+        "assert double_root_residual(g, 5, 0.6 + 0.8j, 3) == 0.0\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+    )
+    src = str(Path(heckelift.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
