@@ -27,20 +27,13 @@ from .torus import power_sum_invariant, scaled_invariant, unknot_schur_value
 from .zbasis import CongruenceFragment, ZAPoly, congruence_verdict, divide_by_qnum_sq, to_z2
 
 
-@dataclass(frozen=True)
-class LimitValue:
-    """The exact value of lim_{a -> 1} f / (a - a^-1), a Laurent polynomial in q."""
-
-    value: LaurentQA
-
-
-def limit_ratio(f: LaurentQA) -> LimitValue:
-    """Divide by (a - a^-1) exactly, then set a = 1.
+def limit_ratio(f: LaurentQA) -> LaurentQA:
+    """lim_{a -> 1} f / (a - a^-1): divide by (a - a^-1) exactly, then set a = 1.
 
     Raises NotDivisible when f does not vanish at a = +-1, in which case the
     limit does not exist in the polynomial sense.
     """
-    return LimitValue(divide_out_abracket(f).substitute_a(1))
+    return divide_out_abracket(f).substitute_a(1)
 
 
 def framing_correction(p: int, tau: int) -> ZAPoly:
@@ -71,7 +64,7 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
 def limit_identity_check(K, p: int) -> bool:
     """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, exactly."""
     lhs = defect_core(K, p).substitute_a(1)
-    alex_p = limit_ratio(scaled_invariant(K, 1)).value.adams(p)
+    alex_p = limit_ratio(scaled_invariant(K, 1)).adams(p)
     corr = framing_correction(p, K.framing).to_laurent()
     return lhs == qnum(p) * qnum(p) * alex_p * corr
 
@@ -128,9 +121,9 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
     unknot = unknot_schur_value(lam)
     # lim_knot / lim_unknot, cross-multiplied: the unknot's limit numerator
     # is a general polynomial in q, so the ratio is num / den directly
-    num = limit_ratio(normalized_num).value * unknot.den
-    den = colored_sum.den * limit_ratio(unknot.num).value
-    expected = limit_ratio(scaled_invariant(K, 1)).value.adams(w)
+    num = limit_ratio(normalized_num) * unknot.den
+    den = colored_sum.den * limit_ratio(unknot.num)
+    expected = limit_ratio(scaled_invariant(K, 1)).adams(w)
     passed = num == expected * den
     try:
         colored = exact_div(num, den)

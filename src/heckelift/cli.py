@@ -134,7 +134,7 @@ def _check_int_list(name: str, values, minimum: int | None = None):
         _check_int(name, value, minimum)
 
 
-def _isolated_case(task: tuple) -> dict:
+def _isolated_case(task: tuple) -> tuple[dict, list]:
     """_case_worker, with an exception turned into a failed case of its own."""
     try:
         return _case_worker(task)
@@ -142,19 +142,19 @@ def _isolated_case(task: tuple) -> dict:
         d, m, p = task[:3]
         print(f"heckelift: case d={d} m={m} p={p} raised:", file=sys.stderr)
         traceback.print_exc()
-        return {
+        entry = {
             "case": {"d": d, "m": m, "p": p},
             "error": f"{type(err).__name__}: {err}",
             "as_expected": False,
         }
+        return entry, [d, m, p, "true" if is_prime(p) else "false", "ERROR", "", ""]
 
 
-def _case_worker(task: tuple) -> dict:
-    """Run one (d, m, p) case; returns a plain serializable dict."""
+def _case_worker(task: tuple) -> tuple[dict, list]:
+    """Run one (d, m, p) case; returns its plain serializable entry and CSV row."""
     d, m, p, with_alexander, seed = task
     knot = TorusKnot(d, m)
     report = verify_hecke(knot, p)
-    body = report.to_json_dict()
     expected = is_prime(p) or p == 1
     numeric = None
     if report.verdict:
@@ -164,7 +164,7 @@ def _case_worker(task: tuple) -> dict:
         s = rng.choice([k for k in range(1, 2 * p) if gcd(k, 2 * p) == 1])
         numeric = double_root_residual(lifting_defect(knot, p), p, a0, s)
     result = {
-        "case": body,
+        "case": report.to_json_dict(),
         "verdict": report.verdict,
         "expected_pass": expected,
         "as_expected": report.verdict == expected,
@@ -176,7 +176,7 @@ def _case_worker(task: tuple) -> dict:
             "limit_identity": "pass" if limit_identity_check(knot, p) else "fail",
             "limit_membership": "pass" if membership.passed else "fail",
         }
-    return result
+    return result, report.csv_row()
 
 
 def _run_lemma_suite(cfg: SweepConfig) -> list[dict]:
@@ -308,9 +308,10 @@ def cmd_sweep(args) -> int:
     workers = min(cfg.workers, len(specs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            results = pool.map(_isolated_case, specs)
+            outcomes = pool.map(_isolated_case, specs)
     else:
-        results = [_isolated_case(s) for s in specs]
+        outcomes = [_isolated_case(s) for s in specs]
+    results = [entry for entry, _ in outcomes]
 
     ok = all(r["as_expected"] for r in results)
     residuals = [
@@ -349,32 +350,7 @@ def cmd_sweep(args) -> int:
         "ok": ok,
     }
     if args.format == "csv":
-        rows = []
-        for r in results:
-            body = r["case"]
-            if "error" in r:
-                p_prime = "true" if is_prime(body["p"]) else "false"
-                rows.append([body["d"], body["m"], body["p"], p_prime, "ERROR", "", ""])
-                continue
-            quotient = body["quotient"]
-            degree = (
-                ""
-                if quotient is None
-                else max((len(v) - 1 for v in quotient.values()), default=-1)
-            )
-            verdict = "PASS" if r["verdict"] else "FAIL"
-            rows.append(
-                [
-                    body["d"],
-                    body["m"],
-                    body["p"],
-                    "true" if body["p_prime"] else "false",
-                    verdict,
-                    degree,
-                    round(body["millis"], 3),
-                ]
-            )
-        _write_output(args.out, _csv_text(rows))
+        _write_output(args.out, _csv_text([row for _, row in outcomes]))
     else:
         payload = {
             "config": cfg.to_json_dict(),

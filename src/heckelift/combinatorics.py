@@ -102,12 +102,6 @@ class HookShape:
     def kappa(self) -> int:
         return (self.arm - self.leg) * self.weight
 
-    @classmethod
-    def from_partition(cls, lam: Partition) -> "HookShape":
-        if not lam or any(x != 1 for x in lam[1:]):
-            raise ValueError(f"{lam} is not a hook")
-        return cls(arm=lam[0] - 1, leg=len(lam) - 1)
-
 
 def hook_shapes(weight: int) -> tuple[HookShape, ...]:
     """All hooks of the given weight, arm descending."""
@@ -161,9 +155,6 @@ class CharacterTable:
 
     weight: int
     values: dict[tuple[Partition, Partition], int]
-
-    def chi(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
 
 
 @cache

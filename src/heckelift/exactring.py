@@ -10,8 +10,8 @@ Denominators are bracket monomials prod {k}^e_k in the q-brackets
 an int-coefficient LaurentQA numerator over a positive int scale times such
 a monomial: sums take the lcm of the two bracket monomials, products add
 exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
-out.  No floats anywhere except the numeric evaluation helpers used by the
-double-root oracle.
+out.  dense_divmod is the one long-division kernel: exact_div and the z^2
+basis both run on it.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -248,29 +248,6 @@ class LaurentQA:
             chunks.append(" * ".join(factors))
         return " + ".join(chunks)
 
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentQA":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        data: dict = {}
-        for chunk in text.split(" + "):
-            qe = 0
-            ae = 0
-            coeff = None
-            for factor in chunk.split(" * "):
-                factor = factor.strip()
-                if factor.startswith("q^"):
-                    qe = int(factor[2:])
-                elif factor.startswith("a^"):
-                    ae = int(factor[2:])
-                else:
-                    coeff = Fraction(factor)
-            if coeff is None:
-                raise ValueError(f"term without coefficient: {chunk!r}")
-            data[(qe, ae)] = data.get((qe, ae), 0) + coeff
-        return cls(data)
-
 
 def _coerce(x):
     if isinstance(x, LaurentQA):
@@ -369,34 +346,62 @@ def kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + w], "little") - bias for i in range(0, w * n, w)]
 
 
+def dense_divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by g; dense lists, lowest coefficient first.
+
+    With a lead of 1 (every verdict-path divisor) coefficients stay int; any
+    other lead makes a quotient coefficient a Fraction where it is not an int.
+    """
+    work = list(f)
+    k = len(g) - 1
+    lead = g[-1]
+    quot = [0] * max(len(work) - k, 0)
+    for i in range(len(work) - 1, k - 1, -1):
+        c = work[i]
+        if c == 0:
+            continue
+        if lead != 1:
+            c = Fraction(c) / lead
+            if c.denominator == 1:
+                c = int(c)
+        pos = i - k
+        quot[pos] = c
+        for j in range(k + 1):
+            work[pos + j] -= c * g[j]
+    return quot, work[:k]
+
+
 # -- exact division -----------------------------------------------------------
 
 
 def exact_div(num: LaurentQA, den: LaurentQA) -> LaurentQA:
     """Divide num by a q-only denominator, exactly.
 
-    Runs univariate Laurent long division on every a-layer of num; raises
-    NonExactDivision (with the remainder attached) if any layer fails.
+    Lays every a-layer of num out densely and divides it by dense_divmod;
+    raises NonExactDivision (with the remainder attached) if any layer fails.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if not den.is_a_free():
         raise ValueError("denominator must not involve a")
     den_slice = den.a_slice(0)
-    dexps = sorted(den_slice)
-    dlo, dhi = dexps[0], dexps[-1]
+    dlo, dhi = min(den_slice), max(den_slice)
     dlist = [den_slice.get(e, 0) for e in range(dlo, dhi + 1)]
     out: dict = {}
     for ae in num.a_exponents():
         nslice = num.a_slice(ae)
-        q, rem = _laurent_divmod(nslice, dlist, dlo)
-        if rem:
+        nlo = min(nslice)
+        work = [nslice.get(e, 0) for e in range(nlo, max(nslice) + 1)]
+        quot, rem = dense_divmod(work, dlist)
+        if any(rem):
+            rest = {(e + nlo, ae): c for e, c in enumerate(rem) if c}
             raise NonExactDivision(
-                f"remainder of degree span {len(rem)} on a-layer {ae}",
-                remainder=LaurentQA({(qe, ae): c for qe, c in rem.items()}),
+                f"remainder of degree span {len(rest)} on a-layer {ae}",
+                remainder=LaurentQA._raw(rest),
             )
-        for qe, c in q.items():
-            out[(qe, ae)] = c
+        for e in range(len(quot) - 1, -1, -1):
+            if quot[e]:
+                out[(e + nlo - dlo, ae)] = quot[e]
     return LaurentQA._raw(out)
 
 
@@ -421,37 +426,6 @@ def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
             remainder=LaurentQA._raw(rem),
         )
     return LaurentQA._raw(out)
-
-
-def _laurent_divmod(nslice: dict, dlist: list, dlo: int):
-    """One a-layer of long division.  Returns (quotient, remainder) dicts."""
-    if not nslice:
-        return {}, {}
-    nlo = min(nslice)
-    nhi = max(nslice)
-    work = [nslice.get(e, 0) for e in range(nlo, nhi + 1)]
-    dn = len(dlist)
-    lead = dlist[-1]
-    qlen = len(work) - dn + 1
-    quotient: dict = {}
-    for i in range(len(work) - 1, dn - 2, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        if lead == 1:
-            qc = c
-        else:
-            qc = Fraction(c) / lead
-            if qc.denominator == 1:
-                qc = int(qc)
-        pos = i - dn + 1
-        quotient[pos + nlo - dlo] = qc
-        for j in range(dn):
-            work[pos + j] -= qc * dlist[j]
-    remainder = {
-        e + nlo: work[e] for e in range(min(dn - 1, len(work))) if work[e] != 0
-    }
-    return quotient, remainder
 
 
 def divide_out_abracket(f: LaurentQA, n: int = 1) -> LaurentQA:
@@ -546,8 +520,8 @@ def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
     for (qe, ae), c in f.terms.items():
         layers.setdefault(ae, {})[qe] = c
     out: dict = {}
-    # terms come out a-layer ascending, q descending, as from exact_div: the
-    # double-root residual sums them in dict order
+    # terms come out a-layer ascending, q descending, as from exact_div; only
+    # the numeric oracles of the tests depend on that order
     for ae in sorted(layers):
         layer = layers[ae]
         # work[i] is the coefficient of q^(i + off); the quotient so far
@@ -674,10 +648,6 @@ class RingFraction:
         terms, m = _integral(num.terms)
         return cls._make(terms, scale * m, Counter(orders))
 
-    @classmethod
-    def from_laurent(cls, f: LaurentQA) -> "RingFraction":
-        return cls(f, 1)
-
     @property
     def den(self) -> LaurentQA:
         """The denominator expanded into a Laurent polynomial."""
@@ -800,13 +770,6 @@ class RingFraction:
         return LaurentQA._raw(
             {key: c // s if c % s == 0 else Fraction(c, s) for key, c in out.items()}
         )
-
-    def simplified(self) -> "RingFraction":
-        """Collapse the denominator when the quotient happens to be exact."""
-        try:
-            return RingFraction(self.resolve(), 1)
-        except NonExactDivision:
-            return self
 
 
 def _coerce_fraction(x):

@@ -13,7 +13,7 @@ d (the paper's splitting step) and compares Z_p minus it with the defect.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
@@ -37,7 +37,6 @@ from .zbasis import (
     NotInSubring,
     ZAPoly,
     congruence_verdict,
-    divide_by_qnum_sq,
     to_z2,
 )
 
@@ -66,8 +65,14 @@ def defect_sign(p: int, framing: int) -> int:
     return -1 if ((p - 1) * framing) % 2 else 1
 
 
+@lru_cache(maxsize=4)
 def lifting_defect(K, p: int) -> LaurentQA:
-    """scaled_invariant(K, p) minus the signed degree-p scaling of order 1."""
+    """scaled_invariant(K, p) minus the signed degree-p scaling of order 1.
+
+    Built once per case: the verdict, its core, the identity check, the
+    cofactor and the double-root residual of one case all read it back to
+    back, so a few entries suffice.
+    """
     if p < 1:
         raise ValueError("order must be >= 1")
     sign = defect_sign(p, K.framing)
@@ -79,8 +84,7 @@ def defect_core(K, p: int) -> LaurentQA:
     """lifting_defect(K, p) / (a - a^-1); NotDivisible carries the witness.
 
     verify_hecke and the a -> 1 limit checks of one case share it, so the
-    defect is divided once per case.  They ask for it back to back, so a
-    few entries suffice.
+    defect is divided once per case.
     """
     return divide_out_abracket(lifting_defect(K, p))
 
@@ -107,17 +111,14 @@ def _adams_term(d: int, m: int, p: int) -> LaurentQA:
 def defect_cofactor(K, p: int) -> LaurentQA:
     """The exact polynomial F with lifting_defect(K, p) == [p]^2 * F.
 
-    F = (Z_p - sign * A) {1}^2 / {p}^2, with A the Adams term built by the
-    splitting step.  Resolves exactly, with int coefficients, for prime p;
-    composite p generally leaves a genuine fraction and NonExactDivision
-    propagates from the bracket division.
+    F = g {1}^2 / {p}^2 with g the lifting defect.  Resolves exactly, with
+    int coefficients, for prime p; composite p generally leaves a genuine
+    fraction and NonExactDivision propagates from the bracket division.
     """
-    d, m = cable_params(K)
+    _, m = cable_params(K)
     if m == 0:
         raise ValueError("zero framing has no twist bracket")
-    sign = defect_sign(p, K.framing)
-    defect = scaled_invariant(K, p) - _adams_term(d, m, p) * sign
-    return divide_brackets(defect * zsquared(), (p, p))
+    return divide_brackets(lifting_defect(K, p) * zsquared(), (p, p))
 
 
 @dataclass
@@ -135,12 +136,15 @@ class CongruenceReport:
     quotient: ZAPoly | None
     remainder_witness: ZAPoly | None
     identity_gp_eq_p2F: bool
-    strong_divisible: bool
     millis: float
 
     @property
     def verdict(self) -> bool:
         return self.a_factor and self.z2_member and self.p2_divisible
+
+    # g / (a - a^-1) in [p]^2 Z[z^2, a^{+-1}]: the checks run on that core,
+    # so this is the verdict
+    strong_divisible = verdict
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,32 +187,20 @@ def verify_hecke(K, p: int) -> CongruenceReport:
     to FAIL with a remainder witness.
 
     Only core = g / (a - a^-1) is converted: its layers are running sums of
-    g's, so g passes the z^2 and [p]^2 checks exactly when core does, with
-    quotient (a - a^-1) times core's.  Otherwise g itself is checked, so the
-    remainder witness is g's.
+    g's, so g passes the z^2 and [p]^2 checks exactly when core does, and
+    g's quotient and remainder witness are (a - a^-1) times core's.  Only
+    when g has no a-factor is g itself checked.
     """
     t0 = time.perf_counter()
     d, m = cable_params(K)
-    g = lifting_defect(K, p)
-
-    strong = False
     try:
-        core = defect_core(K, p)
+        frag = _times_abracket(congruence_verdict(defect_core(K, p), p))
         a_ok = True
-        zc = to_z2(core)
-        quot, exact, _ = divide_by_qnum_sq(zc, p)
-        strong = exact and zc.is_integral and quot.is_integral
     except NotDivisible:
+        frag = congruence_verdict(lifting_defect(K, p), p)
         a_ok = False
-    except NotInSubring:
-        pass
 
-    if strong:
-        frag = CongruenceFragment(True, True, _times_abracket(quot), None)
-    else:
-        frag = congruence_verdict(g, p)
-
-    identity = _identity_check(K, g, p)
+    identity = _identity_check(K, lifting_defect(K, p), p)
 
     millis = (time.perf_counter() - t0) * 1000.0
     return CongruenceReport(
@@ -223,18 +215,28 @@ def verify_hecke(K, p: int) -> CongruenceReport:
         quotient=frag.quotient,
         remainder_witness=frag.remainder_witness,
         identity_gp_eq_p2F=identity,
-        strong_divisible=strong,
         millis=millis,
     )
 
 
-def _times_abracket(f: ZAPoly) -> ZAPoly:
-    """(a - a^-1) * f, row by row: row e is f's row e - 1 minus its row e + 1."""
-    rows, out = f.row_map(), {}
-    for ae in {e + s for e in rows for s in (1, -1)}:
-        pairs = zip_longest(rows.get(ae - 1, ()), rows.get(ae + 1, ()), fillvalue=0)
-        out[ae] = [u - v for u, v in pairs]
-    return ZAPoly.from_rows(out)
+def _times_abracket(frag: CongruenceFragment) -> CongruenceFragment:
+    """(a - a^-1) times frag's quotient and witness, both row-linear in f.
+
+    Row e of the product is row e - 1 minus row e + 1.
+    """
+
+    def lift(f: ZAPoly | None) -> ZAPoly | None:
+        if f is None:
+            return None
+        rows, out = f.row_map(), {}
+        for ae in {e + s for e in rows for s in (1, -1)}:
+            pairs = zip_longest(rows.get(ae - 1, ()), rows.get(ae + 1, ()), fillvalue=0)
+            out[ae] = [u - v for u, v in pairs]
+        return ZAPoly.from_rows(out)
+
+    return replace(
+        frag, quotient=lift(frag.quotient), remainder_witness=lift(frag.remainder_witness)
+    )
 
 
 def _identity_check(K, g: LaurentQA, p: int) -> bool:

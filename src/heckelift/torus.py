@@ -170,8 +170,8 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     size, mirror = abs(c), (1 if c > 0 else -1)
     top = min(size, n)
     out: dict = {}
-    # one a-layer per j, emitted a ascending and q descending: the double-root
-    # residual sums the terms in dict order
+    # one a-layer per j, emitted a ascending and q descending; only the
+    # numeric oracles of the tests depend on that order
     for j in range(top, -1, -1) if mirror > 0 else range(top + 1):
         prod = kronecker_mul(_gauss(n, j), _gauss(size + n - 1 - j, n - 1))
         layer = _times_ratio(prod, p, n)

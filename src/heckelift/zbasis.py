@@ -11,12 +11,11 @@ by [p]^2 (monic of degree p - 1 in z^2) is long division per a-layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import add, sub
 
-from .exactring import LaurentQA, qnum
+from .exactring import LaurentQA, dense_divmod, qnum
 
 
 class NotInSubring(ValueError):
@@ -77,12 +76,6 @@ class ZAPoly:
     def to_json_dict(self) -> dict:
         return {str(ae): [str(c) for c in row] for ae, row in self.rows}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ZAPoly":
-        return cls.from_rows(
-            {int(ae): tuple(Fraction(c) for c in row) for ae, row in data.items()}
-        )
-
 
 def _cosh_to_z2(coeffs: list) -> list:
     """c_0 + sum_k c_k (q^(2k) + q^(-2k)) as a dense list in powers of z^2.
@@ -136,22 +129,6 @@ def qnum_sq_z2(p: int) -> tuple:
     return row
 
 
-def _divmod_monic(f, g) -> tuple[list, list]:
-    """Quotient and remainder of f by the monic g; lists, lowest coefficient first."""
-    work = list(f)
-    k = len(g) - 1
-    quot = [0] * max(len(work) - k, 0)
-    for i in range(len(work) - 1, k - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        pos = i - k
-        quot[pos] = c
-        for j in range(k + 1):
-            work[pos + j] -= c * g[j]
-    return quot, work[:k]
-
-
 def divide_by_qnum_sq(f: ZAPoly, p: int) -> tuple["ZAPoly", bool, "ZAPoly"]:
     """Divide every a-layer by [p]^2 in the z^2 basis.
 
@@ -161,7 +138,7 @@ def divide_by_qnum_sq(f: ZAPoly, p: int) -> tuple["ZAPoly", bool, "ZAPoly"]:
     q_rows = {}
     r_rows = {}
     for ae, row in f.rows:
-        q_rows[ae], r_rows[ae] = _divmod_monic(row, divisor)
+        q_rows[ae], r_rows[ae] = dense_divmod(row, divisor)
     quotient = ZAPoly.from_rows(q_rows)
     remainder = ZAPoly.from_rows(r_rows)
     return quotient, remainder.is_zero(), remainder
@@ -224,7 +201,7 @@ def _cyclotomic(n: int) -> list[int]:
             poly = [-1] + [0] * (d - 1) + [1]
             for e, phi in phis.items():
                 if d % e == 0:
-                    poly = _divmod_monic(poly, phi)[0]
+                    poly = dense_divmod(poly, phi)[0]
             phis[d] = poly
     return phis[n]
 
@@ -258,7 +235,7 @@ def double_root_residual(f: LaurentQA, p: int, a0: complex, s: int = 1) -> float
         dval_rows[ae][(qe - 1) % n] += qe * c
     phi = _cyclotomic(n)
     rows = (*val_rows.values(), *dval_rows.values())
-    if not any(any(_divmod_monic(row, phi)[1]) for row in rows):
+    if not any(any(dense_divmod(row, phi)[1]) for row in rows):
         return 0.0
 
     import mpmath

@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from heckelift.alexlimit import LimitValue
 from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
@@ -112,7 +111,7 @@ def a_derivative_at_1(f):
 
 def limit_ratio_via_derivative(f):
     """lim_{a -> 1} f / (a - a^-1) computed as f'_a(1) / 2."""
-    return LimitValue(a_derivative_at_1(f) * Fraction(1, 2))
+    return a_derivative_at_1(f) * Fraction(1, 2)
 
 
 def eval_numeric(f, q0, a0):

@@ -226,6 +226,22 @@ def test_sweep_csv_format(tmp_path, capsys):
         float(row[6])
 
 
+def test_sweep_csv_rows_are_the_verify_rows(tmp_path, capsys):
+    """A sweep's CSV rows are verify_hecke(...).csv_row(), prime and composite, bar millis."""
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path, d_values=[2], m_values=[3])
+    out_path = tmp_path / "sweep.csv"
+    assert run(["sweep", "--sweep-config", str(cfg_path),
+                "--out", str(out_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
+    expected = [
+        [str(x) for x in verify_hecke(TorusKnot(2, 3), p).csv_row()[:-1]] for p in (2, 4)
+    ]
+    assert [row[:-1] for row in rows] == expected
+    assert expected[0][4] == "PASS" and expected[1][4] == "FAIL"
+
+
 def test_sweep_with_extra_suites(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
     write_config(

@@ -15,6 +15,7 @@ from heckelift.exactring import (
     abracket_of_partition,
     bracket_of_partition,
     divide_brackets,
+    dense_divmod,
     divide_out_abracket,
     exact_div,
     exact_int_div,
@@ -147,17 +148,11 @@ def test_shift_and_eval_numeric():
     assert abs(val - direct) < 1e-12
 
 
-def test_text_round_trip_and_format():
+def test_text_format():
     assert qbracket(2).to_text() == "-1 * q^-2 + 1 * q^2"
     assert LaurentQA.zero().to_text() == "0"
     f = LaurentQA({(-1, 2): Fraction(-3, 2), (0, 0): 1})
     assert f.to_text() == "1 + -3/2 * q^-1 * a^2"
-    rng = random.Random(99)
-    for _ in range(40):
-        g = random_laurent(rng)
-        assert LaurentQA.from_text(g.to_text()) == g
-    with pytest.raises(ValueError):
-        LaurentQA.from_text("1 * q^1/2")
 
 
 def test_exact_div_round_trip():
@@ -180,6 +175,19 @@ def test_exact_div_remainder_and_errors():
     assert err.remainder == LaurentQA.one()
     with pytest.raises(ValueError):
         exact_div(qbracket(2), abracket(1))
+
+
+def test_dense_divmod_monic_and_non_unit_lead():
+    # (x^2 + 3x + 5) = (x + 1)(x + 2) + 3: a monic divisor keeps every entry int
+    quot, rem = dense_divmod([5, 3, 1], [1, 1])
+    assert (quot, rem) == ([2, 1], [3])
+    assert all(type(c) is int for c in quot + rem)
+    # lead 2: a Fraction only where the quotient entry is not an int
+    quot, rem = dense_divmod([1, 0, 0, 4], [1, 2])
+    assert quot == [Fraction(1, 2), -1, 2] and rem == [Fraction(1, 2)]
+    assert [type(c) for c in quot] == [Fraction, int, int]
+    # a dividend shorter than the divisor is all remainder
+    assert dense_divmod([7], [1, 0, 1]) == ([], [7])
 
 
 def test_exact_int_div():
@@ -233,19 +241,17 @@ def test_ring_fraction_equality_and_arithmetic():
     )
     assert prod == RingFraction(qbracket(3), qbracket(1))
     assert prod.resolve() == qnum(3)
-    assert RingFraction.from_laurent(qnum(2)) == RingFraction(qbracket(2), qbracket(1))
+    assert RingFraction(qnum(2)) == RingFraction(qbracket(2), qbracket(1))
     with pytest.raises(ZeroDivisionError):
         RingFraction(qbracket(1), LaurentQA.zero())
     with pytest.raises(ValueError):
         RingFraction(qbracket(1), abracket(1))
 
 
-def test_ring_fraction_eval_and_simplified():
+def test_ring_fraction_eval():
     rf = RingFraction(qbracket(4), qbracket(2))
     q0 = 1.1 + 0.3j
     assert abs(eval_numeric(rf, q0, 2.0) - (q0**4 - q0**-4) / (q0**2 - q0**-2)) < 1e-12
-    simple = rf.simplified()
-    assert simple == rf
 
 
 # -- bracket-monomial fractions against a cross-multiplied oracle -------------

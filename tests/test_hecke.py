@@ -329,16 +329,52 @@ def test_verify_reaches_past_the_sweep_grid():
 
 
 def test_one_conversion_matches_two_conversion_route():
-    """Converting only g / (a - a^-1) gives g's flags, quotient and witness."""
-    for knot, p in twisted_sum_grid():
+    """Converting only g / (a - a^-1) gives g's flags, quotient and witness.
+
+    On the twisted-sum grid and on the composite orders 4, 6, 8, 9 with
+    p*d <= 12 and FramedUnknot(-3..3): the quotient and the witness are the
+    core's lifted by (a - a^-1), g's when g has no a-factor.
+    """
+    composites = [
+        (knot, p)
+        for p in (4, 6, 8, 9)
+        for knot in [
+            TorusKnot(d, m)
+            for d in (1, 2, 3)
+            for m in range(1, 8)
+            if gcd(d, m) == 1 and p * d <= 12
+        ]
+        + [FramedUnknot(t) for t in range(-3, 4)]
+    ]
+    for knot, p in twisted_sum_grid() + composites:
         a_ok, frag, strong = two_conversion_verdict(knot, p)
         report = verify_hecke(knot, p)
         assert report.a_factor is a_ok, (knot, p)
         assert report.strong_divisible is strong, (knot, p)
         assert report.z2_member is frag.z2_member, (knot, p)
         assert report.p2_divisible is frag.p2_divisible, (knot, p)
-        assert report.quotient == frag.quotient, (knot, p)
-        assert report.remainder_witness == frag.remainder_witness, (knot, p)
+        for mine, route in (
+            (report.quotient, frag.quotient),
+            (report.remainder_witness, frag.remainder_witness),
+        ):
+            assert mine == route, (knot, p)
+            if route is not None:
+                assert mine.to_json_dict() == route.to_json_dict(), (knot, p)
+
+
+def test_one_case_builds_its_defect_once():
+    """verify_hecke, the residual and both limit checks of one case share g."""
+    import heckelift.alexlimit as alexlimit
+    from heckelift.zbasis import double_root_residual
+
+    hecke.lifting_defect.cache_clear()
+    hecke.defect_core.cache_clear()
+    knot = TorusKnot(2, 5)
+    assert verify_hecke(knot, 3).verdict
+    assert double_root_residual(lifting_defect(knot, 3), 3, 0.6 + 0.8j, 1) == 0.0
+    assert alexlimit.limit_identity_check(knot, 3)
+    assert alexlimit.limit_membership_verdict(knot, 3).passed
+    assert hecke.lifting_defect.cache_info().misses == 1
 
 
 def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
