@@ -12,19 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .combinatorics import HookShape, character_table, hook_shapes, partitions_of, z_mu
+from .combinatorics import HookShape, character_table, partitions_of, z_mu
 from .exactring import (
     LaurentQA,
     NonExactDivision,
     RingFraction,
+    adams_rows,
     divide_out_abracket,
+    emit_rows,
     exact_div,
-    qnum,
+    kronecker_mul,
+    rows_at_a1,
 )
-from .hecke import defect_core
-from .torus import power_sum_invariant, scaled_invariant, unknot_schur_value
-from .zbasis import CongruenceFragment, ZAPoly, congruence_verdict, divide_by_qnum_sq, to_z2
+from .hecke import core_rows
+from .torus import alexander_rows, power_sum_invariant, unknot_schur_value
+from .zbasis import CongruenceFragment, ZAPoly, divide_by_qnum_sq, qnum_sq_z2, z2_rows, z2_verdict
 
 
 def limit_ratio(f: LaurentQA) -> LaurentQA:
@@ -41,18 +45,17 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
 
     The trace is sum over hooks of weight p of q^(kappa * tau) minus
     p * (-1)^((p-1) tau); for prime p the quotient is integral, and
-    framing_correction(p, 0) == 0.
+    framing_correction(p, 0) == 0.  The hook with leg l has kappa = (p-1-2l)p.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    bracket: dict = {}
-    for hook in hook_shapes(p):
-        e = hook.kappa * tau
-        bracket[(e, 0)] = bracket.get((e, 0), 0) + 1
-    const = p if ((p - 1) * tau) % 2 == 0 else -p
-    bracket[(0, 0)] = bracket.get((0, 0), 0) - const
-    trace = LaurentQA(bracket)
-    quotient, exact, remainder = divide_by_qnum_sq(to_z2(trace), p)
+    h = abs((p - 1) * p * tau) // 2
+    row = [0] * (2 * h + 1)
+    for leg in range(p):
+        row[h + (p - 1 - 2 * leg) * p * tau // 2] += 1
+    row[h] -= p if ((p - 1) * tau) % 2 == 0 else -p
+    trace = ZAPoly.from_rows(z2_rows({0: (-2 * h, row)}))
+    quotient, exact, remainder = divide_by_qnum_sq(trace, p)
     if not exact:
         raise NonExactDivision(
             f"hook trace for p={p}, tau={tau} is not divisible by [p]^2",
@@ -61,12 +64,19 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
     return quotient
 
 
+def _limit_z2_rows(K, p: int) -> dict | None:
+    """{0: z^2 row} of the core at a = 1: the sum of its z^2 rows, which a knot has."""
+    rows = core_rows(K, p)[1]
+    return None if rows is None else {0: list(map(sum, zip_longest(*rows.values(), fillvalue=0)))}
+
+
 def limit_identity_check(K, p: int) -> bool:
-    """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, exactly."""
-    lhs = defect_core(K, p).substitute_a(1)
-    alex_p = limit_ratio(scaled_invariant(K, 1)).adams(p)
-    corr = framing_correction(p, K.framing).to_laurent()
-    return lhs == qnum(p) * qnum(p) * alex_p * corr
+    """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, as z^2 rows."""
+    lhs = _limit_z2_rows(K, p)
+    alex_p = z2_rows(adams_rows(alexander_rows(K), p))[0]
+    corr = framing_correction(p, K.framing).row_map().get(0, ())
+    rhs = kronecker_mul(kronecker_mul(list(qnum_sq_z2(p)), alex_p), list(corr))
+    return lhs is not None and ZAPoly.from_rows(lhs) == ZAPoly.from_rows({0: rhs})
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,8 @@ class LimitMembership:
 
 def limit_membership_verdict(K, p: int) -> LimitMembership:
     """Check the a -> 1 limit of the defect against [p]^2 Z[z^2] membership."""
-    lim = defect_core(K, p).substitute_a(1)
-    frag = congruence_verdict(lim, p)
+    lim = emit_rows(rows_at_a1(core_rows(K, p)[0]))
+    frag = z2_verdict(_limit_z2_rows(K, p), p)
     return LimitMembership(
         passed=frag.z2_member and frag.p2_divisible, value=lim, fragment=frag
     )
@@ -123,7 +133,7 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
     # is a general polynomial in q, so the ratio is num / den directly
     num = limit_ratio(normalized_num) * unknot.den
     den = colored_sum.den * limit_ratio(unknot.num)
-    expected = limit_ratio(scaled_invariant(K, 1)).adams(w)
+    expected = emit_rows(adams_rows(alexander_rows(K), w))
     passed = num == expected * den
     try:
         colored = exact_div(num, den)

@@ -11,7 +11,8 @@ an int-coefficient LaurentQA numerator over a positive int scale times such
 a monomial: sums take the lcm of the two bracket monomials, products add
 exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
 out.  dense_divmod is the one long-division kernel: exact_div and the z^2
-basis both run on it.  No floats anywhere.
+basis both run on it.  Row maps {ae: (lo, coeffs)}, one dense list in q^2
+per a-layer, carry a case from the closed form to the limit checks.  No floats.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import add, sub
 
 
 class NonExactDivision(ArithmeticError):
@@ -429,52 +431,119 @@ def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
 
 
 def divide_out_abracket(f: LaurentQA, n: int = 1) -> LaurentQA:
-    """Divide by (a^n - a^-n); raises NotDivisible with the witness remainder."""
+    """Divide by (a^n - a^-n) as rows after q -> q^2; NotDivisible carries the witness."""
     if n < 1:
         raise ValueError("a-bracket order must be >= 1")
-    if f.is_zero():
-        return f
-    # f / (a^n - a^-n) = f * a^n / (a^2n - 1); divide as a polynomial in a
-    # with q-polynomial coefficients (the divisor is monic in a).
+
+    def halve(g: LaurentQA) -> LaurentQA:
+        return LaurentQA._raw({(qe // 2, ae): c for (qe, ae), c in g.terms.items()})
+
+    doubled = {(2 * qe, ae): c for (qe, ae), c in f.terms.items()}
+    try:
+        return halve(emit_rows(abracket_quotient(parse_rows(doubled), n)))
+    except NotDivisible as err:
+        raise NotDivisible(str(err), witness=halve(err.witness)) from None
+
+
+# -- dense a-layer rows ---------------------------------------------------------
+#
+# A row map {ae: (lo, coeffs)} holds a^ae layers of one q-parity each, coeffs[i] at
+# q^(lo + 2i), no zero at either end, never changed.  Only these helpers read them.
+
+
+def parse_rows(terms: dict) -> dict:
+    """The row map of a LaurentQA's terms; ValueError if an a-layer mixes q-parities."""
     layers: dict[int, dict] = {}
-    for (qe, ae), c in f.terms.items():
-        layers.setdefault(ae + n, {})[qe] = c
-    lo = min(layers)
-    hi = max(layers)
-    width = 2 * n
-    quotient: dict[int, dict] = {}
-    for j in range(hi, lo + width - 1, -1):
-        cur = layers.get(j)
-        if not cur:
-            continue
-        quotient[j - width] = cur
-        below = layers.setdefault(j - width, {})
-        for qe, c in cur.items():
-            s = below.get(qe, 0) + c
-            if s == 0:
-                below.pop(qe, None)
-            else:
-                below[qe] = s
-        del layers[j]
-    residue = {
-        (qe, ae): c
-        for ae, slice_ in layers.items()
-        for qe, c in slice_.items()
-        if c != 0
-    }
-    if residue:
-        witness = LaurentQA._raw({(qe, ae - n): c for (qe, ae), c in residue.items()})
-        raise NotDivisible("not divisible by the a-bracket", witness=witness)
-    # the working polynomial was f * a^n, so the quotient layers already
-    # carry the true a-exponents of f / (a^n - a^-n)
-    return LaurentQA._raw(
-        {
-            (qe, ae): c
-            for ae, slice_ in quotient.items()
-            for qe, c in slice_.items()
-            if c != 0
-        }
-    )
+    for (qe, ae), c in terms.items():
+        layers.setdefault(ae, {})[qe] = c
+    rows = {}
+    for ae, layer in layers.items():
+        rows[ae] = layer_row(layer)
+        if rows[ae] is None:
+            raise ValueError(f"a-layer {ae} mixes q-parities")
+    return rows
+
+
+def layer_row(layer: dict) -> tuple | None:
+    """The row of one a-layer {qe: c}; None if it mixes q-parities."""
+    lo = min(layer)
+    coeffs = [0] * ((max(layer) - lo) // 2 + 1)
+    for qe, c in layer.items():
+        if (qe - lo) % 2:
+            return None
+        coeffs[(qe - lo) // 2] = c
+    return lo, coeffs
+
+
+def emit_rows(rows: dict) -> LaurentQA:
+    """The LaurentQA of a row map, terms a-layer ascending and q descending."""
+    out: dict = {}
+    for ae in sorted(rows):
+        lo, coeffs = rows[ae]
+        for i in range(len(coeffs) - 1, -1, -1):
+            if coeffs[i]:
+                out[(lo + 2 * i, ae)] = coeffs[i]
+    return LaurentQA._raw(out)
+
+
+def add_rows(f: dict, g: dict, negate: bool = False) -> dict:
+    """f + g row by row, or f - g with negate; sums are trimmed, zero rows dropped."""
+    out = dict(f)
+    for ae, (lv, cv) in g.items():
+        lu, cu = out.pop(ae, (lv, []))
+        if (lu - lv) % 2:
+            raise ValueError(f"a-layer {ae} mixes q-parities")
+        lo = min(lu, lv)
+        row = [0] * ((max(lu + 2 * len(cu), lv + 2 * len(cv)) - lo) // 2)
+        i, j = (lu - lo) // 2, (lv - lo) // 2
+        row[i : i + len(cu)] = cu
+        row[j : j + len(cv)] = map(sub if negate else add, row[j : j + len(cv)], cv)
+        hi = len(row)
+        while hi and not row[hi - 1]:
+            hi -= 1
+        i = 0
+        while i < hi and not row[i]:
+            i += 1
+        if hi:
+            out[ae] = (lo + 2 * i, row[i:hi])
+    return out
+
+
+def adams_rows(rows: dict, k: int) -> dict:
+    """q -> q^k, a -> a^k on a row map: k - 1 zeros between entries."""
+    out = {}
+    for ae, (lo, coeffs) in rows.items():
+        out[ae * k] = (lo * k, [0] * (k * (len(coeffs) - 1) + 1))
+        out[ae * k][1][::k] = coeffs
+    return out
+
+
+def rows_at_a1(rows: dict) -> dict:
+    """The row map of the value at a = 1: every row added into a^0."""
+    out: dict = {}
+    for row in rows.values():
+        out = add_rows(out, {0: row})
+    return out
+
+
+def cosh_coeffs(row) -> list | None:
+    """[c_0, c_1, ...] with row = c_0 + sum_k c_k (q^2k + q^-2k), if it is even and palindromic."""
+    lo, coeffs = row
+    h = len(coeffs) - 1
+    return coeffs[h // 2 :] if lo == -h and h % 2 == 0 and coeffs == coeffs[::-1] else None
+
+
+def abracket_quotient(rows: dict, n: int = 1) -> dict:
+    """rows / (a^n - a^-n): Q[e - n] = f[e] + Q[e + n], top down; a remainder is NotDivisible."""
+    quot, rest = {}, dict(rows)
+    lo = min(rows, default=0)
+    for e in range(max(rows, default=lo), lo + 2 * n - 1, -1):
+        if e in rest:
+            quot[e - n] = rest.pop(e)
+            rest = add_rows(rest, {e - 2 * n: quot[e - n]})
+    if rest:
+        raise NotDivisible("not divisible by the a-bracket", witness=emit_rows(rest))
+    return quot
 
 
 # -- bracket monomials --------------------------------------------------------

@@ -13,32 +13,26 @@ d (the paper's splitting step) and compares Z_p minus it with the defect.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from math import gcd
+from itertools import product, repeat, zip_longest
+from math import gcd, prod
+from operator import add, floordiv, mod, mul
 
 from .combinatorics import Partition, as_partition, partitions_of, z_mu
 from .exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
-    abracket_of_partition,
+    abracket_quotient,
+    adams_rows,
+    add_rows,
     divide_brackets,
-    divide_out_abracket,
-    exact_int_div,
-    qbracket,
-    qnum_power,
+    emit_rows,
     zsquared,
 )
-from .torus import _zlcm, cable_params, scaled_invariant
-from .zbasis import (
-    CongruenceFragment,
-    NotInSubring,
-    ZAPoly,
-    congruence_verdict,
-    to_z2,
-)
+from .torus import _times_ratio, _zlcm, cable_params, closed_form_rows
+from .zbasis import CongruenceFragment, NotInSubring, ZAPoly, to_z2, z2_rows, z2_verdict
 
 
 class PreconditionViolated(ValueError):
@@ -66,8 +60,8 @@ def defect_sign(p: int, framing: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def lifting_defect(K, p: int) -> LaurentQA:
-    """scaled_invariant(K, p) minus the signed degree-p scaling of order 1.
+def defect_rows(K, p: int) -> dict:
+    """The rows of g, Z_p minus sign times Z_1 stretched by p.
 
     Built once per case: the verdict, its core, the identity check, the
     cofactor and the double-root residual of one case all read it back to
@@ -75,37 +69,57 @@ def lifting_defect(K, p: int) -> LaurentQA:
     """
     if p < 1:
         raise ValueError("order must be >= 1")
-    sign = defect_sign(p, K.framing)
-    return scaled_invariant(K, p) - scaled_invariant(K, 1).adams(p) * sign
+    stretched = adams_rows(closed_form_rows(K, 1), p)
+    return add_rows(closed_form_rows(K, p), stretched, negate=defect_sign(p, K.framing) > 0)
+
+
+@lru_cache(maxsize=4)
+def core_rows(K, p: int) -> tuple[dict, dict | None]:
+    """The rows of g / (a - a^-1) and their z^2 rows (None if one is not in Q[z^2]).
+
+    verify_hecke and the a -> 1 limit checks of one case share it, so the
+    defect is divided and converted once per case.
+    """
+    rows = abracket_quotient(defect_rows(K, p))
+    return rows, z2_rows(rows)
+
+
+@lru_cache(maxsize=4)
+def lifting_defect(K, p: int) -> LaurentQA:
+    """scaled_invariant(K, p) minus the signed degree-p scaling of order 1."""
+    return emit_rows(defect_rows(K, p))
 
 
 @lru_cache(maxsize=4)
 def defect_core(K, p: int) -> LaurentQA:
-    """lifting_defect(K, p) / (a - a^-1); NotDivisible carries the witness.
+    """lifting_defect(K, p) / (a - a^-1); NotDivisible carries the witness."""
+    return emit_rows(core_rows(K, p)[0])
 
-    verify_hecke and the a -> 1 limit checks of one case share it, so the
-    defect is divided once per case.
+
+def _adams_rows(d: int, m: int, p: int) -> dict:
+    """Adams_p of the order-1 invariant by the paper's splitting step over nu |- d.
+
+    a^m {1}/{m} (1/L) sum_{nu |- d} (L/z_nu) {nu}_a prod_i [m]_{q^nu_i}, stretched by
+    p; every q-product spans -(|m|-1)d..(|m|-1)d.  Shares only _times_ratio with Z_p.
     """
-    return divide_out_abracket(lifting_defect(K, p))
-
-
-def _adams_term(d: int, m: int, p: int) -> LaurentQA:
-    """Adams_p of the order-1 invariant, from the partitions of d alone.
-
-    a^c {p}/{c} (1/L) sum_{nu |- d} (L/z_nu) {p*nu}_a prod_i [m]_{q^{p*nu_i}}
-    with c = pm: the p-divisible partitions mu = p*nu of pd, reindexed
-    through nu |- d.  This is the paper's splitting step; it shares no code
-    with the closed form of scaled_invariant.
-    """
-    c = p * m
+    size, s = abs(m), (1 if m > 0 else -1)
     L = _zlcm(d)
-    acc = LaurentQA.zero()
+    acc: dict = {}
     for nu in partitions_of(d):
-        term = abracket_of_partition(nu, p) * (L // z_mu(nu))
-        for part in nu:
-            term = term * qnum_power(m, p * part)
-        acc = acc + term
-    return exact_int_div(divide_brackets(acc * qbracket(p), (c,)), L).shift(aexp=c)
+        qpart = _qnum_product(size, nu)
+        # {nu}_a = prod_i (a^nu_i - a^-nu_i), one term per choice of signs
+        for signs in product((1, -1), repeat=len(nu)):
+            c = (L // z_mu(nu)) * s ** len(nu) * prod(signs)
+            ae = m + sum(map(mul, signs, nu))
+            acc[ae] = list(map(add, acc.get(ae, repeat(0)), map(mul, qpart, repeat(c))))
+    rows = {}
+    for ae, row in acc.items():
+        row = _times_ratio(row, 1, size)
+        if any(map(mod, row, repeat(L))):
+            raise NonExactDivision(f"splitting term not divisible by {L}")
+        # s = +-1, and L divides every entry
+        rows[ae] = (-(size - 1) * (d - 1), list(map(floordiv, row, repeat(s * L))))
+    return adams_rows(rows, p)
 
 
 def defect_cofactor(K, p: int) -> LaurentQA:
@@ -194,10 +208,10 @@ def verify_hecke(K, p: int) -> CongruenceReport:
     t0 = time.perf_counter()
     d, m = cable_params(K)
     try:
-        frag = _times_abracket(congruence_verdict(defect_core(K, p), p))
+        frag = _times_abracket(z2_verdict(core_rows(K, p)[1], p))
         a_ok = True
     except NotDivisible:
-        frag = congruence_verdict(lifting_defect(K, p), p)
+        frag = z2_verdict(z2_rows(defect_rows(K, p)), p)
         a_ok = False
 
     identity = _identity_check(K, lifting_defect(K, p), p)
@@ -234,8 +248,11 @@ def _times_abracket(frag: CongruenceFragment) -> CongruenceFragment:
             out[ae] = [u - v for u, v in pairs]
         return ZAPoly.from_rows(out)
 
-    return replace(
-        frag, quotient=lift(frag.quotient), remainder_witness=lift(frag.remainder_witness)
+    return CongruenceFragment(
+        z2_member=frag.z2_member,
+        p2_divisible=frag.p2_divisible,
+        quotient=lift(frag.quotient),
+        remainder_witness=lift(frag.remainder_witness),
     )
 
 
@@ -245,8 +262,8 @@ def _identity_check(K, g: LaurentQA, p: int) -> bool:
     if p == 1 or m == 0:
         # no twist, or order 1: the lift equals the Adams image
         return g.is_zero()
-    sign = defect_sign(p, K.framing)
-    return g == scaled_invariant(K, p) - _adams_term(d, m, p) * sign
+    negate = defect_sign(p, K.framing) > 0
+    return g == emit_rows(add_rows(closed_form_rows(K, p), _adams_rows(d, m, p), negate))
 
 
 # -- single-variable ratio families ------------------------------------------
@@ -262,6 +279,14 @@ def _family_ratio(num: LaurentQA, p: int, m: int) -> tuple[bool, ZAPoly | None]:
         return True, to_z2(val)
     except NotInSubring:
         return False, None
+
+
+def _qnum_product(n: int, parts, scale: int = 1) -> list:
+    """scale * prod_i [n]_{q^k_i}, n >= 1, dense in q^2 from q^-((n-1) sum k_i)."""
+    out = [scale]
+    for k in parts:
+        out = _times_ratio(out, n * k, k)
+    return out
 
 
 def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly | None]:
@@ -281,14 +306,11 @@ def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly 
     d = sum(nu)
     if gcd(d, m) != 1:
         raise PreconditionViolated(f"|nu| = {d} and m = {m} are not coprime")
-    top = LaurentQA.one()
-    low = LaurentQA.one()
-    for part in nu:
-        top = top * qnum_power(p * m, p * part)
-        low = low * qnum_power(m, p * part)
-    sign = defect_sign(p, d * m)
-    num = top - low * (sign * p ** len(nu))
-    return _family_ratio(num, p, m)
+    parts = [p * part for part in nu]
+    top = {0: (-(p * m - 1) * p * d, _qnum_product(p * m, parts))}
+    scale = defect_sign(p, d * m) * p ** len(nu)
+    low = {0: (-(m - 1) * p * d, _qnum_product(m, parts, scale))}
+    return _family_ratio(emit_rows(add_rows(top, low, negate=True)), p, m)
 
 
 def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPoly | None]:
@@ -310,10 +332,7 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
         raise PreconditionViolated(
             f"|mu|/p = {sum(mu) // p} and m = {m} are not coprime"
         )
-    num = LaurentQA.one()
-    for part in mu:
-        num = num * qnum_power(p * m, part)
-    return _family_ratio(num, p, m)
+    return _family_ratio(emit_rows({0: (-(p * m - 1) * sum(mu), _qnum_product(p * m, mu))}), p, m)
 
 
 __all__ = [

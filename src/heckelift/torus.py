@@ -1,9 +1,9 @@
 """Framed torus knots, framed unknots, and their exact colored invariants.
 
-The verdict-path invariant (scaled_invariant) is a closed form: with
-c = pm and n = pd, one a-layer per j = 0..min(|c|, n), each the product of
-two symmetric q-binomials built as dense int lists, and a single exact
-division by {n}/{p} at the end; no partitions and no integer scale.  The
+The verdict-path invariant (closed_form_rows, emitted by scaled_invariant)
+is a closed form: with c = pm and n = pd, one a-layer per j = 0..min(|c|, n),
+each the product of two symmetric q-binomials times {p}/{n}, kept as a dense
+row in q^2; no partitions, no integer scale and no product of lists.  The
 power-sum, Schur and LMOV routes evaluate the d-fold cable as a sum over
 partitions and keep one common denominator D(n) = prod_k {k}^(n//k) as its
 list of bracket orders: the term of mu |- n carries the bracket-monomial
@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import sub
+from operator import neg, sub
 
 from .combinatorics import (
     Partition,
@@ -37,10 +37,12 @@ from .exactring import (
     _times_brackets,
     abracket,
     abracket_of_partition,
-    divide_out_abracket,
-    kronecker_mul,
+    abracket_quotient,
+    emit_rows,
+    parse_rows,
+    rows_at_a1,
 )
-from .zbasis import ZAPoly, to_z2
+from .zbasis import ZAPoly, z2_rows
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,12 @@ def _times_ratio(out: list[int], s: int, i: int) -> list[int]:
     come out zero, else NonExactDivision.
     """
     out = list(map(sub, out + [0] * s, [0] * s + out))
-    for r in range(i):
-        out[r::i] = accumulate(out[r::i])
+    if i * i > len(out):
+        for k in range(i, len(out)):
+            out[k] += out[k - i]
+    else:
+        for r in range(i):
+            out[r::i] = accumulate(out[r::i])
     if any(out[-i:]):
         raise NonExactDivision(f"not divisible by 1 - x^{i}")
     del out[-i:]
@@ -145,43 +151,53 @@ def _gauss(N: int, K: int) -> list[int]:
     return out
 
 
-@cache
-def scaled_invariant(K, p: int = 1) -> LaurentQA:
-    """The bracket-scaled power-sum invariant {p} * H(K * P_p).
-
-    With c = pm and n = pd, for c > 0
+@lru_cache(maxsize=8)
+def closed_form_rows(K, p: int = 1) -> dict:
+    """The rows of {p} * H(K * P_p): with c = pm, n = pd, for c > 0
 
         a^c ({p}/{n}) sum_{j=0}^{min(c,n)} (-1)^j a^(n-2j) [n, j] [c+n-1-j, n-1]
 
     where [N, K] = q^(-K(N-K)) G_{q^2}(N, K) is the symmetric q-binomial.
     For c < 0 the sum is mirrored (q, a -> 1/q, 1/a; the q-binomials are
     palindromic, so only a moves) and {n} becomes {-n}.  Resolves exactly to
-    a Laurent polynomial with int coefficients for every p >= 1; a division
-    failure here (NonExactDivision) would be an implementation bug, not a
-    conjecture failure.  Each a-layer stays a dense list in q^2: Kronecker
-    products, and {p}/{n} = q^(n-p) (1 - q^2p) / (1 - q^2n) as _times_ratio.
+    int rows for every p >= 1; a division failure here (NonExactDivision)
+    would be an implementation bug, not a conjecture failure.  Row j is
+    P_j = G(n, j) G(|c|+n-1-j, n-1) times {p}/{n} = q^(n-p) (1 - q^2p) /
+    (1 - q^2n); P_top is one Gaussian binomial and P_j is P_(j+1) times two ratios.
     """
     if p < 1:
         raise ValueError("color must be >= 1")
     d, m = cable_params(K)
     if m == 0:
-        return abracket(p)
+        return parse_rows(abracket(p).terms)
     n, c = p * d, p * m
     size, mirror = abs(c), (1 if c > 0 else -1)
     top = min(size, n)
-    out: dict = {}
-    # one a-layer per j, emitted a ascending and q descending; only the
-    # numeric oracles of the tests depend on that order
-    for j in range(top, -1, -1) if mirror > 0 else range(top + 1):
-        prod = kronecker_mul(_gauss(n, j), _gauss(size + n - 1 - j, n - 1))
+    # one of the two q-binomials of P_top is 1
+    prod = _gauss(size - 1, n - 1) if top == n else _gauss(n, top)
+    rows = {}
+    for j in range(top, -1, -1):
+        if j < top:
+            big = size + n - 1 - j
+            prod = _times_ratio(_times_ratio(prod, j + 1, n - j), big, big - n + 1)
         layer = _times_ratio(prod, p, n)
-        # q-exponent of layer[0]: the product starts at q^-(j(n-j) + (n-1)(size-j))
+        if mirror * (-1) ** j < 0:
+            layer = list(map(neg, layer))
+        # q-exponent of layer[0]: P_j starts at q^-(j(n-j) + (n-1)(size-j))
         low = n - p - j * (n - j) - (n - 1) * (size - j)
-        ae, sign = c + mirror * (n - 2 * j), mirror * (-1) ** j
-        for i in range(len(layer) - 1, -1, -1):
-            if layer[i]:
-                out[(2 * i + low, ae)] = sign * layer[i]
-    return LaurentQA._raw(out)
+        rows[c + mirror * (n - 2 * j)] = (low, layer)
+    return rows
+
+
+@lru_cache(maxsize=8)
+def scaled_invariant(K, p: int = 1) -> LaurentQA:
+    """The bracket-scaled power-sum invariant {p} * H(K * P_p), from closed_form_rows.
+
+    Terms come a ascending and q descending; only the numeric oracles of the
+    tests depend on that order.
+    """
+    rows = closed_form_rows(K, p)
+    return abracket(p) if cable_params(K)[1] == 0 else emit_rows(rows)
 
 
 @cache
@@ -260,12 +276,11 @@ def power_sum_plane_value(mu: Partition) -> RingFraction:
     return RingFraction.over_brackets(abracket_of_partition(mu), 1, mu)
 
 
-def alexander(K) -> ZAPoly:
-    """The Alexander polynomial as the a -> 1 limit of the unit color.
+def alexander_rows(K) -> dict:
+    """The Alexander polynomial (q - q^-1) lim_{a->1} H(K)/(a - a^-1) as rows."""
+    return rows_at_a1(abracket_quotient(closed_form_rows(K, 1)))
 
-    alexander(K) = (q - q^-1) * lim_{a->1} H(K)/(a - a^-1), returned in the
-    z^2 basis (single a^0 row, symmetric and integral).
-    """
-    zhat = scaled_invariant(K, 1)
-    core = divide_out_abracket(zhat).substitute_a(1)
-    return to_z2(core)
+
+def alexander(K) -> ZAPoly:
+    """The Alexander polynomial in the z^2 basis (single a^0 row, symmetric and integral)."""
+    return ZAPoly.from_rows(z2_rows(alexander_rows(K)))

@@ -15,7 +15,7 @@ from functools import cache
 from math import gcd
 from operator import add, sub
 
-from .exactring import LaurentQA, dense_divmod, qnum
+from .exactring import LaurentQA, cosh_coeffs, dense_divmod, layer_row
 
 
 class NotInSubring(ValueError):
@@ -94,35 +94,47 @@ def _cosh_to_z2(coeffs: list) -> list:
     return list(map(add, d, d_prev + [0]))
 
 
-def to_z2(f: LaurentQA) -> ZAPoly:
-    """Rewrite f as a polynomial in z^2 and a^{+-1}.
+def z2_rows(rows: dict) -> dict | None:
+    """The z^2 rows of a row map; None unless every a-layer is even and palindromic."""
+    out = {}
+    for ae, row in rows.items():
+        cosh = cosh_coeffs(row)
+        if cosh is None:
+            return None
+        out[ae] = _cosh_to_z2(cosh)
+    return out
 
-    Raises NotInSubring naming the violated symmetry: odd q-exponents, or
-    a q <-> q^{-1} asymmetric a-layer.
+
+def to_z2(f: LaurentQA) -> ZAPoly:
+    """Rewrite f as a polynomial in z^2 and a^{+-1}, one a-layer at a time.
+
+    Raises NotInSubring naming the violated symmetry of the lowest bad
+    a-layer: odd q-exponents, or a q <-> q^{-1} asymmetric a-layer.
     """
     layers: dict[int, dict] = {}
     for (qe, ae), c in f.terms.items():
         layers.setdefault(ae, {})[qe] = c
     rows = {}
     for ae in sorted(layers):
-        slice_ = layers[ae]
-        for qe in slice_:
-            if qe % 2 != 0:
-                raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
-        for qe, c in slice_.items():
-            if slice_.get(-qe, 0) != c:
-                raise NotInSubring(f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}")
-        get = slice_.get
-        rows[ae] = _cosh_to_z2([get(qe, 0) for qe in range(0, max(slice_) + 1, 2)])
+        layer = layers[ae]
+        row = layer_row(layer)
+        cosh = None if row is None else cosh_coeffs(row)
+        if cosh is None:
+            for qe in layer:
+                if qe % 2 != 0:
+                    raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
+            qe = next(qe for qe, c in layer.items() if layer.get(-qe, 0) != c)
+            raise NotInSubring(f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}")
+        rows[ae] = _cosh_to_z2(cosh)
     return ZAPoly.from_rows(rows)
 
 
 @cache
 def qnum_sq_z2(p: int) -> tuple:
-    """[p]^2 in the z^2 basis: monic of degree p - 1."""
+    """[p]^2 = (q^2p - 2 + q^-2p) / z^2 in the z^2 basis: monic of degree p - 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    row = to_z2(qnum(p) * qnum(p)).row_map().get(0, ())
+    row = tuple(_cosh_to_z2([-2] + [0] * (p - 1) + [1])[1:])
     if len(row) != p or row[-1] != 1:
         # divide_by_qnum_sq divides by a leading coefficient of 1
         raise ArithmeticError(f"[{p}]^2 is not monic of degree {p - 1} in z^2: {row}")
@@ -152,42 +164,30 @@ class CongruenceFragment:
     p2_divisible: bool
     quotient: ZAPoly | None
     remainder_witness: ZAPoly | None
-    detail: str = ""
 
 
-def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
-    """Check f in Z[z^2, a^{+-1}] and divisibility by [p]^2 there.
+def z2_verdict(rows: dict | None, p: int) -> CongruenceFragment:
+    """The fragment of a value given by its z^2 rows (None: not in Q[z^2, a^{+-1}]).
 
     Membership requires integer coefficients; divisibility requires an exact
     integral quotient.  The fragment carries the quotient on success and the
     remainder witness on failure.
     """
-    try:
-        zp = to_z2(f)
-    except NotInSubring as err:
-        return CongruenceFragment(
-            z2_member=False,
-            p2_divisible=False,
-            quotient=None,
-            remainder_witness=None,
-            detail=str(err),
-        )
-    member = zp.is_integral
+    if rows is None:
+        return CongruenceFragment(False, False, None, None)
+    zp = ZAPoly.from_rows(rows)
     quotient, exact, remainder = divide_by_qnum_sq(zp, p)
-    divisible = exact and quotient.is_integral
-    if not member:
-        detail = "coefficients not integral"
-    elif not exact:
-        detail = "remainder after [p]^2 division"
-    else:
-        detail = "" if quotient.is_integral else "quotient not integral"
-    return CongruenceFragment(
-        z2_member=member,
-        p2_divisible=divisible,
-        quotient=quotient if exact else None,
-        remainder_witness=None if exact else remainder,
-        detail=detail,
-    )
+    if exact:
+        return CongruenceFragment(zp.is_integral, quotient.is_integral, quotient, None)
+    return CongruenceFragment(zp.is_integral, False, None, remainder)
+
+
+def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
+    """Check f in Z[z^2, a^{+-1}] and divisibility by [p]^2 there."""
+    try:
+        return z2_verdict(to_z2(f).row_map(), p)
+    except NotInSubring:
+        return z2_verdict(None, p)
 
 
 def _cyclotomic(n: int) -> list[int]:

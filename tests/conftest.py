@@ -21,6 +21,7 @@ from heckelift.exactring import (
     abracket,
     abracket_of_partition,
     bracket_of_partition,
+    dense_divmod,
     divide_brackets,
     divide_out_abracket,
     exact_div,
@@ -28,6 +29,8 @@ from heckelift.exactring import (
     qbracket,
     qnum_power,
 )
+from heckelift.combinatorics import hook_shapes
+from heckelift.exactring import qnum
 from heckelift.hecke import defect_sign, lifting_defect
 from heckelift.torus import (
     FramedUnknot,
@@ -39,8 +42,10 @@ from heckelift.torus import (
     cable_params,
 )
 from heckelift.zbasis import (
+    CongruenceFragment,
     NotInSubring,
     ZAPoly,
+    _cosh_to_z2,
     congruence_verdict,
     divide_by_qnum_sq,
     to_z2,
@@ -320,3 +325,148 @@ def two_conversion_verdict(K, p):
         return True, frag, False
     quot, exact, _ = divide_by_qnum_sq(zc, p)
     return True, frag, exact and zc.is_integral and quot.is_integral
+
+
+# -- the dict routes of the verdict path, kept as references ---------------------
+
+
+def sparse_adams_term(d, m, p):
+    """Adams_p of the order-1 invariant from sparse products over nu |- d.
+
+    a^c {p}/{c} (1/L) sum_{nu |- d} (L/z_nu) {p*nu}_a prod_i [m]_{q^{p*nu_i}}
+    with c = pm.
+    """
+    c = p * m
+    L = _zlcm(d)
+    acc = LaurentQA.zero()
+    for nu in partitions_of(d):
+        term = abracket_of_partition(nu, p) * (L // z_mu(nu))
+        for part in nu:
+            term = term * qnum_power(m, p * part)
+        acc = acc + term
+    return exact_int_div(divide_brackets(acc * qbracket(p), (c,)), L).shift(aexp=c)
+
+
+def dict_divide_out_abracket(f, n=1):
+    """Division by (a^n - a^-n) on q-exponent -> coefficient maps per a-layer."""
+    if f.is_zero():
+        return f
+    layers = {}
+    for (qe, ae), c in f.terms.items():
+        layers.setdefault(ae + n, {})[qe] = c
+    lo, hi = min(layers), max(layers)
+    quotient = {}
+    for j in range(hi, lo + 2 * n - 1, -1):
+        cur = layers.get(j)
+        if not cur:
+            continue
+        quotient[j - 2 * n] = cur
+        below = layers.setdefault(j - 2 * n, {})
+        for qe, c in cur.items():
+            s = below.get(qe, 0) + c
+            if s == 0:
+                below.pop(qe, None)
+            else:
+                below[qe] = s
+        del layers[j]
+    residue = {(qe, ae - n): c for ae, sl in layers.items() for qe, c in sl.items() if c}
+    if residue:
+        raise NotDivisible("not divisible by the a-bracket", witness=LaurentQA._raw(residue))
+    return LaurentQA._raw(
+        {(qe, ae): c for ae, sl in quotient.items() for qe, c in sl.items() if c}
+    )
+
+
+def dict_to_z2(f):
+    """to_z2 with the terms grouped into q-exponent maps, one Clenshaw run per layer."""
+    layers = {}
+    for (qe, ae), c in f.terms.items():
+        layers.setdefault(ae, {})[qe] = c
+    rows = {}
+    for ae in sorted(layers):
+        slice_ = layers[ae]
+        for qe in slice_:
+            if qe % 2 != 0:
+                raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
+        for qe, c in slice_.items():
+            if slice_.get(-qe, 0) != c:
+                raise NotInSubring(f"a-layer {ae} breaks q <-> q^-1 symmetry at q^{qe}")
+        rows[ae] = _cosh_to_z2([slice_.get(qe, 0) for qe in range(0, max(slice_) + 1, 2)])
+    return ZAPoly.from_rows(rows)
+
+
+def dict_congruence_verdict(f, p):
+    """congruence_verdict through dict_to_z2, with [p]^2 from a sparse product."""
+    try:
+        zp = dict_to_z2(f)
+    except NotInSubring:
+        return CongruenceFragment(False, False, None, None)
+    divisor = dict_to_z2(qnum(p) * qnum(p)).row_map()[0]
+    q_rows, r_rows = {}, {}
+    for ae, row in zp.rows:
+        q_rows[ae], r_rows[ae] = dense_divmod(row, divisor)
+    quotient, remainder = ZAPoly.from_rows(q_rows), ZAPoly.from_rows(r_rows)
+    exact = remainder.is_zero()
+    return CongruenceFragment(
+        zp.is_integral,
+        exact and quotient.is_integral,
+        quotient if exact else None,
+        None if exact else remainder,
+    )
+
+
+def dict_framing_correction(p, tau):
+    """The hook trace as a sparse sum over hook_shapes(p), divided by [p]^2."""
+    trace = LaurentQA.zero()
+    for hook in hook_shapes(p):
+        trace = trace + LaurentQA.monomial(1, qexp=hook.kappa * tau)
+    trace = trace - LaurentQA.monomial(p if ((p - 1) * tau) % 2 == 0 else -p)
+    return exact_div(trace, qnum(p) * qnum(p))
+
+
+def reference_case(K, p):
+    """(g, core or None, report JSON body, identity) through the dict routes."""
+    d, m = cable_params(K)
+    sign = defect_sign(p, K.framing)
+    g = sparse_scaled_invariant(K, p) - sparse_scaled_invariant(K, 1).adams(p) * sign
+    try:
+        core = dict_divide_out_abracket(g)
+    except NotDivisible:
+        core = None
+    # g's own fragment: (a - a^-1) times the core's
+    frag = dict_congruence_verdict(g, p)
+    if p == 1 or m == 0:
+        identity = g.is_zero()
+    else:
+        identity = g == sparse_scaled_invariant(K, p) - sparse_adams_term(d, m, p) * sign
+    body = {
+        "a_factor": "pass" if core is not None else "fail",
+        "z2_member": "pass" if frag.z2_member else "fail",
+        "p2_divisible": "pass" if frag.p2_divisible else "fail",
+        "quotient": None if frag.quotient is None else frag.quotient.to_json_dict(),
+        "remainder_witness": (
+            None if frag.remainder_witness is None else frag.remainder_witness.to_json_dict()
+        ),
+        "identity_gp_eq_p2F": "pass" if identity else "fail",
+    }
+    return g, core, body, identity
+
+
+def reference_limit_identity(K, core, p):
+    """lim core at a = 1 == [p]^2 A(K; q^p) * correction, by sparse products."""
+    alex_p = dict_divide_out_abracket(sparse_scaled_invariant(K, 1)).substitute_a(1).adams(p)
+    corr = dict_framing_correction(p, K.framing)
+    return core.substitute_a(1) == qnum(p) * qnum(p) * alex_p * corr
+
+
+def bench10_grid():
+    """The 217 cases of BENCH_10.json: TorusKnot with p <= 11, p*d <= 15 and
+    m <= 15, p*m <= 40 (composite p included), and FramedUnknot(-3..3) at p <= 7."""
+    cases = [
+        (TorusKnot(d, m), p)
+        for p in range(1, 12)
+        for d in (1, 2, 3)
+        for m in range(1, 16)
+        if gcd(d, m) == 1 and p * d <= 15 and p * m <= 40
+    ]
+    return cases + [(FramedUnknot(t), p) for t in range(-3, 4) for p in range(1, 8)]

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dn_defect_cofactor_parts,
     exact_div_family_ratio,
+    sparse_adams_term,
     twisted_sum_grid,
     two_conversion_verdict,
 )
@@ -19,12 +20,12 @@ from heckelift.exactring import (
     bracket_of_partition,
     divide_brackets,
     exact_int_div,
+    parse_rows,
     qnum,
 )
 from heckelift.hecke import (
     CongruenceReport,
     PreconditionViolated,
-    _adams_term,
     _identity_check,
     defect_cofactor,
     defect_sign,
@@ -311,10 +312,10 @@ def test_identity_check_false_when_adams_term_is_off(monkeypatch):
     from heckelift import hecke
 
     knot = TorusKnot(2, 3)
-    adams = _adams_term(2, 3, 3)
+    adams = sparse_adams_term(2, 3, 3)
     assert _identity_check(knot, lifting_defect(knot, 3), 3) is True
     for wrong in (adams + 1, adams * 2, adams.shift(qexp=2)):
-        monkeypatch.setattr(hecke, "_adams_term", lambda d, m, p: wrong)
+        monkeypatch.setattr(hecke, "_adams_rows", lambda d, m, p: parse_rows(wrong.terms))
         assert _identity_check(knot, lifting_defect(knot, 3), 3) is False
 
 
@@ -380,17 +381,18 @@ def test_one_case_builds_its_defect_once():
 def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
     """One case divides its defect by (a - a^-1) once; Z_1's limit is the other call."""
     import heckelift.alexlimit as alexlimit
+    import heckelift.torus as torus
 
     calls = []
-    divide = hecke.divide_out_abracket
+    divide = hecke.abracket_quotient
 
     def counting(f, n=1):
         calls.append(n)
         return divide(f, n)
 
-    monkeypatch.setattr(alexlimit, "divide_out_abracket", counting)
-    monkeypatch.setattr(hecke, "divide_out_abracket", counting)
-    hecke.defect_core.cache_clear()
+    monkeypatch.setattr(torus, "abracket_quotient", counting)
+    monkeypatch.setattr(hecke, "abracket_quotient", counting)
+    hecke.core_rows.cache_clear()
     knot = TorusKnot(2, 3)
     assert verify_hecke(knot, 3).verdict
     assert alexlimit.limit_identity_check(knot, 3)

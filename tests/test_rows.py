@@ -1,0 +1,152 @@
+"""The dense row route of a case against the dict routes it replaced."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    bench10_grid,
+    dict_congruence_verdict,
+    dict_divide_out_abracket,
+    dict_framing_correction,
+    reference_case,
+    reference_limit_identity,
+)
+from heckelift.alexlimit import (
+    framing_correction,
+    limit_identity_check,
+    limit_membership_verdict,
+)
+from heckelift.exactring import (
+    LaurentQA,
+    NotDivisible,
+    NonExactDivision,
+    abracket,
+    abracket_quotient,
+    add_rows,
+    divide_out_abracket,
+    emit_rows,
+    parse_rows,
+)
+from heckelift.hecke import core_rows, defect_core, lifting_defect, verify_hecke
+from heckelift.torus import closed_form_rows
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _body(report):
+    body = report.to_json_dict()
+    del body["millis"]
+    return body
+
+
+def _fragment(frag):
+    return [
+        frag.z2_member,
+        frag.p2_divisible,
+        None if frag.quotient is None else frag.quotient.to_json_dict(),
+        None if frag.remainder_witness is None else frag.remainder_witness.to_json_dict(),
+    ]
+
+
+def test_row_route_matches_dict_routes_on_the_bench10_grid():
+    """Report JSON, g, core, the identity and both limit checks, byte for byte.
+
+    217 cases: TorusKnot with p <= 11, p*d <= 15, m <= 15 and p*m <= 40
+    (composite p included) and FramedUnknot(-3..3) at p <= 7.
+    """
+    cases = bench10_grid()
+    assert len(cases) == 217
+    for knot, p in cases:
+        g, core, body, identity = reference_case(knot, p)
+        report = verify_hecke(knot, p)
+        mine = {key: value for key, value in _body(report).items() if key in body}
+        assert json.dumps(mine) == json.dumps(body), (knot, p)
+        assert report.identity_gp_eq_p2F is identity, (knot, p)
+        assert lifting_defect(knot, p).to_text() == g.to_text(), (knot, p)
+        if core is None:
+            with pytest.raises(NotDivisible):
+                defect_core(knot, p)
+            continue
+        assert defect_core(knot, p).to_text() == core.to_text(), (knot, p)
+        # the core's z^2 rows exist for every knot: one q-parity, palindromic
+        assert core_rows(knot, p)[1] is not None, (knot, p)
+        try:
+            ref_identity = reference_limit_identity(knot, core, p)
+        except NonExactDivision:
+            # composite p: the hook trace is not divisible by [p]^2
+            with pytest.raises(NonExactDivision):
+                limit_identity_check(knot, p)
+        else:
+            assert limit_identity_check(knot, p) is ref_identity, (knot, p)
+        membership = limit_membership_verdict(knot, p)
+        ref_frag = dict_congruence_verdict(core.substitute_a(1), p)
+        assert membership.value.to_text() == core.substitute_a(1).to_text(), (knot, p)
+        assert _fragment(membership.fragment) == _fragment(ref_frag), (knot, p)
+        assert membership.passed is (ref_frag.z2_member and ref_frag.p2_divisible)
+
+
+def test_closed_form_rows_are_trimmed():
+    """No row of the closed form starts or ends with a zero."""
+    for knot, p in bench10_grid():
+        for lo, coeffs in closed_form_rows(knot, p).values():
+            assert coeffs[0] and coeffs[-1], (knot, p)
+
+
+def test_framing_correction_matches_the_sparse_trace():
+    for p in range(1, 12):
+        for tau in range(-6, 7):
+            try:
+                expected = dict_framing_correction(p, tau)
+            except NonExactDivision:
+                with pytest.raises(NonExactDivision):
+                    framing_correction(p, tau)
+                continue
+            assert framing_correction(p, tau).to_laurent() == expected, (p, tau)
+
+
+# a-layers of one q-parity each, the parity drawn per a-exponent so that two
+# draws with the same parities can be added row by row
+def _layered(parities):
+    terms = st.dictionaries(
+        st.tuples(st.integers(-8, 8), st.integers(-4, 4)),
+        st.integers(-9, 9) | st.integers(-(2**70), 2**70),
+        max_size=12,
+    )
+    return terms.map(
+        lambda d: LaurentQA({(2 * qe + parities[ae % 2], ae): c for (qe, ae), c in d.items()})
+    )
+
+
+_parities = st.tuples(st.integers(0, 1), st.integers(0, 1))
+
+
+@_PROPERTY
+@given(_parities.flatmap(lambda par: st.tuples(_layered(par), _layered(par))), st.booleans())
+def test_row_add_and_sub_match_laurent(fg, negate):
+    f, g = fg
+    rows = add_rows(parse_rows(f.terms), parse_rows(g.terms), negate)
+    assert emit_rows(rows) == (f - g if negate else f + g)
+    for lo, coeffs in rows.values():
+        assert coeffs and coeffs[0] and coeffs[-1]
+
+
+@_PROPERTY
+@given(_parities.flatmap(_layered), st.integers(1, 3), _parities.flatmap(_layered))
+def test_abracket_division_matches_laurent(f, n, bump):
+    """(f (a^n - a^-n)) / (a^n - a^-n) == f, and the witness of a bumped
+    product is the dict route's."""
+    product = f * abracket(n)
+    assert emit_rows(abracket_quotient(parse_rows(product.terms), n)) == f
+    assert divide_out_abracket(product, n) == f
+    mixed = product + bump
+    try:
+        expected = dict_divide_out_abracket(mixed, n)
+    except NotDivisible as err:
+        with pytest.raises(NotDivisible) as caught:
+            divide_out_abracket(mixed, n)
+        assert caught.value.witness == err.witness
+    else:
+        assert divide_out_abracket(mixed, n) == expected

@@ -179,7 +179,7 @@ def test_qnum_sq_z2_rejects_a_non_monic_square(monkeypatch):
     from heckelift import zbasis
 
     for p, row in ((2, (4, 2)), (3, (9, 1))):
-        monkeypatch.setattr(zbasis, "to_z2", lambda f, row=row: ZAPoly.from_rows({0: row}))
+        monkeypatch.setattr(zbasis, "_cosh_to_z2", lambda coeffs, row=row: [0, *row])
         with pytest.raises(ArithmeticError, match=f"not monic of degree {p - 1}"):
             qnum_sq_z2.__wrapped__(p)
 
