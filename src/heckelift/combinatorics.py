@@ -20,7 +20,9 @@ class WeightMismatch(ValueError):
 
 def as_partition(parts) -> Partition:
     """Validate and canonicalize a partition given as any iterable of ints."""
-    mu = tuple(int(x) for x in parts)
+    mu = tuple(parts)
+    if not all(isinstance(x, int) for x in mu):
+        raise ValueError(f"partition parts must be ints, got {mu}")
     if any(x <= 0 for x in mu):
         raise ValueError(f"partition parts must be positive, got {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
@@ -74,6 +76,19 @@ def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
+
+
+def boxes(lam: Partition) -> tuple[tuple[int, int], ...]:
+    """(content j - i, hook length) of each box (i, j) of lam, row by row."""
+    cols = conjugate(lam)
+    return tuple(
+        (j - i, row - j + cols[j] - i - 1) for i, row in enumerate(lam) for j in range(row)
+    )
+
+
+def hook_lengths(lam: Partition) -> Partition:
+    """The hook lengths of lam, largest first."""
+    return tuple(sorted((h for _, h in boxes(lam)), reverse=True))
 
 
 def gcd_of_parts(mu: Partition) -> int:

@@ -1,10 +1,9 @@
 """Exact Laurent arithmetic in q and a over the rationals.
 
 LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients
-and int exponents in both q and a; any other q-exponent type raises
+and int exponents in both q and a; any other exponent type raises
 TypeError.  Values on the verdict path (invariants, defects, cofactors for
-prime p) have int coefficients throughout; exact_int_div divides by an
-integer scale and raises rather than leave a Fraction behind.
+prime p) have int coefficients throughout.
 Denominators are bracket monomials prod {k}^e_k in the q-brackets
 {k} = q^k - q^-k, divided out exactly by divide_brackets.  RingFraction is
 an int-coefficient LaurentQA numerator over a positive int scale times such
@@ -44,10 +43,10 @@ class ResidualFractionalExponent(ValueError):
     """A fractional q-exponent survived where cancellation was required."""
 
 
-def _qexp(e) -> int:
-    """A q-exponent, which must be an int: never truncated or converted."""
+def _exp(e, var: str = "q") -> int:
+    """A q- or a-exponent, which must be an int: never truncated or converted."""
     if not isinstance(e, int):
-        raise TypeError(f"q-exponent must be an int, got {e!r}")
+        raise TypeError(f"{var}-exponent must be an int, got {e!r}")
     return e
 
 
@@ -62,7 +61,7 @@ class LaurentQA:
             for (qe, ae), c in terms.items():
                 if c == 0:
                     continue
-                key = (_qexp(qe), int(ae))
+                key = (_exp(qe), _exp(ae, "a"))
                 c0 = data.get(key)
                 c = c if c0 is None else c0 + c
                 if c == 0:
@@ -89,7 +88,7 @@ class LaurentQA:
     def monomial(cls, coeff, qexp=0, aexp=0) -> "LaurentQA":
         if coeff == 0:
             return cls.zero()
-        return cls._raw({(_qexp(qexp), int(aexp)): coeff})
+        return cls._raw({(_exp(qexp), _exp(aexp, "a")): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -100,7 +99,7 @@ class LaurentQA:
         return bool(self.terms)
 
     def coeff(self, qexp=0, aexp=0):
-        return self.terms.get((_qexp(qexp), int(aexp)), 0)
+        return self.terms.get((_exp(qexp), _exp(aexp, "a")), 0)
 
     def support(self):
         """Terms in canonical order: a-exponent major, q-exponent minor."""
@@ -230,7 +229,7 @@ class LaurentQA:
 
     def shift(self, qexp=0, aexp=0) -> "LaurentQA":
         """Multiply by the monomial q^qexp * a^aexp."""
-        qexp = _qexp(qexp)
+        qexp, aexp = _exp(qexp), _exp(aexp, "a")
         return LaurentQA._raw(
             {(qe + qexp, ae + aexp): c for (qe, ae), c in self.terms.items()}
         )
@@ -274,27 +273,6 @@ def abracket(n: int) -> LaurentQA:
     if n == 0:
         return LaurentQA.zero()
     return LaurentQA._raw({(0, n): 1, (0, -n): -1})
-
-
-def qnum(n: int) -> LaurentQA:
-    """Balanced quantum integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n).
-
-    Built as the explicit term sum, never as a quotient of brackets.
-    """
-    return qnum_power(n, 1)
-
-
-def qnum_power(n: int, k: int) -> LaurentQA:
-    """[n] evaluated at q^k: the n-term sum of q^(k*(n-1-2j))."""
-    if n < 0:
-        return -qnum_power(-n, k)
-    if n == 0 or k == 0:
-        return LaurentQA.zero() if n == 0 else LaurentQA.monomial(n)
-    data: dict = {}
-    for j in range(n):
-        e = k * (n - 1 - 2 * j)
-        data[(e, 0)] = data.get((e, 0), 0) + 1
-    return LaurentQA(data)
 
 
 def bracket_of_partition(mu, scale: int = 1) -> LaurentQA:
@@ -404,29 +382,6 @@ def exact_div(num: LaurentQA, den: LaurentQA) -> LaurentQA:
         for e in range(len(quot) - 1, -1, -1):
             if quot[e]:
                 out[(e + nlo - dlo, ae)] = quot[e]
-    return LaurentQA._raw(out)
-
-
-def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
-    """Divide every coefficient of f by the nonzero int k, exactly.
-
-    Integer coefficients stay int; raises NonExactDivision (with the
-    remainders attached) if k leaves any coefficient with a remainder.
-    """
-    if k == 0:
-        raise ZeroDivisionError("division by zero")
-    out: dict = {}
-    rem: dict = {}
-    for key, c in f.terms.items():
-        q, r = divmod(c, k)
-        if r:
-            rem[key] = r
-        out[key] = q
-    if rem:
-        raise NonExactDivision(
-            f"{len(rem)} coefficients not divisible by {k}",
-            remainder=LaurentQA._raw(rem),
-        )
     return LaurentQA._raw(out)
 
 

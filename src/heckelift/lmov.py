@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import factorial
 
 from .combinatorics import (
@@ -243,7 +243,7 @@ def m_inverse(lam: Partition, mu: Partition) -> RingFraction:
     return RingFraction.over_brackets(acc, L, _den_brackets(n))
 
 
-@cache
+@lru_cache(maxsize=4)
 def _extracted_amplitudes(K, degree: int) -> dict[Partition, RingFraction]:
     return extract_f(free_energy(partition_function(K, degree)))
 

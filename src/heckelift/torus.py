@@ -4,11 +4,14 @@ The verdict-path invariant (closed_form_rows, emitted by scaled_invariant)
 is a closed form: with c = pm and n = pd, one a-layer per j = 0..min(|c|, n),
 each the product of two symmetric q-binomials times {p}/{n}, kept as a dense
 row in q^2; no partitions, no integer scale and no product of lists.  The
-power-sum, Schur and LMOV routes evaluate the d-fold cable as a sum over
-partitions and keep one common denominator D(n) = prod_k {k}^(n//k) as its
-list of bracket orders: the term of mu |- n carries the bracket-monomial
-cofactor D(n)/{mu}, and the total is a RingFraction over D(n), so no
-rational function arithmetic ever happens term by term.
+power-sum route evaluates the d-fold cable as one sum over lam |- n of
+Rosso-Jones terms whose plane Schur values come from the hook-content
+formula, prod over the boxes of {a q^c} / {h}; the total keeps one common
+denominator D(n) = prod_k {k}^(n//k) as its list of bracket orders, each term
+carrying the bracket-monomial cofactor D(n)/{hooks of lam}, so no rational
+function arithmetic ever happens term by term.  unknot_schur_value is the
+hook-content product itself; only lmov.m_inverse still sums over nu |- n,
+with the cofactors D(n)/{nu}.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from operator import neg, sub
 from .combinatorics import (
     Partition,
     as_partition,
-    character_table,
+    boxes,
+    chi,
+    hook_lengths,
     kappa,
     partitions_of,
     z_mu,
@@ -98,20 +103,15 @@ def _zlcm(n: int) -> int:
 
 @cache
 def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
-    """D(n)/{mu} at q -> q^scale for mu |- n, multiplied out.
+    """D(n)/{mu} at q -> q^scale, multiplied out.
 
-    The product of the brackets {scale * k} over the orders of D(n) that mu
-    does not use.
+    mu is a multiset of orders inside D(n): a partition of n, or the hook
+    lengths of one.  The product of the brackets {scale * k} over the orders
+    of D(n) that mu does not use.
     """
     rest = Counter(_den_brackets(n)) - Counter(mu)
     brackets = Counter({scale * k: e for k, e in rest.items()})
     return LaurentQA._raw(_times_brackets({(0, 0): 1}, brackets))
-
-
-@cache
-def _plane_row(n: int, nu: Partition, scale: int = 1) -> LaurentQA:
-    """{nu}_a times the bracket-monomial cofactor D(n)/{nu}, q-scaled."""
-    return abracket_of_partition(nu) * _cofactor(n, nu, scale)
 
 
 # -- the closed q-binomial form ------------------------------------------------
@@ -200,13 +200,23 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     return abracket(p) if cable_params(K)[1] == 0 else emit_rows(rows)
 
 
-@cache
-def power_sum_invariant(K, mu: Partition) -> RingFraction:
-    """H(K * P_mu) via the character expansion of the d-fold cable.
+def _content_row(lam: Partition, scale: int = 1) -> LaurentQA:
+    """prod over the boxes of lam of {a q^(scale * c)}, c the box's content."""
+    out = LaurentQA.one()
+    for c, _ in boxes(lam):
+        out = out * LaurentQA._raw({(scale * c, 1): 1, (-scale * c, -1): -1})
+    return out
 
-    Internally works in u = q^{1/d} with integer exponents; fractional
-    q-exponents must cancel in the assembled total and a survivor raises
-    ResidualFractionalExponent.
+
+@lru_cache(maxsize=64)
+def power_sum_invariant(K, mu: Partition) -> RingFraction:
+    """H(K * P_mu) by the Rosso-Jones cabling of the hook-content formula.
+
+    With n = d|mu| and u = q^(1/d), a^(-|mu| m) H is the sum over lam |- n of
+    chi_lam(d mu) u^(m kappa_lam) prod_boxes {a u^(d c)} / {d h}; each term
+    goes over D(n) with the cofactor D(n)/{hooks}, which exists because lam
+    has at most n//k hooks of length k.  Fractional q-exponents must cancel
+    in the assembled total and a survivor raises ResidualFractionalExponent.
     """
     d, m = cable_params(K)
     mu = as_partition(mu)
@@ -215,34 +225,20 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
     weight = sum(mu)
     n = d * weight
     dmu = tuple(d * x for x in mu)
-    table = character_table(n).values
-    L = _zlcm(n)
-    lams = partitions_of(n)
     acc: dict = {}
-    for nu in partitions_of(n):
-        phi: dict[int, int] = {}
-        for lam in lams:
-            v = table[(lam, dmu)] * table[(lam, nu)]
-            if v:
-                e = kappa(lam) * m
-                s = phi.get(e, 0) + v
-                if s == 0:
-                    phi.pop(e, None)
-                else:
-                    phi[e] = s
-        if not phi:
+    for lam in partitions_of(n):
+        ch = chi(lam, dmu)
+        if not ch:
             continue
-        scalar = L // z_mu(nu)
-        row = _plane_row(n, nu, d).terms
-        for (ue, ae), cr in row.items():
-            base = cr * scalar
-            for e, v in phi.items():
-                key = (ue + e, ae)
-                s = acc.get(key, 0) + base * v
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+        e = kappa(lam) * m
+        row = _content_row(lam, d) * _cofactor(n, hook_lengths(lam), d)
+        for (ue, ae), c in row.terms.items():
+            key = (ue + e, ae)
+            s = acc.get(key, 0) + ch * c
+            if s == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = s
     num: dict = {}
     for (ue, ae), cv in acc.items():
         if ue % d:
@@ -250,24 +246,14 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
                 f"uncancelled q-exponent {Fraction(ue, d)} in the cable of {K}"
             )
         num[(ue // d, ae + weight * m)] = cv
-    return RingFraction.over_brackets(LaurentQA._raw(num), L, _den_brackets(n))
+    return RingFraction.over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
 
 
 @cache
 def unknot_schur_value(lam: Partition) -> RingFraction:
-    """The plane evaluation of the Schur-colored unknot, W_lam(U)."""
+    """The plane evaluation of the Schur-colored unknot, W_lam(U), by hook-content."""
     lam = as_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return RingFraction(LaurentQA.one())
-    table = character_table(n).values
-    L = _zlcm(n)
-    acc = LaurentQA.zero()
-    for nu in partitions_of(n):
-        ch = table[(lam, nu)]
-        if ch:
-            acc = acc + _plane_row(n, nu) * (ch * (L // z_mu(nu)))
-    return RingFraction.over_brackets(acc, L, _den_brackets(n))
+    return RingFraction.over_brackets(_content_row(lam), 1, hook_lengths(lam))
 
 
 def power_sum_plane_value(mu: Partition) -> RingFraction:

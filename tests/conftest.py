@@ -9,6 +9,8 @@ from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
     character_table,
+    chi,
+    hook_shapes,
     kappa,
     partitions_of,
     z_mu,
@@ -17,6 +19,7 @@ from heckelift.exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
+    ResidualFractionalExponent,
     RingFraction,
     abracket,
     abracket_of_partition,
@@ -25,12 +28,8 @@ from heckelift.exactring import (
     divide_brackets,
     divide_out_abracket,
     exact_div,
-    exact_int_div,
     qbracket,
-    qnum_power,
 )
-from heckelift.combinatorics import hook_shapes
-from heckelift.exactring import qnum
 from heckelift.hecke import defect_sign, lifting_defect
 from heckelift.torus import (
     FramedUnknot,
@@ -50,6 +49,53 @@ from heckelift.zbasis import (
     divide_by_qnum_sq,
     to_z2,
 )
+
+
+# -- test-only arithmetic helpers ------------------------------------------------
+
+
+def qnum(n: int) -> LaurentQA:
+    """Balanced quantum integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n).
+
+    Built as the explicit term sum, never as a quotient of brackets.
+    """
+    return qnum_power(n, 1)
+
+
+def qnum_power(n: int, k: int) -> LaurentQA:
+    """[n] evaluated at q^k: the n-term sum of q^(k*(n-1-2j))."""
+    if n < 0:
+        return -qnum_power(-n, k)
+    if n == 0 or k == 0:
+        return LaurentQA.zero() if n == 0 else LaurentQA.monomial(n)
+    data: dict = {}
+    for j in range(n):
+        e = k * (n - 1 - 2 * j)
+        data[(e, 0)] = data.get((e, 0), 0) + 1
+    return LaurentQA(data)
+
+
+def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
+    """Divide every coefficient of f by the nonzero int k, exactly.
+
+    Integer coefficients stay int; raises NonExactDivision (with the
+    remainders attached) if k leaves any coefficient with a remainder.
+    """
+    if k == 0:
+        raise ZeroDivisionError("division by zero")
+    out: dict = {}
+    rem: dict = {}
+    for key, c in f.terms.items():
+        q, r = divmod(c, k)
+        if r:
+            rem[key] = r
+        out[key] = q
+    if rem:
+        raise NonExactDivision(
+            f"{len(rem)} coefficients not divisible by {k}",
+            remainder=LaurentQA._raw(rem),
+        )
+    return LaurentQA._raw(out)
 
 
 def frobenius_chi_table(n):
@@ -169,6 +215,84 @@ def character_pairing(mu, nu):
             else:
                 out[key] = s
     return LaurentQA._raw(out)
+
+
+# -- the nu-sum route of the plane values, kept as the reference ----------------
+# Each plane Schur value is its character sum over nu |- n of
+# chi_lam(nu) {nu}_a / (z_nu {nu}), put over D(n) with the cofactor D(n)/{nu}
+# and the integer scale L = lcm z_nu.
+
+
+@cache
+def _plane_row(n, nu, scale=1):
+    """{nu}_a times the bracket-monomial cofactor D(n)/{nu}, q-scaled."""
+    return abracket_of_partition(nu) * _cofactor(n, nu, scale)
+
+
+def nu_sum_power_sum_invariant(K, mu):
+    """H(K * P_mu) as the double sum over (lam, nu) |- n = d|mu| in u = q^(1/d)."""
+    d, m = cable_params(K)
+    mu = as_partition(mu)
+    if not mu:
+        return RingFraction(LaurentQA.one())
+    weight = sum(mu)
+    n = d * weight
+    dmu = tuple(d * x for x in mu)
+    table = character_table(n).values
+    L = _zlcm(n)
+    acc = {}
+    for nu in partitions_of(n):
+        phi = {}
+        for lam in partitions_of(n):
+            v = table[(lam, dmu)] * table[(lam, nu)]
+            if v:
+                e = kappa(lam) * m
+                phi[e] = phi.get(e, 0) + v
+        scalar = L // z_mu(nu)
+        for (ue, ae), cr in _plane_row(n, nu, d).terms.items():
+            for e, v in phi.items():
+                key = (ue + e, ae)
+                acc[key] = acc.get(key, 0) + cr * scalar * v
+    num = {}
+    for (ue, ae), cv in acc.items():
+        if not cv:
+            continue
+        if ue % d:
+            raise ResidualFractionalExponent(f"uncancelled q-exponent {Fraction(ue, d)}")
+        num[(ue // d, ae + weight * m)] = cv
+    return RingFraction.over_brackets(LaurentQA._raw(num), L, _den_brackets(n))
+
+
+def nu_sum_unknot_schur_value(lam):
+    """W_lam(U) as the character sum over nu |- |lam| of the plane rows."""
+    lam = as_partition(lam)
+    n = sum(lam)
+    if n == 0:
+        return RingFraction(LaurentQA.one())
+    L = _zlcm(n)
+    acc = LaurentQA.zero()
+    for nu in partitions_of(n):
+        ch = chi(lam, nu)
+        if ch:
+            acc = acc + _plane_row(n, nu) * (ch * (L // z_mu(nu)))
+    return RingFraction.over_brackets(acc, L, _den_brackets(n))
+
+
+def plane_value_grid():
+    """(knot, mu) cases the hook-content route is checked on against the nu-sum.
+
+    |mu| <= 4 and d|mu| <= 9 on FramedUnknot(-3..3), T(2,3), T(2,5), T(3,2)
+    and T(1,1): 116 cases.
+    """
+    knots = [FramedUnknot(t) for t in range(-3, 4)]
+    knots += [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 2), TorusKnot(1, 1)]
+    return [
+        (K, mu)
+        for K in knots
+        for w in range(1, 5)
+        if cable_params(K)[0] * w <= 9
+        for mu in partitions_of(w)
+    ]
 
 
 # -- the D(n) route of the twisted sums, kept as the reference -----------------

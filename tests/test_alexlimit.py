@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import limit_ratio_via_derivative, random_laurent
+from conftest import limit_ratio_via_derivative, qnum, random_laurent
 from heckelift.alexlimit import (
     framing_correction,
     hook_alexander_check,
@@ -12,7 +12,7 @@ from heckelift.alexlimit import (
     limit_ratio,
 )
 from heckelift.combinatorics import HookShape, hook_shapes
-from heckelift.exactring import LaurentQA, NotDivisible, abracket, qnum
+from heckelift.exactring import LaurentQA, NotDivisible, abracket
 from heckelift.hecke import lifting_defect
 from heckelift.torus import FramedUnknot, TorusKnot, alexander
 

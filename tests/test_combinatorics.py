@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,13 @@ from conftest import frobenius_chi_table
 from heckelift.combinatorics import (
     WeightMismatch,
     _chi_rec,
+    as_partition,
+    boxes,
     character_table,
     chi,
     conjugate,
     gcd_of_parts,
+    hook_lengths,
     hook_shapes,
     kappa,
     partition_key,
@@ -34,6 +38,31 @@ def test_partitions_of_counts_and_shape():
     assert partitions_of(5)[-1] == (1, 1, 1, 1, 1)
 
 
+def test_as_partition_rejects_non_int_parts():
+    assert as_partition([2, 1]) == (2, 1)
+    assert as_partition(iter((3, 3))) == (3, 3)
+    for bad in ([2.9, 1.2], [2.0, 1], [Fraction(2), 1], ["2", "1"]):
+        with pytest.raises(ValueError):
+            as_partition(bad)
+    with pytest.raises(ValueError):
+        as_partition([1, 2])
+    with pytest.raises(ValueError):
+        as_partition([2, 0])
+
+
+def test_boxes_contents_and_hook_lengths():
+    assert boxes((2, 1)) == ((0, 3), (1, 1), (-1, 1))
+    assert hook_lengths((3, 1)) == (4, 2, 1, 1)
+    assert hook_lengths(()) == ()
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            # kappa is twice the content sum; the hook length formula counts
+            # standard tableaux, chi_lam(1^n)
+            assert 2 * sum(c for c, _ in boxes(lam)) == kappa(lam)
+            assert math.factorial(n) // math.prod(hook_lengths(lam)) == chi(lam, (1,) * n)
+            assert sorted(hook_lengths(conjugate(lam))) == sorted(hook_lengths(lam))
+
+
 def test_z_mu_values():
     assert z_mu(()) == 1
     assert z_mu((3,)) == 3
@@ -41,8 +70,6 @@ def test_z_mu_values():
     assert z_mu((2, 2)) == 8
     assert z_mu((3, 1, 1)) == 6
     # sizes of conjugacy classes n!/z_mu partition the symmetric group
-    import math
-
     for n in range(1, 11):
         assert sum(Fraction(1, z_mu(mu)) for mu in partitions_of(n)) == 1
         assert all(math.factorial(n) % z_mu(mu) == 0 for mu in partitions_of(n))

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import a_derivative_at_1, eval_numeric, random_laurent
+from conftest import (
+    a_derivative_at_1,
+    eval_numeric,
+    exact_int_div,
+    qnum,
+    qnum_power,
+    random_laurent,
+)
 from heckelift.exactring import (
     LaurentQA,
     NonExactDivision,
@@ -18,11 +25,8 @@ from heckelift.exactring import (
     dense_divmod,
     divide_out_abracket,
     exact_div,
-    exact_int_div,
     kronecker_mul,
     qbracket,
-    qnum,
-    qnum_power,
     zsquared,
 )
 
@@ -49,6 +53,16 @@ def test_constructors_and_basic_queries():
         f.coeff(half, 0)
     with pytest.raises(TypeError):
         f.shift(qexp=half)
+    # a-exponents are never truncated either: 1.5 used to become 1
+    for bad in (1.5, half):
+        with pytest.raises(TypeError):
+            LaurentQA({(0, bad): 1})
+        with pytest.raises(TypeError):
+            LaurentQA.monomial(1, aexp=bad)
+        with pytest.raises(TypeError):
+            f.coeff(0, bad)
+        with pytest.raises(TypeError):
+            f.shift(aexp=bad)
 
 
 def test_support_ordering_is_a_major_q_minor():

@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     dn_defect_cofactor_parts,
     exact_div_family_ratio,
+    exact_int_div,
+    qnum,
     sparse_adams_term,
     twisted_sum_grid,
     two_conversion_verdict,
@@ -19,9 +21,7 @@ from heckelift.exactring import (
     abracket,
     bracket_of_partition,
     divide_brackets,
-    exact_int_div,
     parse_rows,
-    qnum,
 )
 from heckelift.hecke import (
     CongruenceReport,

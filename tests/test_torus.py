@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,9 @@ import pytest
 from conftest import (
     character_pairing,
     dn_scaled_invariant,
+    nu_sum_power_sum_invariant,
+    nu_sum_unknot_schur_value,
+    plane_value_grid,
     sparse_scaled_invariant,
     twist_power_sum,
     twisted_sum_grid,
@@ -13,6 +17,7 @@ from conftest import (
 from heckelift.combinatorics import (
     WeightMismatch,
     chi,
+    hook_lengths,
     partitions_of,
     z_mu,
 )
@@ -86,10 +91,31 @@ def test_scaled_invariant_symmetry_in_d_and_m():
 def test_scaled_vs_power_sum_route():
     """{k} Z_(k) equals the k-th scaled invariant computed by its own sum."""
     knots = [TREFOIL, TorusKnot(3, 2), TorusKnot(1, 2), FramedUnknot(1), FramedUnknot(-2)]
-    for knot in knots:
-        for k in (1, 2, 3):
-            lhs = power_sum_invariant(knot, (k,)) * qbracket(k)
-            assert lhs == RingFraction(scaled_invariant(knot, k))
+    cases = [(knot, k) for knot in knots for k in (1, 2, 3)]
+    # reach: the hook sum shares nothing with the closed q-binomial form
+    cases += [(TorusKnot(3, 2), 5), (TREFOIL, 7), (TorusKnot(1, 7), 11)]
+    for knot, k in cases:
+        lhs = power_sum_invariant(knot, (k,)) * qbracket(k)
+        assert lhs == RingFraction(scaled_invariant(knot, k)), (knot, k)
+
+
+def test_power_sum_invariant_matches_nu_sum_route():
+    """The hook-content sum is the nu-sum's exact representation, term for term."""
+    for knot, mu in plane_value_grid():
+        new, old = power_sum_invariant(knot, mu), nu_sum_power_sum_invariant(knot, mu)
+        assert new.num.terms == old.num.terms, (knot, mu)
+        assert (new.scale, new.brackets) == (old.scale, old.brackets), (knot, mu)
+    for n in range(8):
+        for lam in partitions_of(n):
+            assert unknot_schur_value(lam) == nu_sum_unknot_schur_value(lam), lam
+
+
+def test_hook_lengths_lie_inside_den_brackets():
+    """lam |- n has at most n//k hooks of length k, so D(n)/{hooks} is a monomial."""
+    for n in range(15):
+        den = Counter(_den_brackets(n))
+        for lam in partitions_of(n):
+            assert Counter(hook_lengths(lam)) <= den, lam
 
 
 def test_twist_power_sum_expansion():

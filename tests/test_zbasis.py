@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import recursive_to_z2
-from heckelift.exactring import LaurentQA, abracket, qbracket, qnum, zsquared
+from conftest import qnum, recursive_to_z2
+from heckelift.exactring import LaurentQA, abracket, qbracket, zsquared
 from heckelift.zbasis import (
     NotInSubring,
     ZAPoly,
