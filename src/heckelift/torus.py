@@ -9,9 +9,10 @@ Rosso-Jones terms whose plane Schur values come from the hook-content
 formula, prod over the boxes of {a q^c} / {h}; the total keeps one common
 denominator D(n) = prod_k {k}^(n//k) as its list of bracket orders, each term
 carrying the bracket-monomial cofactor D(n)/{hooks of lam}, so no rational
-function arithmetic ever happens term by term.  unknot_schur_value is the
-hook-content product itself; only lmov.m_inverse still sums over nu |- n,
-with the cofactors D(n)/{nu}.
+function arithmetic ever happens term by term; that term depends only on
+lam and d, so every mu of one weight and every knot of one cable width share
+it.  unknot_schur_value is the hook-content product itself; no verdict sums
+over nu |- n (lmov.m_inverse, off the verdict path, still does).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _zlcm(n: int) -> int:
     return lcm(*(z_mu(mu) for mu in partitions_of(n))) if n else 1
 
 
-@cache
+@lru_cache(maxsize=128)
 def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
     """D(n)/{mu} at q -> q^scale, multiplied out.
 
@@ -208,6 +209,15 @@ def _content_row(lam: Partition, scale: int = 1) -> LaurentQA:
     return out
 
 
+@lru_cache(maxsize=256)
+def _hook_term(lam: Partition, d: int) -> dict:
+    """The terms of prod_boxes {a u^(dc)} times D(n)/{d * hooks}, n = |lam|.
+
+    Shared by every mu of one weight and every knot of one cable width d.
+    """
+    return (_content_row(lam, d) * _cofactor(sum(lam), hook_lengths(lam), d)).terms
+
+
 @lru_cache(maxsize=64)
 def power_sum_invariant(K, mu: Partition) -> RingFraction:
     """H(K * P_mu) by the Rosso-Jones cabling of the hook-content formula.
@@ -231,8 +241,7 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
         if not ch:
             continue
         e = kappa(lam) * m
-        row = _content_row(lam, d) * _cofactor(n, hook_lengths(lam), d)
-        for (ue, ae), c in row.terms.items():
+        for (ue, ae), c in _hook_term(lam, d).items():
             key = (ue + e, ae)
             s = acc.get(key, 0) + ch * c
             if s == 0:
@@ -249,7 +258,7 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
     return RingFraction.over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
 
 
-@cache
+@lru_cache(maxsize=64)
 def unknot_schur_value(lam: Partition) -> RingFraction:
     """The plane evaluation of the Schur-colored unknot, W_lam(U), by hook-content."""
     lam = as_partition(lam)

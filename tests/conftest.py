@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 
 from heckelift.combinatorics import (
@@ -29,8 +29,16 @@ from heckelift.exactring import (
     divide_out_abracket,
     exact_div,
     qbracket,
+    zsquared,
 )
 from heckelift.hecke import defect_sign, lifting_defect
+from heckelift.lmov import (
+    LmovReport,
+    extract_f,
+    free_energy,
+    m_inverse,
+    partition_function,
+)
 from heckelift.torus import (
     FramedUnknot,
     TorusKnot,
@@ -293,6 +301,59 @@ def plane_value_grid():
         if cable_params(K)[0] * w <= 9
         for mu in partitions_of(w)
     ]
+
+
+# -- the lambda-sum route of the LMOV verdict, kept as the reference ------------
+# fhat_mu = sum over lam |- |mu| of the Schur amplitude f_lam (extract_f) times
+# the inverse pairing m_inverse(lam, mu); column orthogonality collapses it to
+# the library's sum over nu of chi_mu(nu) h_nu / {nu}.
+
+
+@lru_cache(maxsize=4)
+def _schur_amplitudes(K, degree):
+    return extract_f(free_energy(partition_function(K, degree)))
+
+
+def lambda_sum_fhat(K, mu, degree):
+    """fhat_mu as the sum over lam of f_lam * m_inverse(lam, mu)."""
+    mu = as_partition(mu)
+    f = _schur_amplitudes(K, degree)
+    fhat = RingFraction(LaurentQA.zero())
+    for lam in partitions_of(sum(mu)):
+        if not f[lam].is_zero():
+            fhat = fhat + f[lam] * m_inverse(lam, mu)
+    return fhat
+
+
+def lambda_sum_verdict(K, mu, degree):
+    """The LMOV verdict of the lambda-sum route: z^2 fhat, resolved, in z^2."""
+    mu = as_partition(mu)
+    try:
+        resolved = (lambda_sum_fhat(K, mu, degree) * zsquared()).resolve()
+    except NonExactDivision as err:
+        return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
+    try:
+        zz = to_z2(resolved)
+    except NotInSubring as err:
+        return LmovReport(False, mu, None, None, detail=str(err))
+    if zz.is_zero():
+        return LmovReport(True, mu, zz, None)
+    min_k = min(next(i for i, c in enumerate(row) if c != 0) for _, row in zz.rows)
+    detail = "" if zz.is_integral else "coefficients not integral"
+    return LmovReport(zz.is_integral, mu, zz, 2 * min_k - 2, detail)
+
+
+def lmov_grid():
+    """(knot, mu, degree) cases the orthogonality route is checked on.
+
+    |mu| <= 4 at degree 4 on FramedUnknot(-3..3), T(2,3), T(2,5) and T(3,2),
+    and every mu of T(2,3) at degree 5: 128 cases.
+    """
+    knots = [FramedUnknot(t) for t in range(-3, 4)]
+    knots += [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 2)]
+    grid = [(K, mu, 4) for K in knots for w in range(1, 5) for mu in partitions_of(w)]
+    trefoil = TorusKnot(2, 3)
+    return grid + [(trefoil, mu, 5) for w in range(1, 6) for mu in partitions_of(w)]
 
 
 # -- the D(n) route of the twisted sums, kept as the reference -----------------

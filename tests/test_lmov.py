@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from conftest import lambda_sum_fhat, lambda_sum_verdict, lmov_grid
 
+from heckelift import lmov
 from heckelift.combinatorics import partitions_of
 from heckelift.exactring import LaurentQA, RingFraction, abracket, qbracket
 from heckelift.lmov import (
@@ -124,3 +126,18 @@ def test_lmov_degree4():
         if not lmov_verdict(knot, mu, 4).passed
     ]
     assert not failures
+
+
+def test_orthogonality_route_matches_lambda_sum_route():
+    """sum_nu chi_mu(nu) h_nu / {nu} is the lambda-sum fhat, and its verdict."""
+    for case in lmov_grid():
+        assert lmov._fhat(*case) == lambda_sum_fhat(*case), case
+        assert lmov_verdict(*case) == lambda_sum_verdict(*case), case
+
+
+def test_lmov_verdict_does_not_depend_on_the_truncation_degree():
+    """Weight-|mu| coefficients of the free energy ignore the terms above."""
+    for knot in (TREFOIL, TorusKnot(3, 2), FramedUnknot(-1), FramedUnknot(2)):
+        for w in range(1, 4):
+            for mu in partitions_of(w):
+                assert lmov_verdict(knot, mu, 3) == lmov_verdict(knot, mu, 4), (knot, mu)
