@@ -10,12 +10,12 @@ polynomial in the same limit, which is checked here exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from .combinatorics import HookShape, character_table, partitions_of, z_mu
 from .exactring import (
+    Frozen,
     LaurentQA,
     NonExactDivision,
     RingFraction,
@@ -79,13 +79,15 @@ def limit_identity_check(K, p: int) -> bool:
     return lhs is not None and ZAPoly.from_rows(lhs) == ZAPoly.from_rows({0: rhs})
 
 
-@dataclass(frozen=True)
-class LimitMembership:
+class LimitMembership(Frozen):
     """Verdict for the limit lying in [p]^2 * Z[z^2]."""
 
-    passed: bool
-    value: LaurentQA
-    fragment: CongruenceFragment
+    __slots__ = ("passed", "value", "fragment")
+
+    def __init__(self, passed: bool, value: LaurentQA, fragment: CongruenceFragment):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "fragment", fragment)
 
 
 def limit_membership_verdict(K, p: int) -> LimitMembership:
@@ -97,14 +99,17 @@ def limit_membership_verdict(K, p: int) -> LimitMembership:
     )
 
 
-@dataclass(frozen=True)
-class HookAlexanderReport:
+class HookAlexanderReport(Frozen):
     """Outcome of one hook-colored Alexander comparison."""
 
-    passed: bool
-    hook: HookShape
-    colored: LaurentQA | None
-    expected: LaurentQA
+    __slots__ = ("passed", "hook", "colored", "expected")
+
+    def __init__(self, passed: bool, hook: HookShape, colored: LaurentQA | None,
+                 expected: LaurentQA):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "hook", hook)
+        object.__setattr__(self, "colored", colored)
+        object.__setattr__(self, "expected", expected)
 
 
 def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:

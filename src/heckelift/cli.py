@@ -16,10 +16,8 @@ import json
 import os
 import random
 import sys
-import traceback
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
 from math import gcd
-from multiprocessing import Pool
 from pathlib import Path
 
 from .alexlimit import limit_identity_check, limit_membership_verdict
@@ -43,35 +41,43 @@ class UsageError(ValueError):
     """Command line arguments are semantically invalid."""
 
 
-@dataclass
 class SweepConfig:
     """Grid description for cmd_sweep, JSON round-trippable."""
 
-    primes: list[int] = field(default_factory=lambda: [2, 3, 5])
-    composites: list[int] = field(default_factory=list)
-    d_values: list[int] = field(default_factory=lambda: [1, 2, 3])
-    m_values: list[int] = field(default_factory=lambda: list(range(1, 8)))
-    max_pd: int | None = 15
-    lemmas: bool = False
-    lemma_primes: list[int] = field(default_factory=lambda: [2, 3])
-    lemma_d_max: int = 3
-    lemma_m_max: int = 5
-    alexander: bool = False
-    lmov: bool = False
-    lmov_knots: list[list[int]] = field(default_factory=lambda: [[2, 3], [2, 5]])
-    lmov_framings: list[int] = field(default_factory=lambda: [-2, -1, 0, 1, 2])
-    degree: int = 3
-    seed: int = 0
-    workers: int = 1
+    # (name, default) per field, in JSON order; list defaults are copied
+    FIELDS = (
+        ("primes", [2, 3, 5]),
+        ("composites", []),
+        ("d_values", [1, 2, 3]),
+        ("m_values", list(range(1, 8))),
+        ("max_pd", 15),
+        ("lemmas", False),
+        ("lemma_primes", [2, 3]),
+        ("lemma_d_max", 3),
+        ("lemma_m_max", 5),
+        ("alexander", False),
+        ("lmov", False),
+        ("lmov_knots", [[2, 3], [2, 5]]),
+        ("lmov_framings", [-2, -1, 0, 1, 2]),
+        ("degree", 3),
+        ("seed", 0),
+        ("workers", 1),
+    )
+
+    def __init__(self, **values):
+        for name, default in self.FIELDS:
+            setattr(self, name, values.pop(name) if name in values else deepcopy(default))
+        if values:
+            raise TypeError(f"unknown SweepConfig fields: {sorted(values)}")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: deepcopy(getattr(self, name)) for name, _ in self.FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise UsageError("sweep config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
+        known = {name for name, _ in cls.FIELDS}
         extra = set(data) - known
         if extra:
             raise UsageError(f"unknown sweep config keys: {sorted(extra)}")
@@ -139,6 +145,8 @@ def _isolated_case(task: tuple) -> tuple[dict, list]:
     try:
         return _case_worker(task)
     except Exception as err:  # noqa: BLE001 - one case must not end the sweep
+        import traceback  # here, not at the top: it loads tokenize at every start
+
         d, m, p = task[:3]
         print(f"heckelift: case d={d} m={m} p={p} raised:", file=sys.stderr)
         traceback.print_exc()
@@ -307,6 +315,8 @@ def cmd_sweep(args) -> int:
     # echoes the requested count
     workers = min(cfg.workers, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import Pool  # at the top it would add 10 ms to every start
+
         with Pool(workers) as pool:
             outcomes = pool.map(_isolated_case, specs)
     else:

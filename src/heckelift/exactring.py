@@ -12,6 +12,7 @@ exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
 out.  dense_divmod is the one long-division kernel: exact_div and the z^2
 basis both run on it.  Row maps {ae: (lo, coeffs)}, one dense list in q^2
 per a-layer, carry a case from the closed form to the limit checks.  No floats.
+Frozen is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,44 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, attrgetter, sub
+
+
+class Frozen:
+    """An immutable value whose fields are its __slots__, in order.
+
+    A subclass's __init__ takes the fields in slot order and sets each once
+    with object.__setattr__.  Equality (between instances of one class),
+    hash and repr run over the fields; assignment raises AttributeError, and
+    pickling and copying call the class with the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class NonExactDivision(ArithmeticError):

@@ -13,7 +13,6 @@ d (the paper's splitting step) and compares Z_p minus it with the defect.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat, zip_longest
 from math import gcd, prod
@@ -21,6 +20,7 @@ from operator import add, floordiv, mod, mul
 
 from .combinatorics import Partition, as_partition, partitions_of, z_mu
 from .exactring import (
+    Frozen,
     LaurentQA,
     NonExactDivision,
     NotDivisible,
@@ -135,22 +135,27 @@ def defect_cofactor(K, p: int) -> LaurentQA:
     return divide_brackets(lifting_defect(K, p) * zsquared(), (p, p))
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(Frozen):
     """Outcome of one congruence case, JSON/CSV serializable."""
 
-    d: int
-    m: int
-    framing: int
-    p: int
-    p_prime: bool
-    a_factor: bool
-    z2_member: bool
-    p2_divisible: bool
-    quotient: ZAPoly | None
-    remainder_witness: ZAPoly | None
-    identity_gp_eq_p2F: bool
-    millis: float
+    __slots__ = ("d", "m", "framing", "p", "p_prime", "a_factor", "z2_member", "p2_divisible",
+                 "quotient", "remainder_witness", "identity_gp_eq_p2F", "millis")
+
+    def __init__(self, d: int, m: int, framing: int, p: int, p_prime: bool, a_factor: bool,
+                 z2_member: bool, p2_divisible: bool, quotient: ZAPoly | None,
+                 remainder_witness: ZAPoly | None, identity_gp_eq_p2F: bool, millis: float):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "framing", framing)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p_prime", p_prime)
+        object.__setattr__(self, "a_factor", a_factor)
+        object.__setattr__(self, "z2_member", z2_member)
+        object.__setattr__(self, "p2_divisible", p2_divisible)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "remainder_witness", remainder_witness)
+        object.__setattr__(self, "identity_gp_eq_p2F", identity_gp_eq_p2F)
+        object.__setattr__(self, "millis", millis)
 
     @property
     def verdict(self) -> bool:

@@ -24,7 +24,6 @@ amplitudes and the pairing themselves; no verdict calls them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -40,12 +39,12 @@ from .combinatorics import (
     z_mu,
 )
 from .exactring import (
+    Frozen,
     LaurentQA,
     NonExactDivision,
     RingFraction,
     _times_brackets,
     bracket_of_partition,
-    zsquared,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
 from .zbasis import NotInSubring, ZAPoly, to_z2
@@ -307,15 +306,18 @@ def _fhat(K, mu: Partition, degree: int) -> RingFraction:
     return RingFraction._make({key: v for key, v in acc.items() if v}, L, common)
 
 
-@dataclass(frozen=True)
-class LmovReport:
+class LmovReport(Frozen):
     """Integrality verdict for one reformulated amplitude."""
 
-    passed: bool
-    mu: Partition
-    z2_fhat: ZAPoly | None
-    min_z_power: int | None
-    detail: str = ""
+    __slots__ = ("passed", "mu", "z2_fhat", "min_z_power", "detail")
+
+    def __init__(self, passed: bool, mu: Partition, z2_fhat: ZAPoly | None,
+                 min_z_power: int | None, detail: str = ""):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "z2_fhat", z2_fhat)
+        object.__setattr__(self, "min_z_power", min_z_power)
+        object.__setattr__(self, "detail", detail)
 
 
 def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
@@ -333,7 +335,14 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     D = degree if degree is not None else w
     if D < w:
         raise ValueError("truncation degree below |mu|")
-    scaled = _fhat(K, mu, D) * zsquared()
+    # z^2 = {1}^2: cancel it against fhat's {1}s and multiply in the rest
+    fhat = _fhat(K, mu, D)
+    ones = min(fhat.brackets[1], 2)
+    scaled = RingFraction._make(
+        _times_brackets(fhat.num.terms, {1: 2 - ones}),
+        fhat.scale,
+        fhat.brackets - Counter({1: ones}),
+    )
     try:
         resolved = scaled.resolve()
     except NonExactDivision as err:

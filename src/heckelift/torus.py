@@ -18,7 +18,6 @@ over nu |- n (lmov.m_inverse, off the verdict path, still does).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
@@ -36,6 +35,7 @@ from .combinatorics import (
     z_mu,
 )
 from .exactring import (
+    Frozen,
     LaurentQA,
     NonExactDivision,
     ResidualFractionalExponent,
@@ -51,29 +51,31 @@ from .exactring import (
 from .zbasis import ZAPoly, z2_rows
 
 
-@dataclass(frozen=True)
-class TorusKnot:
+class TorusKnot(Frozen):
     """The (d, m) torus knot with its natural framing d*m."""
 
-    d: int
-    m: int
+    __slots__ = ("d", "m")
 
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1:
+    def __init__(self, d: int, m: int):
+        if d < 1 or m < 1:
             raise ValueError("torus knot parameters must be >= 1")
-        if gcd(self.d, self.m) != 1:
-            raise ValueError(f"({self.d}, {self.m}) is a link, not a knot")
+        if gcd(d, m) != 1:
+            raise ValueError(f"({d}, {m}) is a link, not a knot")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
     @property
     def framing(self) -> int:
         return self.d * self.m
 
 
-@dataclass(frozen=True)
-class FramedUnknot:
+class FramedUnknot(Frozen):
     """An unknot with an arbitrary integer framing (0 and negatives allowed)."""
 
-    framing: int
+    __slots__ = ("framing",)
+
+    def __init__(self, framing: int):
+        object.__setattr__(self, "framing", framing)
 
 
 def cable_params(K) -> tuple[int, int]:

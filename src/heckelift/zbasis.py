@@ -10,12 +10,11 @@ by [p]^2 (monic of degree p - 1 in z^2) is long division per a-layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import add, sub
 
-from .exactring import LaurentQA, cosh_coeffs, dense_divmod, layer_row
+from .exactring import Frozen, LaurentQA, cosh_coeffs, dense_divmod, layer_row
 
 
 class NotInSubring(ValueError):
@@ -30,11 +29,13 @@ def _trim(row) -> tuple:
     return tuple(c if type(c) is int or c.denominator != 1 else int(c) for c in row[:i])
 
 
-@dataclass(frozen=True)
-class ZAPoly:
+class ZAPoly(Frozen):
     """Polynomial in z^2 with Laurent monomials in a: rows[aexp][k] * z^(2k) * a^aexp."""
 
-    rows: tuple[tuple[int, tuple], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, tuple], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: dict) -> "ZAPoly":
@@ -156,14 +157,17 @@ def divide_by_qnum_sq(f: ZAPoly, p: int) -> tuple["ZAPoly", bool, "ZAPoly"]:
     return quotient, remainder.is_zero(), remainder
 
 
-@dataclass(frozen=True)
-class CongruenceFragment:
+class CongruenceFragment(Frozen):
     """Outcome of the z^2-membership and [p]^2-divisibility checks."""
 
-    z2_member: bool
-    p2_divisible: bool
-    quotient: ZAPoly | None
-    remainder_witness: ZAPoly | None
+    __slots__ = ("z2_member", "p2_divisible", "quotient", "remainder_witness")
+
+    def __init__(self, z2_member: bool, p2_divisible: bool, quotient: ZAPoly | None,
+                 remainder_witness: ZAPoly | None):
+        object.__setattr__(self, "z2_member", z2_member)
+        object.__setattr__(self, "p2_divisible", p2_divisible)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "remainder_witness", remainder_witness)
 
 
 def z2_verdict(rows: dict | None, p: int) -> CongruenceFragment:

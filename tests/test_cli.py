@@ -191,7 +191,8 @@ def test_sweep_pool_is_sized_by_cases_and_cores(
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli, "Pool", SerialPool)
+    # cmd_sweep imports Pool from multiprocessing only when it runs workers
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     cfg_path = tmp_path / "sweep.json"
     write_config(cfg_path)

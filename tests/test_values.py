@@ -1,0 +1,161 @@
+"""The immutable value classes: equality, hash, repr, immutability, pickling.
+
+Each class is a Frozen subclass (exactring) with its fields in __slots__;
+these tests pin the behaviour the classes had as frozen dataclasses, and
+that importing the package pulls in neither dataclasses nor inspect.
+"""
+
+import copy
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import heckelift
+from heckelift import (
+    CharacterTable,
+    CongruenceFragment,
+    CongruenceReport,
+    FramedUnknot,
+    HookAlexanderReport,
+    HookShape,
+    LaurentQA,
+    LimitMembership,
+    LmovReport,
+    TorusKnot,
+    ZAPoly,
+    character_table,
+    lmov_verdict,
+)
+
+Q = ZAPoly.from_rows({0: [1, 2], 2: [-3]})
+W = ZAPoly.from_rows({1: [5]})
+FRAGMENT = CongruenceFragment(True, True, Q, None)
+
+# (class, a factory called twice for two equal values, a third value unequal to them)
+VALUES = [
+    (HookShape, lambda: HookShape(2, 1), HookShape(1, 2)),
+    (CharacterTable, lambda: CharacterTable(3, dict(character_table(3).values)),
+     character_table(2)),
+    (TorusKnot, lambda: TorusKnot(2, 3), TorusKnot(3, 2)),
+    (FramedUnknot, lambda: FramedUnknot(-2), FramedUnknot(2)),
+    (ZAPoly, lambda: ZAPoly.from_rows({0: [1, 2], 2: [-3]}), W),
+    (CongruenceFragment, lambda: CongruenceFragment(True, True, Q, None),
+     CongruenceFragment(True, False, None, W)),
+    (LimitMembership, lambda: LimitMembership(True, LaurentQA.one(), FRAGMENT),
+     LimitMembership(False, LaurentQA.one(), FRAGMENT)),
+    (HookAlexanderReport,
+     lambda: HookAlexanderReport(True, HookShape(1, 0), None, LaurentQA.one()),
+     HookAlexanderReport(True, HookShape(0, 1), None, LaurentQA.one())),
+    (LmovReport, lambda: lmov_verdict(FramedUnknot(1), (2,)), LmovReport(False, (2,), None, None)),
+    (CongruenceReport,
+     lambda: CongruenceReport(2, 3, 6, 2, True, True, True, True, Q, None, True, 1.5),
+     CongruenceReport(2, 3, 6, 2, True, True, True, True, Q, None, True, 2.5)),
+]
+IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_equality_and_hash(cls, make, other):
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert a != object() and a != tuple(getattr(a, name) for name in cls.__slots__)
+    if cls is CharacterTable:
+        with pytest.raises(TypeError):  # its values are a dict
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_assignment_raises(cls, make, other):
+    a = make()
+    for name in cls.__slots__:
+        before = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is before
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_pickle_and_copy_round_trip(cls, make, other):
+    a = make()
+    for clone in (
+        pickle.loads(pickle.dumps(a)),
+        pickle.loads(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)),
+        copy.copy(a),
+        copy.deepcopy(a),
+    ):
+        assert type(clone) is cls
+        assert all(getattr(clone, n) == getattr(a, n) for n in cls.__slots__)
+        assert clone == a
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_repr_names_every_field(cls, make, other):
+    a = make()
+    fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls.__slots__)
+    assert repr(a) == f"{cls.__name__}({fields})"
+
+
+def test_repr_examples():
+    assert repr(TorusKnot(2, 3)) == "TorusKnot(d=2, m=3)"
+    assert repr(FramedUnknot(-1)) == "FramedUnknot(framing=-1)"
+    assert repr(HookShape(2, 0)) == "HookShape(arm=2, leg=0)"
+    assert repr(ZAPoly.from_rows({1: [5]})) == "ZAPoly(rows=((1, (5,)),))"
+
+
+def test_validation_and_distinct_classes():
+    with pytest.raises(ValueError, match="link"):
+        TorusKnot(2, 4)
+    with pytest.raises(ValueError):
+        TorusKnot(0, 3)
+    with pytest.raises(ValueError):
+        HookShape(-1, 0)
+    with pytest.raises(ValueError):
+        HookShape(0, -1)
+    # the same numbers in another class are another memo key
+    assert FramedUnknot(3) != TorusKnot(1, 3)
+    assert len({FramedUnknot(3): 0, TorusKnot(1, 3): 1}) == 2
+    assert LmovReport(True, (1,), None, None).detail == ""
+
+
+def _new_modules(code: str) -> set:
+    """Module names that `code` adds to sys.modules in a fresh interpreter."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(heckelift.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src,
+        timeout=60,
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_and_verify_load_no_heavy_standard_modules():
+    loaded = _new_modules("import heckelift")
+    assert "heckelift.exactring" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    loaded = _new_modules(
+        "from heckelift.cli import main\n"
+        "assert main(['verify', '--d', '2', '--m', '3', '--p', '3']) == 0"
+    )
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing", "tokenize"}
