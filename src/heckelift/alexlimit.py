@@ -5,11 +5,13 @@ Laurent polynomial in q that factors as [p]^2 times the degree-p scaled
 Alexander polynomial times a framing correction.  The correction polynomial
 comes from the hook-shaped colors of weight p and lives in Z[z^2] for prime
 p.  Hook-colored invariants themselves collapse to scalings of the Alexander
-polynomial in the same limit, which is checked here exactly.
+polynomial in the same limit, which is checked here exactly; every limit is
+taken on row maps (abracket_quotient, then rows_at_a1).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -19,25 +21,17 @@ from .exactring import (
     LaurentQA,
     NonExactDivision,
     RingFraction,
+    abracket_quotient,
     adams_rows,
-    divide_out_abracket,
+    add_rows,
     emit_rows,
-    exact_div,
     kronecker_mul,
+    parse_rows,
     rows_at_a1,
 )
-from .hecke import core_rows
-from .torus import alexander_rows, power_sum_invariant, unknot_schur_value
-from .zbasis import CongruenceFragment, ZAPoly, divide_by_qnum_sq, qnum_sq_z2, z2_rows, z2_verdict
-
-
-def limit_ratio(f: LaurentQA) -> LaurentQA:
-    """lim_{a -> 1} f / (a - a^-1): divide by (a - a^-1) exactly, then set a = 1.
-
-    Raises NotDivisible when f does not vanish at a = +-1, in which case the
-    limit does not exist in the polynomial sense.
-    """
-    return divide_out_abracket(f).substitute_a(1)
+from .hecke import _over_qnums, core_rows
+from .torus import alexander_rows, power_sum_invariant
+from .zbasis import CongruenceFragment, ZAPoly, qnum_sq_z2, z2_rows, z2_verdict
 
 
 def framing_correction(p: int, tau: int) -> ZAPoly:
@@ -46,6 +40,7 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
     The trace is sum over hooks of weight p of q^(kappa * tau) minus
     p * (-1)^((p-1) tau); for prime p the quotient is integral, and
     framing_correction(p, 0) == 0.  The hook with leg l has kappa = (p-1-2l)p.
+    Composite p raises NonExactDivision from the division by [p]^2.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -53,15 +48,9 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
     row = [0] * (2 * h + 1)
     for leg in range(p):
         row[h + (p - 1 - 2 * leg) * p * tau // 2] += 1
-    row[h] -= p if ((p - 1) * tau) % 2 == 0 else -p
-    trace = ZAPoly.from_rows(z2_rows({0: (-2 * h, row)}))
-    quotient, exact, remainder = divide_by_qnum_sq(trace, p)
-    if not exact:
-        raise NonExactDivision(
-            f"hook trace for p={p}, tau={tau} is not divisible by [p]^2",
-            remainder=remainder.to_laurent(),
-        )
-    return quotient
+    const = p if ((p - 1) * tau) % 2 == 0 else -p
+    trace = add_rows({0: (-2 * h, row)}, {0: (0, [const])}, negate=True)
+    return ZAPoly.from_rows(z2_rows(_over_qnums(trace, (p, p))))
 
 
 def _limit_z2_rows(K, p: int) -> dict | None:
@@ -94,9 +83,7 @@ def limit_membership_verdict(K, p: int) -> LimitMembership:
     """Check the a -> 1 limit of the defect against [p]^2 Z[z^2] membership."""
     lim = emit_rows(rows_at_a1(core_rows(K, p)[0]))
     frag = z2_verdict(_limit_z2_rows(K, p), p)
-    return LimitMembership(
-        passed=frag.z2_member and frag.p2_divisible, value=lim, fragment=frag
-    )
+    return LimitMembership(passed=frag.z2_member and frag.p2_divisible, value=lim, fragment=frag)
 
 
 class HookAlexanderReport(Frozen):
@@ -116,34 +103,29 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
     """Hook-colored Alexander value equals the weight-scaled Alexander.
 
     Computes A_hook(K) = lim (framing-normalized hook invariant of K) over
-    (the same for the unknot) and compares with A(K; q^weight) exactly.
+    (the same for the unknot), both limits of the invariant over (a - a^-1)
+    as a -> 1, and compares with A(K; q^weight) exactly.  A hook's nonzero
+    contents are its non-corner hook lengths, the leg's negated, so the
+    unknot's limit is (-1)^leg / {w}: the knot's limit, a row over the
+    colored sum's brackets, times (-1)^leg {w} resolves to A_hook(K).
     """
     w = hook.weight
     lam = hook.partition()
-    tau = K.framing
     table = character_table(w).values
-    colored_sum: RingFraction | None = None
+    colored_sum = RingFraction(LaurentQA.zero())
     for mu in partitions_of(w):
-        ch = table[(lam, mu)]
-        if ch == 0:
-            continue
-        piece = power_sum_invariant(K, mu) * Fraction(ch, z_mu(mu))
-        colored_sum = piece if colored_sum is None else colored_sum + piece
-    assert colored_sum is not None
-    normalized_num = colored_sum.num.shift(
-        qexp=-hook.kappa * tau, aexp=-w * tau
-    )
-    unknot = unknot_schur_value(lam)
-    # lim_knot / lim_unknot, cross-multiplied: the unknot's limit numerator
-    # is a general polynomial in q, so the ratio is num / den directly
-    num = limit_ratio(normalized_num) * unknot.den
-    den = colored_sum.den * limit_ratio(unknot.num)
-    expected = emit_rows(adams_rows(alexander_rows(K), w))
-    passed = num == expected * den
+        if table[(lam, mu)]:
+            piece = power_sum_invariant(K, mu) * Fraction(table[(lam, mu)], z_mu(mu))
+            colored_sum = colored_sum + piece
+    normalized = colored_sum.num.shift(qexp=-hook.kappa * K.framing, aexp=-w * K.framing)
+    limit = emit_rows(rows_at_a1(abracket_quotient(parse_rows(normalized.terms))))
+    # {w} is in the colored sum's brackets D(dw), so the quotient has no {w}
+    orders = (colored_sum.brackets - Counter({w: 1})).elements()
     try:
-        colored = exact_div(num, den)
+        colored = RingFraction.over_brackets(
+            limit * (-1) ** hook.leg, colored_sum.scale, orders
+        ).resolve()
     except NonExactDivision:
         colored = None
-    return HookAlexanderReport(
-        passed=passed, hook=hook, colored=colored, expected=expected
-    )
+    expected = emit_rows(adams_rows(alexander_rows(K), w))
+    return HookAlexanderReport(colored == expected, hook, colored, expected)

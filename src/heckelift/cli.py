@@ -248,6 +248,14 @@ def _run_lmov_suite(cfg: SweepConfig) -> list[dict]:
     return out
 
 
+def _check_out(path: str | None):
+    """Refuse an --out path that is a directory or lies in none, before any case runs."""
+    if path and Path(path).is_dir():
+        raise UsageError(f"--out {path} is a directory")
+    if path and not Path(path).parent.is_dir():
+        raise UsageError(f"--out {path}: no directory {Path(path).parent}")
+
+
 def _write_output(path: str | None, text: str):
     if path:
         Path(path).write_text(text)
@@ -288,11 +296,11 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.sweep_config:
         try:
-            raw = json.loads(Path(args.sweep_config).read_text())
+            raw = json.loads(Path(args.sweep_config).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise UsageError(f"sweep config not found: {args.sweep_config}")
-        except json.JSONDecodeError as err:
-            raise UsageError(f"sweep config is not valid JSON: {err}")
+        except (OSError, ValueError) as err:  # a directory, not UTF-8, or not JSON
+            raise UsageError(f"cannot read sweep config {args.sweep_config}: {err}")
         cfg = SweepConfig.from_json_dict(raw)
     else:
         cfg = SweepConfig()
@@ -426,6 +434,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.func(args)
     except UsageError as err:
         print(f"heckelift: error: {err}", file=sys.stderr)

@@ -143,13 +143,6 @@ class LaurentQA:
         """Terms in canonical order: a-exponent major, q-exponent minor."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
-    def a_exponents(self) -> list[int]:
-        return sorted({ae for _, ae in self.terms})
-
-    def a_slice(self, aexp: int) -> dict:
-        """q-exponent -> coefficient map of the a^aexp layer."""
-        return {qe: c for (qe, ae), c in self.terms.items() if ae == aexp}
-
     def is_a_free(self) -> bool:
         return all(ae == 0 for _, ae in self.terms)
 
@@ -235,6 +228,9 @@ class LaurentQA:
     def __repr__(self) -> str:
         return f"LaurentQA({self.to_text()!r})"
 
+    def __reduce__(self):
+        return LaurentQA, (self.terms,)
+
     # -- substitutions -----------------------------------------------------
 
     def adams(self, d: int) -> "LaurentQA":
@@ -246,24 +242,6 @@ class LaurentQA:
         return LaurentQA(
             {(qe * d, ae * d): c for (qe, ae), c in self.terms.items()}
         )
-
-    def substitute_a(self, a0=1) -> "LaurentQA":
-        """Evaluate a = a0 exactly, leaving a Laurent polynomial in q."""
-        data: dict = {}
-        for (qe, ae), c in self.terms.items():
-            if a0 == 1:
-                v = c
-            elif a0 == -1:
-                v = c if ae % 2 == 0 else -c
-            else:
-                v = c * Fraction(a0) ** ae
-            key = (qe, 0)
-            s = data.get(key, 0) + v
-            if s == 0:
-                data.pop(key, None)
-            else:
-                data[key] = s
-        return LaurentQA._raw(data)
 
     def shift(self, qexp=0, aexp=0) -> "LaurentQA":
         """Multiply by the monomial q^qexp * a^aexp."""
@@ -402,12 +380,14 @@ def exact_div(num: LaurentQA, den: LaurentQA) -> LaurentQA:
         raise ZeroDivisionError("division by the zero polynomial")
     if not den.is_a_free():
         raise ValueError("denominator must not involve a")
-    den_slice = den.a_slice(0)
+    den_slice = {qe: c for (qe, _), c in den.terms.items()}
     dlo, dhi = min(den_slice), max(den_slice)
     dlist = [den_slice.get(e, 0) for e in range(dlo, dhi + 1)]
+    layers: dict[int, dict] = {}
+    for (qe, ae), c in num.terms.items():
+        layers.setdefault(ae, {})[qe] = c
     out: dict = {}
-    for ae in num.a_exponents():
-        nslice = num.a_slice(ae)
+    for ae, nslice in sorted(layers.items()):
         nlo = min(nslice)
         work = [nslice.get(e, 0) for e in range(nlo, max(nslice) + 1)]
         quot, rem = dense_divmod(work, dlist)
@@ -803,6 +783,9 @@ class RingFraction:
 
     def __hash__(self):
         raise TypeError("RingFraction is not hashable")
+
+    def __reduce__(self):
+        return RingFraction.over_brackets, (self.num, self.scale, tuple(self.brackets.elements()))
 
     def __repr__(self) -> str:
         return (

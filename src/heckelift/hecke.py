@@ -27,12 +27,10 @@ from .exactring import (
     abracket_quotient,
     adams_rows,
     add_rows,
-    divide_brackets,
     emit_rows,
-    zsquared,
 )
 from .torus import _times_ratio, _zlcm, cable_params, closed_form_rows
-from .zbasis import CongruenceFragment, NotInSubring, ZAPoly, to_z2, z2_rows, z2_verdict
+from .zbasis import CongruenceFragment, ZAPoly, z2_rows, z2_verdict
 
 
 class PreconditionViolated(ValueError):
@@ -90,12 +88,6 @@ def lifting_defect(K, p: int) -> LaurentQA:
     return emit_rows(defect_rows(K, p))
 
 
-@lru_cache(maxsize=4)
-def defect_core(K, p: int) -> LaurentQA:
-    """lifting_defect(K, p) / (a - a^-1); NotDivisible carries the witness."""
-    return emit_rows(core_rows(K, p)[0])
-
-
 def _adams_rows(d: int, m: int, p: int) -> dict:
     """Adams_p of the order-1 invariant by the paper's splitting step over nu |- d.
 
@@ -122,17 +114,26 @@ def _adams_rows(d: int, m: int, p: int) -> dict:
     return adams_rows(rows, p)
 
 
+def _over_qnums(rows: dict, orders) -> dict:
+    """rows / prod of [n] = q^-(n-1) (1 - q^2n)/(1 - q^2) over orders, or NonExactDivision."""
+    out = {}
+    for ae, (lo, coeffs) in rows.items():
+        for n in orders:
+            lo, coeffs = lo + n - 1, _times_ratio(coeffs, 1, n)
+        out[ae] = (lo, coeffs)
+    return out
+
+
 def defect_cofactor(K, p: int) -> LaurentQA:
     """The exact polynomial F with lifting_defect(K, p) == [p]^2 * F.
 
-    F = g {1}^2 / {p}^2 with g the lifting defect.  Resolves exactly, with
-    int coefficients, for prime p; composite p generally leaves a genuine
-    fraction and NonExactDivision propagates from the bracket division.
+    g's rows divided by [p] twice.  Resolves exactly, with int coefficients,
+    for prime p; composite p generally leaves a genuine fraction and the
+    division raises NonExactDivision.
     """
-    _, m = cable_params(K)
-    if m == 0:
+    if cable_params(K)[1] == 0:
         raise ValueError("zero framing has no twist bracket")
-    return divide_brackets(lifting_defect(K, p) * zsquared(), (p, p))
+    return emit_rows(_over_qnums(defect_rows(K, p), (p, p)))
 
 
 class CongruenceReport(Frozen):
@@ -219,7 +220,7 @@ def verify_hecke(K, p: int) -> CongruenceReport:
         frag = z2_verdict(z2_rows(defect_rows(K, p)), p)
         a_ok = False
 
-    identity = _identity_check(K, lifting_defect(K, p), p)
+    identity = _identity_check(K, defect_rows(K, p), p)
 
     millis = (time.perf_counter() - t0) * 1000.0
     return CongruenceReport(
@@ -261,29 +262,26 @@ def _times_abracket(frag: CongruenceFragment) -> CongruenceFragment:
     )
 
 
-def _identity_check(K, g: LaurentQA, p: int) -> bool:
-    """g == Z_p - sign * A, with A built by the splitting step over nu |- d."""
+def _identity_check(K, g: dict, p: int) -> bool:
+    """g's rows == Z_p - sign * A, with A built by the splitting step over nu |- d."""
     d, m = cable_params(K)
     if p == 1 or m == 0:
         # no twist, or order 1: the lift equals the Adams image
-        return g.is_zero()
+        return not g
     negate = defect_sign(p, K.framing) > 0
-    return g == emit_rows(add_rows(closed_form_rows(K, p), _adams_rows(d, m, p), negate))
+    return g == add_rows(closed_form_rows(K, p), _adams_rows(d, m, p), negate)
 
 
 # -- single-variable ratio families ------------------------------------------
 
 
-def _family_ratio(num: LaurentQA, p: int, m: int) -> tuple[bool, ZAPoly | None]:
-    # [pm][p] = {pm}{p} / {1}^2
+def _family_ratio(num: dict, p: int, m: int) -> tuple[bool, ZAPoly | None]:
+    """The z^2 rows of the family numerator's rows over [pm][p], if they exist."""
     try:
-        val = divide_brackets(num * zsquared(), (p * m, p))
+        rows = z2_rows(_over_qnums(num, (p * m, p)))
     except NonExactDivision:
         return False, None
-    try:
-        return True, to_z2(val)
-    except NotInSubring:
-        return False, None
+    return (False, None) if rows is None else (True, ZAPoly.from_rows(rows))
 
 
 def _qnum_product(n: int, parts, scale: int = 1) -> list:
@@ -315,7 +313,7 @@ def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly 
     top = {0: (-(p * m - 1) * p * d, _qnum_product(p * m, parts))}
     scale = defect_sign(p, d * m) * p ** len(nu)
     low = {0: (-(m - 1) * p * d, _qnum_product(m, parts, scale))}
-    return _family_ratio(emit_rows(add_rows(top, low, negate=True)), p, m)
+    return _family_ratio(add_rows(top, low, negate=True), p, m)
 
 
 def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPoly | None]:
@@ -337,7 +335,7 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
         raise PreconditionViolated(
             f"|mu|/p = {sum(mu) // p} and m = {m} are not coprime"
         )
-    return _family_ratio(emit_rows({0: (-(p * m - 1) * sum(mu), _qnum_product(p * m, mu))}), p, m)
+    return _family_ratio({0: (-(p * m - 1) * sum(mu), _qnum_product(p * m, mu))}, p, m)
 
 
 __all__ = [

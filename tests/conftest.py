@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
+from heckelift.alexlimit import HookAlexanderReport
 from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
@@ -46,7 +47,10 @@ from heckelift.torus import (
     _den_brackets,
     _gauss,
     _zlcm,
+    alexander,
     cable_params,
+    power_sum_invariant,
+    unknot_schur_value,
 )
 from heckelift.zbasis import (
     CongruenceFragment,
@@ -157,6 +161,18 @@ def random_laurent(rng, terms=4, qspan=5, aspan=3):
 
 
 # -- oracles: a second route to the a -> 1 limit, numeric evaluation -----------
+
+
+def substitute_a(f, a0=1):
+    """f at a = a0 exactly, as a Laurent polynomial in q; int stays int at a0 = +-1."""
+    data = {}
+    for (qe, ae), c in f.terms.items():
+        if a0 in (1, -1):
+            v = -c if a0 == -1 and ae % 2 else c
+        else:
+            v = c * Fraction(a0) ** ae
+        data[(qe, 0)] = data.get((qe, 0), 0) + v
+    return LaurentQA(data)
 
 
 def a_derivative_at_1(f):
@@ -463,10 +479,10 @@ def _recursive_cosh_basis(k):
 
 
 def recursive_to_z2(f):
-    """to_z2 term by term through the memoized recursion for B_k, one a_slice per layer."""
+    """to_z2 term by term through the memoized recursion for B_k, one q-exponent map per layer."""
     rows = {}
-    for ae in f.a_exponents():
-        slice_ = f.a_slice(ae)
+    for ae in sorted({ae for _, ae in f.terms}):
+        slice_ = {qe: c for (qe, a), c in f.terms.items() if a == ae}
         for qe in slice_:
             if qe % 2 != 0:
                 raise NotInSubring(f"odd q-exponent {qe} on a-layer {ae}")
@@ -639,9 +655,36 @@ def reference_case(K, p):
 
 def reference_limit_identity(K, core, p):
     """lim core at a = 1 == [p]^2 A(K; q^p) * correction, by sparse products."""
-    alex_p = dict_divide_out_abracket(sparse_scaled_invariant(K, 1)).substitute_a(1).adams(p)
+    alex_p = substitute_a(dict_divide_out_abracket(sparse_scaled_invariant(K, 1))).adams(p)
     corr = dict_framing_correction(p, K.framing)
-    return core.substitute_a(1) == qnum(p) * qnum(p) * alex_p * corr
+    return substitute_a(core) == qnum(p) * qnum(p) * alex_p * corr
+
+
+def sparse_hook_alexander_check(K, hook):
+    """The hook check by sparse limits, cross-products and one exact_div.
+
+    Both limits are divide_out_abracket followed by a = 1; the unknot's is
+    taken from its hook-content numerator, not from a closed form.
+    """
+    w = hook.weight
+    lam = hook.partition()
+    table = character_table(w).values
+    colored_sum = None
+    for mu in partitions_of(w):
+        ch = table[(lam, mu)]
+        if ch:
+            piece = power_sum_invariant(K, mu) * Fraction(ch, z_mu(mu))
+            colored_sum = piece if colored_sum is None else colored_sum + piece
+    normalized = colored_sum.num.shift(qexp=-hook.kappa * K.framing, aexp=-w * K.framing)
+    unknot = unknot_schur_value(lam)
+    num = substitute_a(divide_out_abracket(normalized)) * unknot.den
+    den = colored_sum.den * substitute_a(divide_out_abracket(unknot.num))
+    expected = alexander(K).to_laurent().adams(w)
+    try:
+        colored = exact_div(num, den)
+    except NonExactDivision:
+        colored = None
+    return HookAlexanderReport(num == expected * den, hook, colored, expected)
 
 
 def bench10_grid():

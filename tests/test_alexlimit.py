@@ -3,18 +3,41 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import limit_ratio_via_derivative, qnum, random_laurent
+from conftest import (
+    limit_ratio_via_derivative,
+    qnum,
+    random_laurent,
+    sparse_hook_alexander_check,
+    substitute_a,
+)
 from heckelift.alexlimit import (
     framing_correction,
     hook_alexander_check,
     limit_identity_check,
     limit_membership_verdict,
-    limit_ratio,
 )
 from heckelift.combinatorics import HookShape, hook_shapes
-from heckelift.exactring import LaurentQA, NotDivisible, abracket
-from heckelift.hecke import lifting_defect
-from heckelift.torus import FramedUnknot, TorusKnot, alexander
+from heckelift.exactring import (
+    LaurentQA,
+    NotDivisible,
+    abracket,
+    abracket_quotient,
+    emit_rows,
+    parse_rows,
+    qbracket,
+    rows_at_a1,
+)
+from heckelift.hecke import core_rows, lifting_defect
+from heckelift.torus import FramedUnknot, TorusKnot, alexander, unknot_schur_value
+
+# the knots of acceptance criterion 5, and U_-3..U_3
+HOOK_KNOTS = [TorusKnot(2, 3), TorusKnot(2, 5), TorusKnot(3, 2), TorusKnot(1, 1),
+              TorusKnot(1, 2), TorusKnot(1, 3)] + [FramedUnknot(t) for t in range(-3, 4)]
+
+
+def row_limit(f):
+    """lim_{a -> 1} f / (a - a^-1) on rows, as hook_alexander_check takes it."""
+    return emit_rows(rows_at_a1(abracket_quotient(parse_rows(f.terms))))
 
 
 def test_framing_correction_pinned_values():
@@ -47,21 +70,22 @@ def test_framing_correction_trace_identity():
 
 
 def test_limit_ratio_two_routes_agree():
+    """The row limit equals f'_a(1) / 2 on (a - a^-1) f, f with even q-exponents."""
     rng = random.Random(77)
     for _ in range(20):
-        f = random_laurent(rng)
+        f = LaurentQA({(2 * qe, ae): c for (qe, ae), c in random_laurent(rng).terms.items()})
         h = abracket(1) * f
-        left = limit_ratio(h)
-        right = limit_ratio_via_derivative(h)
-        assert left == right
-        assert left == f.substitute_a(1)
+        left = row_limit(h)
+        assert left == limit_ratio_via_derivative(h)
+        assert left == substitute_a(f)
     with pytest.raises(NotDivisible):
-        limit_ratio(LaurentQA.one())
+        row_limit(LaurentQA.one())
 
 
 def test_limit_ratio_on_defect():
     g = lifting_defect(TorusKnot(2, 3), 2)
-    assert limit_ratio(g) == limit_ratio_via_derivative(g)
+    assert emit_rows(rows_at_a1(core_rows(TorusKnot(2, 3), 2)[0])) == limit_ratio_via_derivative(g)
+    assert row_limit(g) == limit_ratio_via_derivative(g)
 
 
 def test_limit_identity_small_grid():
@@ -74,7 +98,7 @@ def test_limit_membership():
     verdict = limit_membership_verdict(TorusKnot(2, 3), 2)
     assert verdict.passed
     assert verdict.fragment.z2_member and verdict.fragment.p2_divisible
-    assert verdict.value == limit_ratio(lifting_defect(TorusKnot(2, 3), 2))
+    assert verdict.value == limit_ratio_via_derivative(lifting_defect(TorusKnot(2, 3), 2))
     assert limit_membership_verdict(FramedUnknot(-1), 3).passed
 
 
@@ -100,3 +124,26 @@ def test_hook_alexander_matches_adams_of_alexander():
             report = hook_alexander_check(knot, hook)
             assert report.passed, (knot, hook)
             assert report.expected == alexander(knot).to_laurent().adams(hook.weight)
+
+
+def test_unknot_hook_limit_is_sign_over_bracket():
+    """lim W_hook(U) / (a - a^-1) = (-1)^leg / {w} for every hook of weight <= 8."""
+    for w in range(1, 9):
+        for hook in hook_shapes(w):
+            unknot = unknot_schur_value(hook.partition())
+            limit_num = limit_ratio_via_derivative(unknot.num)
+            assert limit_num * qbracket(w) == unknot.den * (-1) ** hook.leg, hook
+
+
+def test_hook_alexander_matches_the_sparse_reference():
+    """Every field, on weight <= 4 for the criterion-5 knots and U_-3..U_3."""
+    count = 0
+    for knot in HOOK_KNOTS:
+        for w in range(1, 5):
+            for hook in hook_shapes(w):
+                mine = hook_alexander_check(knot, hook)
+                ref = sparse_hook_alexander_check(knot, hook)
+                for name in mine.__slots__:
+                    assert getattr(mine, name) == getattr(ref, name), (knot, hook, name)
+                count += 1
+    assert count == 130

@@ -301,6 +301,46 @@ def test_sweep_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_config_directory_is_a_usage_error(tmp_path, capsys):
+    assert run(["sweep", "--sweep-config", str(tmp_path)]) == 64
+    assert "cannot read sweep config" in capsys.readouterr().err
+
+
+def test_sweep_config_not_utf8_is_a_usage_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"{\"primes\": [2]} \xe9")
+    assert run(["sweep", "--sweep-config", str(latin1)]) == 64
+    assert "can't decode" in capsys.readouterr().err
+
+
+def _refuse_cases(monkeypatch):
+    """Make any case that runs fail: a sweep then exits 1 and verify 2, not 64."""
+    import heckelift.cli as cli
+
+    def refuse(knot, p):
+        raise RuntimeError("a case ran before --out was checked")
+
+    monkeypatch.setattr(cli, "verify_hecke", refuse)
+
+
+def test_out_directory_is_a_usage_error_before_any_case(tmp_path, capsys, monkeypatch):
+    _refuse_cases(monkeypatch)
+    assert run(["sweep", "--out", str(tmp_path)]) == 64
+    assert run(["verify", "--d", "2", "--m", "3", "--p", "2", "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.count("is a directory") == 2 and "a case ran" not in err
+
+
+def test_out_missing_parent_is_a_usage_error_before_any_case(tmp_path, capsys, monkeypatch):
+    _refuse_cases(monkeypatch)
+    out = tmp_path / "missing" / "sweep.json"
+    assert run(["sweep", "--format", "csv", "--out", str(out)]) == 64
+    assert run(["verify", "--d", "2", "--m", "3", "--p", "2", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.count("no directory") == 2 and "a case ran" not in err
+    assert not out.parent.exists()
+
+
 def test_sweep_config_round_trip():
     cfg = SweepConfig(primes=[2, 5], d_values=[1], m_values=[2],
                       lemmas=True, degree=2, seed=9)

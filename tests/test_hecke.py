@@ -16,11 +16,12 @@ from conftest import (
 from heckelift.combinatorics import partitions_of
 import heckelift.hecke as hecke
 from heckelift.exactring import (
-    LaurentQA,
     NonExactDivision,
     abracket,
+    add_rows,
     bracket_of_partition,
     divide_brackets,
+    emit_rows,
     parse_rows,
 )
 from heckelift.hecke import (
@@ -240,10 +241,11 @@ def test_family_sweep_coprime():
 
 
 def test_family_ratio_matches_long_division(monkeypatch):
-    """Bracket division by {pm}{p} / {1}^2 agrees with long division by [pm][p].
+    """Row division by [pm][p] agrees with long division by [pm][p].
 
     Every family numerator for p in {2, 3, 5}, m <= 5, d <= 3, and each one
-    plus q^2, which is no longer divisible by [pm][p].
+    plus a monomial of its own q-parity, which is no longer divisible by
+    [pm][p].
     """
     numerators = []
     monkeypatch.setattr(
@@ -260,12 +262,12 @@ def test_family_ratio_matches_long_division(monkeypatch):
                     if any(x % p for x in mu):
                         nondivisible_family_check(p, m, mu)
     monkeypatch.undo()
-    bump = LaurentQA({(2, 0): 1})
     flags = []
     for num, p, m in numerators:
-        for f in (num, num + bump):
+        lo = num[0][0]
+        for f in (num, add_rows(num, {0: (lo + 2, [1])})):
             got = hecke._family_ratio(f, p, m)
-            assert got == exact_div_family_ratio(f, p, m), (p, m, f.to_text())
+            assert got == exact_div_family_ratio(emit_rows(f), p, m), (p, m, f)
             flags.append(got[0])
     assert len(flags) == 2 * len(numerators) > 2000
     assert flags.count(False) == len(numerators)
@@ -292,14 +294,23 @@ def _dn_identity(g, p, parts):
         return False
 
 
+def _bumped(rows):
+    """rows plus a monomial of the q-parity of their lowest a-layer."""
+    if not rows:
+        return parse_rows(abracket(1).terms)
+    ae = min(rows)
+    return add_rows(rows, {ae: (rows[ae][0], [1])})
+
+
 def test_identity_check_matches_cross_multiplied():
-    """The splitting-step identity agrees with the D(n) reference on g and g + {1}_a."""
+    """The splitting-step identity agrees with the D(n) reference on g and g bumped."""
     for knot, p in twisted_sum_grid():
         d, m = cable_params(knot)
-        g = lifting_defect(knot, p)
+        g = parse_rows(lifting_defect(knot, p).terms)
         old = dn_defect_cofactor_parts(p, d, m) if m else None
-        for h, expected in ((g, True), (g + abracket(1), False)):
-            assert _identity_check(knot, h, p) is expected, (knot, p)
+        for rows, expected in ((g, True), (_bumped(g), False)):
+            h = emit_rows(rows)
+            assert _identity_check(knot, rows, p) is expected, (knot, p)
             assert _dn_cross_multiplied(h, p, old) is expected, (knot, p)
             assert _dn_identity(h, p, old) is expected, (knot, p)
         if m and is_prime(p):
@@ -313,10 +324,11 @@ def test_identity_check_false_when_adams_term_is_off(monkeypatch):
 
     knot = TorusKnot(2, 3)
     adams = sparse_adams_term(2, 3, 3)
-    assert _identity_check(knot, lifting_defect(knot, 3), 3) is True
+    g = parse_rows(lifting_defect(knot, 3).terms)
+    assert _identity_check(knot, g, 3) is True
     for wrong in (adams + 1, adams * 2, adams.shift(qexp=2)):
         monkeypatch.setattr(hecke, "_adams_rows", lambda d, m, p: parse_rows(wrong.terms))
-        assert _identity_check(knot, lifting_defect(knot, 3), 3) is False
+        assert _identity_check(knot, g, 3) is False
 
 
 def test_verify_reaches_past_the_sweep_grid():
@@ -368,13 +380,16 @@ def test_one_case_builds_its_defect_once():
     import heckelift.alexlimit as alexlimit
     from heckelift.zbasis import double_root_residual
 
+    hecke.defect_rows.cache_clear()
     hecke.lifting_defect.cache_clear()
-    hecke.defect_core.cache_clear()
     knot = TorusKnot(2, 5)
     assert verify_hecke(knot, 3).verdict
+    assert hecke.lifting_defect.cache_info().misses == 0
     assert double_root_residual(lifting_defect(knot, 3), 3, 0.6 + 0.8j, 1) == 0.0
     assert alexlimit.limit_identity_check(knot, 3)
     assert alexlimit.limit_membership_verdict(knot, 3).passed
+    assert defect_cofactor(knot, 3) is not None
+    assert hecke.defect_rows.cache_info().misses == 1
     assert hecke.lifting_defect.cache_info().misses == 1
 
 
@@ -398,5 +413,5 @@ def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
     assert alexlimit.limit_identity_check(knot, 3)
     assert alexlimit.limit_membership_verdict(knot, 3).passed
     assert len(calls) == 2
-    maxsize = hecke.defect_core.cache_info().maxsize
+    maxsize = hecke.core_rows.cache_info().maxsize
     assert isinstance(maxsize, int) and 0 < maxsize <= 16

@@ -25,6 +25,7 @@ from heckelift import (
     LaurentQA,
     LimitMembership,
     LmovReport,
+    RingFraction,
     TorusKnot,
     ZAPoly,
     character_table,
@@ -56,6 +57,7 @@ VALUES = [
      CongruenceReport(2, 3, 6, 2, True, True, True, True, Q, None, True, 2.5)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 @pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
@@ -90,15 +92,23 @@ def test_assignment_raises(cls, make, other):
 @pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
 def test_pickle_and_copy_round_trip(cls, make, other):
     a = make()
-    for clone in (
-        pickle.loads(pickle.dumps(a)),
-        pickle.loads(pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)),
-        copy.copy(a),
-        copy.deepcopy(a),
-    ):
+    pickled = [pickle.loads(pickle.dumps(a, protocol)) for protocol in PROTOCOLS]
+    for clone in [*pickled, copy.copy(a), copy.deepcopy(a)]:
         assert type(clone) is cls
         assert all(getattr(clone, n) == getattr(a, n) for n in cls.__slots__)
         assert clone == a
+
+
+def test_laurent_and_fraction_pickle_at_every_protocol():
+    f = LaurentQA({(1, 2): 3, (0, -1): -1, (-2, 0): 1})
+    rf = RingFraction.over_brackets(f, 6, (1, 1, 3))
+    for protocol in PROTOCOLS:
+        g = pickle.loads(pickle.dumps(f, protocol))
+        assert type(g) is LaurentQA and g == f and g.terms == f.terms
+        r = pickle.loads(pickle.dumps(rf, protocol))
+        assert type(r) is RingFraction and r == rf
+        assert (r.num, r.scale, r.brackets) == (rf.num, rf.scale, rf.brackets)
+    assert copy.deepcopy(f) == f and copy.copy(rf) == rf
 
 
 @pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
