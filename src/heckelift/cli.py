@@ -280,10 +280,12 @@ def cmd_verify(args) -> int:
         raise UsageError("need --p >= 1")
     report = verify_hecke(TorusKnot(args.d, args.m), args.p)
     verdict = "PASS" if report.verdict else "FAIL"
+    # a CSV report on stdout keeps stdout CSV: the verdict line goes to stderr
     print(
         f"d={report.d} m={report.m} p={report.p} framing={report.framing} "
         f"verdict={verdict} identity={'pass' if report.identity_gp_eq_p2F else 'fail'} "
-        f"({report.millis:.1f} ms)"
+        f"({report.millis:.1f} ms)",
+        file=sys.stderr if args.format == "csv" and not args.out else sys.stdout,
     )
     if args.out or args.format == "csv":
         if args.format == "csv":

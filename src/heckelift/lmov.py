@@ -1,8 +1,9 @@
 """Reformulated integrality of the colored free energy, checked exactly.
 
-The partition function collects the power-sum invariants of one knot into a
-truncated series over partition-indexed monomials; its logarithm is the free
-energy, whose coefficients invert (through Moebius/exponent-scaling and the
+The partition function Z collects the power-sum invariants of one knot into a
+truncated series over partition-indexed monomials.  Its logarithm, the free
+energy F, comes one weight at a time from E Z = (E F) Z, E p_mu = |mu| p_mu
+(PSeries).  F's coefficients invert (through Moebius/exponent-scaling and the
 character change of basis) into Schur-indexed amplitudes.  Pushing those
 through the inverse bracket pairing matrix must land in z^-2 Z[z^2, a^{+-1}]
 for the integrality conjecture to hold; the verdict here checks exactly that
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .combinatorics import (
     Partition,
@@ -54,7 +55,16 @@ _ONE = RingFraction(LaurentQA.one())
 
 
 class PSeries:
-    """A series in power-sum monomials p_mu, truncated above a total weight."""
+    """A series in power-sum monomials p_mu, truncated above a total weight.
+
+    log and exp run one recurrence (Brent and Kung, J. ACM 1978): E p_mu =
+    |mu| p_mu is a derivation, so Z = exp(F) gives E Z = (E F) Z, and on the
+    weight-w parts
+
+        w Z_w = w F_w + S_w,    S_w = sum_{k=1}^{w-1} k F_k Z_(w-k),
+
+    which log solves for F_w and exp for Z_w, one weight at a time.
+    """
 
     __slots__ = ("degree", "coeffs")
 
@@ -70,32 +80,6 @@ class PSeries:
     def coefficient(self, mu: Partition) -> RingFraction:
         return self.coeffs.get(tuple(mu), _ZERO)
 
-    def __add__(self, other: "PSeries") -> "PSeries":
-        deg = min(self.degree, other.degree)
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out[mu] + c if mu in out else c
-        return PSeries(deg, out)
-
-    def __mul__(self, other) -> "PSeries":
-        if isinstance(other, (int, Fraction, LaurentQA, RingFraction)):
-            return PSeries(
-                self.degree, {mu: c * other for mu, c in self.coeffs.items()}
-            )
-        deg = min(self.degree, other.degree)
-        out: dict[Partition, RingFraction] = {}
-        for mu1, c1 in self.coeffs.items():
-            w1 = sum(mu1)
-            for mu2, c2 in other.coeffs.items():
-                if w1 + sum(mu2) > deg:
-                    continue
-                key = tuple(sorted(mu1 + mu2, reverse=True))
-                prod = c1 * c2
-                out[key] = out[key] + prod if key in out else prod
-        return PSeries(deg, out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSeries):
             return NotImplemented
@@ -105,36 +89,42 @@ class PSeries:
     def __repr__(self) -> str:
         return f"PSeries(degree={self.degree}, nterms={len(self.coeffs)})"
 
-    def positive_part(self) -> "PSeries":
-        """The series minus its constant coefficient."""
-        return PSeries(
-            self.degree, {mu: c for mu, c in self.coeffs.items() if mu != ()}
-        )
-
     def log(self) -> "PSeries":
         """Truncated logarithm; requires constant coefficient exactly 1."""
         if not self.coefficient(()) == _ONE:
             raise ValueError("log needs constant coefficient 1")
-        u = self.positive_part()
-        out = PSeries(self.degree)
-        power = u
-        for k in range(1, self.degree + 1):
-            out = out + power * Fraction((-1) ** (k + 1), k)
-            if k < self.degree:
-                power = power * u
-        return out
+        return _euler(self, log=True)
 
     def exp(self) -> "PSeries":
         """Truncated exponential; requires constant coefficient exactly 0."""
         if not self.coefficient(()).is_zero():
             raise ValueError("exp needs constant coefficient 0")
-        out = PSeries(self.degree, {(): _ONE})
-        power = self
-        for k in range(1, self.degree + 1):
-            out = out + power * Fraction(1, factorial(k))
-            if k < self.degree:
-                power = power * self
-        return out
+        return _euler(self, log=False)
+
+
+def _euler(given: PSeries, log: bool) -> PSeries:
+    """Solve w Z_w = w F_w + S_w for F (given Z, log) or for Z (given F)."""
+    out: dict[Partition, RingFraction] = {} if log else {(): _ONE}
+    F, Z = (out, given.coeffs) if log else (given.coeffs, out)
+    sign = -1 if log else 1
+    for w in range(1, given.degree + 1):
+        # the given side's weight-w part, plus or (for log) minus S_w / w
+        acc = {mu: given.coeffs[mu] for mu in partitions_of(w) if mu in given.coeffs}
+        for k in range(1, w):
+            for mu1 in partitions_of(k):
+                f = F.get(mu1, _ZERO)
+                if f.is_zero():
+                    continue
+                f = f * Fraction(sign * k, w)
+                for mu2 in partitions_of(w - k):
+                    z = Z.get(mu2, _ZERO)
+                    if z.is_zero():
+                        continue
+                    key = tuple(sorted(mu1 + mu2, reverse=True))
+                    prod = f * z
+                    acc[key] = acc[key] + prod if key in acc else prod
+        out.update(acc)
+    return PSeries(given.degree, out)
 
 
 def partition_function(K, degree: int) -> PSeries:

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from heckelift.alexlimit import HookAlexanderReport
 from heckelift.combinatorics import (
@@ -35,6 +35,7 @@ from heckelift.exactring import (
 from heckelift.hecke import defect_sign, lifting_defect
 from heckelift.lmov import (
     LmovReport,
+    PSeries,
     extract_f,
     free_energy,
     m_inverse,
@@ -370,6 +371,64 @@ def lmov_grid():
     grid = [(K, mu, 4) for K in knots for w in range(1, 5) for mu in partitions_of(w)]
     trefoil = TorusKnot(2, 3)
     return grid + [(trefoil, mu, 5) for w in range(1, 6) for mu in partitions_of(w)]
+
+
+# -- the truncated-power free energy, kept as the reference ---------------------
+# log Z = u - u^2/2 + u^3/3 - ... with u = Z - 1, and exp F = 1 + F + F^2/2! +
+# ..., each power one full series product; PSeries.log and exp run the Euler
+# recurrence instead.
+
+
+def _series_product(a, b, degree):
+    """The product of two coefficient dicts, truncated above degree."""
+    out = {}
+    for mu1, c1 in a.items():
+        for mu2, c2 in b.items():
+            if sum(mu1) + sum(mu2) > degree:
+                continue
+            key = tuple(sorted(mu1 + mu2, reverse=True))
+            prod = c1 * c2
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def _weighted_powers(u, degree, weight):
+    """sum over k = 1..degree of weight(k) u^k, as a coefficient dict."""
+    out = {}
+    power = u
+    for k in range(1, degree + 1):
+        for mu, c in power.items():
+            term = c * weight(k)
+            out[mu] = out[mu] + term if mu in out else term
+        if k < degree:
+            power = _series_product(power, u, degree)
+    return out
+
+
+def truncated_power_log(Z):
+    """log Z by the truncated powers of u = Z - 1 (Z's constant term is 1)."""
+    u = {mu: c for mu, c in Z.coeffs.items() if mu != ()}
+    out = _weighted_powers(u, Z.degree, lambda k: Fraction((-1) ** (k + 1), k))
+    return PSeries(Z.degree, out)
+
+
+def truncated_power_exp(F):
+    """exp F by the truncated powers of F (F's constant term is 0)."""
+    out = _weighted_powers(F.coeffs, F.degree, lambda k: Fraction(1, factorial(k)))
+    return PSeries(F.degree, {(): RingFraction(LaurentQA.one()), **out})
+
+
+def free_energy_grid():
+    """Partition functions the recurrence is checked on, degree 0 and 1 included.
+
+    T(2,3) at degree 5, T(2,5) at degree 4 and FramedUnknot(-2..2) at degree
+    5, each also at degree 1, and the degree-0 series 1.  A lower truncation
+    of the same knot repeats the first weights of the top one.
+    """
+    cases = [(TorusKnot(2, 3), 5), (TorusKnot(2, 5), 4)]
+    cases += [(FramedUnknot(t), 5) for t in range(-2, 3)]
+    grid = [partition_function(K, D) for K, top in cases for D in (1, top)]
+    return grid + [PSeries(0, {(): RingFraction(LaurentQA.one())})]
 
 
 # -- the D(n) route of the twisted sums, kept as the reference -----------------

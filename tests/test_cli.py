@@ -94,6 +94,16 @@ def test_verify_csv_stdout(capsys):
     assert ",".join(CongruenceReport.CSV_COLUMNS) in out
 
 
+def test_verify_csv_stdout_is_only_csv(capsys):
+    """Without --out the CSV header is the first line; the verdict goes to stderr."""
+    assert run(["verify", "--d", "2", "--m", "3", "--p", "3", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == list(CongruenceReport.CSV_COLUMNS)
+    assert rows[1][:5] == ["2", "3", "3", "true", "PASS"]
+    assert "verdict=PASS" in captured.err
+
+
 def write_config(path, **overrides):
     cfg = {
         "primes": [2],

@@ -415,3 +415,37 @@ def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
     assert len(calls) == 2
     maxsize = hecke.core_rows.cache_info().maxsize
     assert isinstance(maxsize, int) and 0 < maxsize <= 16
+
+
+def test_sympy_division_agrees_with_the_verdict():
+    """An independent oracle: sympy divides g_p by (a^2 - 1)(1 + q^2 + ... + q^(2p-2))^2.
+
+    (a - a^-1)[p]^2 is that polynomial times a unit of the Laurent ring, so
+    the remainder vanishes exactly when the congruence holds; p = 4 and 6
+    probe composite orders.
+    """
+    sympy = pytest.importorskip("sympy")
+    q, a = sympy.symbols("q a")
+    cases = [
+        (d, m, p)
+        for p in range(2, 7)
+        for d in range(1, 6 // p + 1)
+        for m in range(1, 6)
+        if gcd(d, m) == 1
+    ]
+    assert len(cases) == 35
+    verdicts = set()
+    for d, m, p in cases:
+        terms = lifting_defect(TorusKnot(d, m), p).terms
+        q0 = min(qe for qe, _ in terms)
+        a0 = min(ae for _, ae in terms)
+        g = sympy.Poly.from_dict(
+            {(ae - a0, qe - q0): c for (qe, ae), c in terms.items()}, a, q
+        )
+        geometric = sum(q ** (2 * j) for j in range(p))
+        divisor = sympy.Poly((a**2 - 1) * geometric**2, a, q)
+        _, remainder = g.div(divisor)
+        verdict = verify_hecke(TorusKnot(d, m), p).verdict
+        assert remainder.is_zero == verdict, (d, m, p)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -1,7 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from conftest import lambda_sum_fhat, lambda_sum_verdict, lmov_grid
+from conftest import (
+    free_energy_grid,
+    lambda_sum_fhat,
+    lambda_sum_verdict,
+    lmov_grid,
+    truncated_power_exp,
+    truncated_power_log,
+)
 
 from heckelift import lmov
 from heckelift.combinatorics import partitions_of
@@ -46,6 +53,14 @@ def test_log_exp_round_trip():
         PSeries(2, {(): RingFraction(LaurentQA.zero())}).log()
     with pytest.raises(ValueError):
         partition_function(TREFOIL, 2).exp()
+
+
+def test_euler_recurrence_matches_truncated_powers():
+    """log and exp agree with the truncated-power series, degrees 0 and 1 included."""
+    for Z in free_energy_grid():
+        F = Z.log()
+        assert F == truncated_power_log(Z), Z
+        assert F.exp() == truncated_power_exp(F) == Z, Z
 
 
 def test_unknot_free_energy_collapse():
