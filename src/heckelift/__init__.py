@@ -8,146 +8,53 @@ The central check is that the lifting defect of the framed invariant at a
 prime p carries the factor (a - 1/a) [p]^2 with integral coefficients.
 """
 
-from .alexlimit import (
-    HookAlexanderReport,
-    LimitMembership,
-    framing_correction,
-    hook_alexander_check,
-    limit_identity_check,
-    limit_membership_verdict,
-)
-from .combinatorics import (
-    CharacterTable,
-    HookShape,
-    WeightMismatch,
-    character_table,
-    chi,
-    conjugate,
-    hook_shapes,
-    kappa,
-    partition_key,
-    partitions_of,
-    z_mu,
-)
-from .exactring import (
-    LaurentQA,
-    NonExactDivision,
-    NotDivisible,
-    ResidualFractionalExponent,
-    RingFraction,
-    abracket,
-    bracket_of_partition,
-    divide_out_abracket,
-    exact_div,
-    qbracket,
-    zsquared,
-)
-from .hecke import (
-    CongruenceReport,
-    PreconditionViolated,
-    defect_cofactor,
-    defect_sign,
-    divisible_family_check,
-    is_prime,
-    lifting_defect,
-    nondivisible_family_check,
-    verify_hecke,
-)
-from .lmov import (
-    LmovReport,
-    PSeries,
-    extract_f,
-    free_energy,
-    lmov_verdict,
-    m_inverse,
-    m_matrix,
-    partition_function,
-    reassemble_free_energy,
-)
-from .torus import (
-    FramedUnknot,
-    TorusKnot,
-    alexander,
-    cable_params,
-    power_sum_invariant,
-    power_sum_plane_value,
-    scaled_invariant,
-    unknot_schur_value,
-)
-from .zbasis import (
-    CongruenceFragment,
-    NotInSubring,
-    ZAPoly,
-    congruence_verdict,
-    divide_by_qnum_sq,
-    double_root_residual,
-    qnum_sq_z2,
-    to_z2,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacterTable",
-    "CongruenceFragment",
-    "CongruenceReport",
-    "FramedUnknot",
-    "HookAlexanderReport",
-    "HookShape",
-    "LaurentQA",
-    "LimitMembership",
-    "LmovReport",
-    "NonExactDivision",
-    "NotDivisible",
-    "NotInSubring",
-    "PSeries",
-    "PreconditionViolated",
-    "ResidualFractionalExponent",
-    "RingFraction",
-    "TorusKnot",
-    "WeightMismatch",
-    "ZAPoly",
-    "abracket",
-    "alexander",
-    "bracket_of_partition",
-    "cable_params",
-    "character_table",
-    "chi",
-    "congruence_verdict",
-    "conjugate",
-    "defect_cofactor",
-    "defect_sign",
-    "divide_by_qnum_sq",
-    "divide_out_abracket",
-    "divisible_family_check",
-    "double_root_residual",
-    "exact_div",
-    "extract_f",
-    "framing_correction",
-    "free_energy",
-    "hook_alexander_check",
-    "hook_shapes",
-    "is_prime",
-    "kappa",
-    "lifting_defect",
-    "limit_identity_check",
-    "limit_membership_verdict",
-    "lmov_verdict",
-    "m_inverse",
-    "m_matrix",
-    "nondivisible_family_check",
-    "partition_function",
-    "partition_key",
-    "partitions_of",
-    "power_sum_invariant",
-    "power_sum_plane_value",
-    "qbracket",
-    "qnum_sq_z2",
-    "reassemble_free_energy",
-    "scaled_invariant",
-    "to_z2",
-    "unknot_schur_value",
-    "verify_hecke",
-    "z_mu",
-    "zsquared",
-]
+# every public name, by the module that defines it; the module is imported
+# when one of its names is first read (PEP 562), so `heckelift verify` never
+# loads lmov or alexlimit
+_EXPORTS = {
+    "alexlimit": (
+        "HookAlexanderReport", "LimitMembership", "framing_correction",
+        "hook_alexander_check", "limit_identity_check", "limit_membership_verdict",
+    ),
+    "combinatorics": (
+        "CharacterTable", "HookShape", "WeightMismatch", "character_table", "chi",
+        "conjugate", "hook_shapes", "kappa", "partition_key", "partitions_of", "z_mu",
+    ),
+    "exactring": (
+        "LaurentQA", "NonExactDivision", "NotDivisible", "ResidualFractionalExponent",
+        "RingFraction", "abracket", "bracket_of_partition", "divide_out_abracket",
+        "exact_div", "qbracket", "zsquared",
+    ),
+    "hecke": (
+        "CongruenceReport", "PreconditionViolated", "defect_cofactor", "defect_sign",
+        "divisible_family_check", "is_prime", "lifting_defect",
+        "nondivisible_family_check", "verify_hecke",
+    ),
+    "lmov": (
+        "LmovReport", "PSeries", "extract_f", "free_energy", "lmov_verdict",
+        "m_inverse", "m_matrix", "partition_function", "reassemble_free_energy",
+    ),
+    "torus": (
+        "FramedUnknot", "TorusKnot", "alexander", "cable_params", "power_sum_invariant",
+        "power_sum_plane_value", "scaled_invariant", "unknot_schur_value",
+    ),
+    "zbasis": (
+        "CongruenceFragment", "NotInSubring", "ZAPoly", "congruence_verdict",
+        "divide_by_qnum_sq", "double_root_residual", "qnum_sq_z2", "to_z2",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

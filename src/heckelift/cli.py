@@ -2,8 +2,9 @@
 
 Exit codes: 0 all verdicts as expected, 1 a check failed (a sweep case that
 raises counts as failed and the others still run), 2 internal error, 64 usage
-error.  Sweep reports are deterministic apart from the millis
-fields; composite orders are probes whose expected verdict is FAIL.
+error, which for verify includes a case too large to compute.  Sweep reports
+are deterministic apart from the millis fields; composite orders are probes
+whose expected verdict is FAIL.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from copy import deepcopy
 from math import gcd
 from pathlib import Path
 
-from .alexlimit import limit_identity_check, limit_membership_verdict
 from .combinatorics import partition_key, partitions_of
 from .hecke import (
     CongruenceReport,
@@ -30,7 +30,6 @@ from .hecke import (
     nondivisible_family_check,
     verify_hecke,
 )
-from .lmov import lmov_verdict
 from .torus import FramedUnknot, TorusKnot
 from .zbasis import double_root_residual
 
@@ -179,6 +178,8 @@ def _case_worker(task: tuple) -> tuple[dict, list]:
         "numeric_residual": numeric,
     }
     if with_alexander and (p == 1 or is_prime(p)):
+        from .alexlimit import limit_identity_check, limit_membership_verdict
+
         membership = limit_membership_verdict(knot, p)
         result["alexander"] = {
             "limit_identity": "pass" if limit_identity_check(knot, p) else "fail",
@@ -222,6 +223,8 @@ def _run_lemma_suite(cfg: SweepConfig) -> list[dict]:
 
 
 def _run_lmov_suite(cfg: SweepConfig) -> list[dict]:
+    from .lmov import lmov_verdict  # here, not at the top: verify never needs it
+
     knots: list = [TorusKnot(d, m) for d, m in cfg.lmov_knots]
     knots += [FramedUnknot(t) for t in cfg.lmov_framings]
     out = []
@@ -278,7 +281,12 @@ def cmd_verify(args) -> int:
         raise UsageError(f"gcd({args.d}, {args.m}) != 1: not a knot")
     if args.p < 1:
         raise UsageError("need --p >= 1")
-    report = verify_hecke(TorusKnot(args.d, args.m), args.p)
+    try:
+        report = verify_hecke(TorusKnot(args.d, args.m), args.p)
+    except (MemoryError, OverflowError):
+        # a list of the closed form cannot be allocated, or its length is
+        # past the index range; both are raised before any memory is taken
+        raise UsageError(f"case d={args.d} m={args.m} p={args.p} is too large to compute")
     verdict = "PASS" if report.verdict else "FAIL"
     # a CSV report on stdout keeps stdout CSV: the verdict line goes to stderr
     print(

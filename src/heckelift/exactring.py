@@ -5,13 +5,17 @@ and int exponents in both q and a; any other exponent type raises
 TypeError.  Values on the verdict path (invariants, defects, cofactors for
 prime p) have int coefficients throughout.
 Denominators are bracket monomials prod {k}^e_k in the q-brackets
-{k} = q^k - q^-k, divided out exactly by divide_brackets.  RingFraction is
+{k} = q^k - q^-k = -q^-k (1 - x^k), x = q^2.  RingFraction is
 an int-coefficient LaurentQA numerator over a positive int scale times such
 a monomial: sums take the lcm of the two bracket monomials, products add
 exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
 out.  dense_divmod is the one long-division kernel: exact_div and the z^2
-basis both run on it.  Row maps {ae: (lo, coeffs)}, one dense list in q^2
-per a-layer, carry a case from the closed form to the limit checks.  No floats.
+basis both run on it.  times_binomial and over_binomial, a shifted difference
+and a strided running sum on a dense list, are the one route for the
+binomials 1 - x^k: bracket_rows, every bracket product and division, and the
+q-numbers and Gaussian binomials of torus and hecke run on them.  Row maps
+{ae: (lo, coeffs)}, one dense list in q^2 per a-layer, carry a case from the
+closed form to the limit checks.  No floats.
 Frozen is the base of the package's immutable value classes.
 """
 
@@ -21,7 +25,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, attrgetter, sub
+from itertools import accumulate
+from operator import add, attrgetter, neg, sub
 
 
 class Frozen:
@@ -367,6 +372,29 @@ def dense_divmod(f: list, g: list) -> tuple[list, list]:
     return quot, work[:k]
 
 
+def times_binomial(coeffs: list, k: int) -> list:
+    """The dense list coeffs (entry i at x^i) times 1 - x^k: one shifted difference."""
+    return list(map(sub, coeffs + [0] * k, [0] * k + coeffs))
+
+
+def over_binomial(coeffs: list, k: int) -> list:
+    """coeffs / (1 - x^k) in place, by running sums of stride k along each residue class.
+
+    The top k sums are the remainder: NonExactDivision unless they are zero,
+    and then they are cut off.
+    """
+    if k * k > len(coeffs):
+        for i in range(k, len(coeffs)):
+            coeffs[i] += coeffs[i - k]
+    else:
+        for r in range(k):
+            coeffs[r::k] = accumulate(coeffs[r::k])
+    if any(coeffs[-k:]):
+        raise NonExactDivision(f"not divisible by 1 - x^{k}")
+    del coeffs[-k:]
+    return coeffs
+
+
 # -- exact division -----------------------------------------------------------
 
 
@@ -522,77 +550,66 @@ def abracket_quotient(rows: dict, n: int = 1) -> dict:
 # -- bracket monomials --------------------------------------------------------
 
 
-def _times_bracket(terms: dict, k: int) -> dict:
-    """terms * {k}: each term shifted up and down by k, the lower one negated."""
+def bracket_rows(rows: dict, orders, divide: bool = False) -> dict:
+    """rows times, or with divide over, the product of {k} over orders, which may repeat.
+
+    {k} = -q^-k (1 - x^k) on each row, and a negative order k stands for
+    {k} = -{-k}.  Dividing raises NonExactDivision, with the remainder the
+    failing bracket leaves on its a-layer attached, unless every bracket
+    divides every row; {0} raises ZeroDivisionError.
+    """
+    orders = list(orders)
+    if not orders:
+        return rows
+    if 0 in orders:
+        if divide:
+            raise ZeroDivisionError("the bracket {0} is zero")
+        return {}
+    sizes = [abs(k) for k in orders]
+    negate = sum(k > 0 for k in orders) % 2
+    out = {}
+    for ae, (lo, coeffs) in rows.items():
+        if divide:
+            coeffs = list(coeffs)
+            for k in sizes:
+                try:
+                    over_binomial(coeffs, k)
+                except NonExactDivision:
+                    top = range(max(len(coeffs) - k, 0), len(coeffs))
+                    remainder = {(lo + 2 * i, ae): coeffs[i] for i in top if coeffs[i]}
+                    raise NonExactDivision(
+                        f"not divisible by {{{k}}} on a-layer {ae}",
+                        remainder=LaurentQA._raw(remainder),
+                    ) from None
+                lo += k
+        else:
+            for k in sizes:
+                coeffs = times_binomial(coeffs, k)
+                lo -= k
+        out[ae] = (lo, list(map(neg, coeffs)) if negate else coeffs)
+    return out
+
+
+def _times_brackets(terms: dict, orders, divide: bool = False) -> dict:
+    """terms times, or with divide over, the product of {k} over orders.
+
+    bracket_rows on each q-parity half; terms come back as they are for no order.
+    """
+    orders = list(orders)
+    if not orders:
+        return terms
+    halves: tuple[dict, dict] = ({}, {})
+    for key, c in terms.items():
+        halves[key[0] % 2][key] = c
     out: dict = {}
-    get = out.get
-    for (qe, ae), c in terms.items():
-        up = (qe + k, ae)
-        out[up] = get(up, 0) + c
-        down = (qe - k, ae)
-        out[down] = get(down, 0) - c
-    return {key: c for key, c in out.items() if c}
-
-
-def _times_brackets(terms: dict, brackets) -> dict:
-    for k, e in brackets.items():
-        for _ in range(e):
-            terms = _times_bracket(terms, k)
-    return terms
+    for half in halves:
+        out.update(emit_rows(bracket_rows(parse_rows(half), orders, divide)).terms)
+    return out
 
 
 def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
-    """f divided exactly by the product of {k} over orders, which may repeat.
-
-    A negative order k stands for {k} = -{-k}.  Each a-layer is laid out
-    densely once and every bracket is divided out in place: f = Q q^k - Q q^-k,
-    so from the top down Q[j - k] = f[j] + Q[j + k].  Raises NonExactDivision,
-    with the remainder left by the failing bracket attached, unless every
-    bracket divides every a-layer.
-    """
-    sign = 1
-    widths = []
-    for k in orders:
-        if k == 0:
-            raise ZeroDivisionError("the bracket {0} is zero")
-        if k < 0:
-            sign, k = -sign, -k
-        widths.append(2 * k)
-    layers: dict[int, dict] = {}
-    for (qe, ae), c in f.terms.items():
-        layers.setdefault(ae, {})[qe] = c
-    out: dict = {}
-    # terms come out a-layer ascending, q descending, as from exact_div; only
-    # the numeric oracles of the tests depend on that order
-    for ae in sorted(layers):
-        layer = layers[ae]
-        # work[i] is the coefficient of q^(i + off); the quotient so far
-        # occupies work[base:]
-        off = min(layer)
-        top = max(layer) - off + 1
-        work = [0] * top
-        for qe, c in layer.items():
-            work[qe - off] = c
-        base = 0
-        for w in widths:
-            for i in range(top - 1, base + w - 1, -1):
-                c = work[i]
-                if c:
-                    work[i - w] += c
-            if any(work[base : base + w]):
-                rest = enumerate(work[base : base + w], base)
-                remainder = {(i + off, ae): c for i, c in rest if c}
-                raise NonExactDivision(
-                    f"not divisible by {{{w // 2}}} on a-layer {ae}",
-                    remainder=LaurentQA._raw(remainder),
-                )
-            base += w
-            off -= w // 2
-        for i in range(top - 1, base - 1, -1):
-            c = work[i]
-            if c:
-                out[(i + off, ae)] = c * sign
-    return LaurentQA._raw(out)
+    """f divided exactly by the product of {k} over orders (see bracket_rows)."""
+    return LaurentQA._raw(_times_brackets(f.terms, orders, divide=True))
 
 
 # -- ring fractions -----------------------------------------------------------
@@ -693,7 +710,7 @@ class RingFraction:
     @property
     def den(self) -> LaurentQA:
         """The denominator expanded into a Laurent polynomial."""
-        return LaurentQA._raw(_times_brackets({(0, 0): self.scale}, self.brackets))
+        return LaurentQA._raw(_times_brackets({(0, 0): self.scale}, self.brackets.elements()))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -704,8 +721,8 @@ class RingFraction:
             return self.num.terms, other.num.terms, self.brackets
         common = self.brackets | other.brackets
         return (
-            _times_brackets(self.num.terms, common - self.brackets),
-            _times_brackets(other.num.terms, common - other.brackets),
+            _times_brackets(self.num.terms, (common - self.brackets).elements()),
+            _times_brackets(other.num.terms, (common - other.brackets).elements()),
             common,
         )
 

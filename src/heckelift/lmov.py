@@ -44,11 +44,13 @@ from .exactring import (
     LaurentQA,
     NonExactDivision,
     RingFraction,
-    _times_brackets,
+    add_rows,
     bracket_of_partition,
+    bracket_rows,
+    parse_rows,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
-from .zbasis import NotInSubring, ZAPoly, to_z2
+from .zbasis import ZAPoly, z2_rows
 
 _ZERO = RingFraction(LaurentQA.zero())
 _ONE = RingFraction(LaurentQA.one())
@@ -257,8 +259,8 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
     """Per weight w: (B_w, L, {nu: (L / s_nu, N_nu)}) for the nonzero h_nu.
 
     B_w is the lcm over nu |- w of the bracket monomials h_nu.brackets * {nu},
-    L the lcm of the scales s_nu of h_nu, and N_nu the numerator of h_nu
-    padded to B_w, so that h_nu / {nu} = (L / s_nu) N_nu / (L * B_w).
+    L the lcm of the scales s_nu of h_nu, and N_nu the rows of h_nu's
+    numerator padded to B_w, so that h_nu / {nu} = (L / s_nu) N_nu / (L * B_w).
     """
     h = _once_wound(free_energy(partition_function(K, degree)))
     out: dict[int, tuple] = {}
@@ -276,24 +278,25 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
             common,
             L,
             {
-                nu: (L // h[nu].scale, _times_brackets(h[nu].num.terms, common - den))
+                nu: (
+                    L // h[nu].scale,
+                    bracket_rows(parse_rows(h[nu].num.terms), (common - den).elements()),
+                )
                 for nu, den in dens.items()
             },
         )
     return out
 
 
-def _fhat(K, mu: Partition, degree: int) -> RingFraction:
-    """fhat_mu as one integer combination of the memoized numerators."""
+def _fhat(K, mu: Partition, degree: int) -> tuple[dict, int, Counter]:
+    """fhat_mu as (rows, L, B): one integer combination of the memoized numerators over L * B."""
     common, L, numerators = _fhat_numerators(K, degree)[sum(mu)]
     acc: dict = {}
-    get = acc.get
-    for nu, (ratio, terms) in numerators.items():
+    for nu, (ratio, rows) in numerators.items():
         c = chi(mu, nu) * ratio
         if c:
-            for key, v in terms.items():
-                acc[key] = get(key, 0) + c * v
-    return RingFraction._make({key: v for key, v in acc.items() if v}, L, common)
+            acc = add_rows(acc, {ae: (lo, [c * v for v in row]) for ae, (lo, row) in rows.items()})
+    return acc, L, common
 
 
 class LmovReport(Frozen):
@@ -326,21 +329,22 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     if D < w:
         raise ValueError("truncation degree below |mu|")
     # z^2 = {1}^2: cancel it against fhat's {1}s and multiply in the rest
-    fhat = _fhat(K, mu, D)
-    ones = min(fhat.brackets[1], 2)
-    scaled = RingFraction._make(
-        _times_brackets(fhat.num.terms, {1: 2 - ones}),
-        fhat.scale,
-        fhat.brackets - Counter({1: ones}),
-    )
+    rows, L, common = _fhat(K, mu, D)
+    ones = min(common[1], 2)
     try:
-        resolved = scaled.resolve()
+        rows = bracket_rows(
+            bracket_rows(rows, [1] * (2 - ones)),
+            sorted((common - Counter({1: ones})).elements(), reverse=True),
+            divide=True,
+        )
     except NonExactDivision as err:
         return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
-    try:
-        zz = to_z2(resolved)
-    except NotInSubring as err:
-        return LmovReport(False, mu, None, None, detail=str(err))
+    z2 = z2_rows(rows)
+    if z2 is None:
+        return LmovReport(False, mu, None, None, detail="not in Q[z^2, a^{+-1}]")
+    zz = ZAPoly.from_rows(
+        {ae: [c // L if c % L == 0 else Fraction(c, L) for c in row] for ae, row in z2.items()}
+    )
     if zz.is_zero():
         return LmovReport(True, mu, zz, None)
     min_k = min(

@@ -20,9 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
 from math import gcd, lcm
-from operator import neg, sub
+from operator import neg
 
 from .combinatorics import (
     Partition,
@@ -37,7 +36,6 @@ from .combinatorics import (
 from .exactring import (
     Frozen,
     LaurentQA,
-    NonExactDivision,
     ResidualFractionalExponent,
     RingFraction,
     _times_brackets,
@@ -45,8 +43,10 @@ from .exactring import (
     abracket_of_partition,
     abracket_quotient,
     emit_rows,
+    over_binomial,
     parse_rows,
     rows_at_a1,
+    times_binomial,
 )
 from .zbasis import ZAPoly, z2_rows
 
@@ -114,30 +114,15 @@ def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
     """
     rest = Counter(_den_brackets(n)) - Counter(mu)
     brackets = Counter({scale * k: e for k, e in rest.items()})
-    return LaurentQA._raw(_times_brackets({(0, 0): 1}, brackets))
+    return LaurentQA._raw(_times_brackets({(0, 0): 1}, brackets.elements()))
 
 
 # -- the closed q-binomial form ------------------------------------------------
 
 
 def _times_ratio(out: list[int], s: int, i: int) -> list[int]:
-    """The dense list out times (1 - x^s) / (1 - x^i), exactly.
-
-    One shifted difference for the numerator, then running sums of stride i
-    along each residue class for the denominator; the top i entries must
-    come out zero, else NonExactDivision.
-    """
-    out = list(map(sub, out + [0] * s, [0] * s + out))
-    if i * i > len(out):
-        for k in range(i, len(out)):
-            out[k] += out[k - i]
-    else:
-        for r in range(i):
-            out[r::i] = accumulate(out[r::i])
-    if any(out[-i:]):
-        raise NonExactDivision(f"not divisible by 1 - x^{i}")
-    del out[-i:]
-    return out
+    """The dense list out times (1 - x^s) / (1 - x^i), exactly, or NonExactDivision."""
+    return over_binomial(times_binomial(out, s), i)
 
 
 def _gauss(N: int, K: int) -> list[int]:

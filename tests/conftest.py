@@ -587,6 +587,80 @@ def two_conversion_verdict(K, p):
     return True, frag, exact and zc.is_integral and quot.is_integral
 
 
+# -- the sparse bracket routes, kept as references ------------------------------
+
+
+def sparse_times_bracket(terms, k):
+    """terms * {k}: each term shifted up and down by k, the lower one negated."""
+    out = {}
+    get = out.get
+    for (qe, ae), c in terms.items():
+        up = (qe + k, ae)
+        out[up] = get(up, 0) + c
+        down = (qe - k, ae)
+        out[down] = get(down, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
+def sparse_times_brackets(terms, orders):
+    """terms times the product of {k} over orders, one sparse shift pair per bracket."""
+    for k in orders:
+        terms = sparse_times_bracket(terms, k)
+    return terms
+
+
+def top_down_divide_brackets(f, orders):
+    """f divided exactly by the product of {k} over orders, which may repeat.
+
+    A negative order k stands for {k} = -{-k}.  Each a-layer is laid out
+    densely once and every bracket is divided out in place: f = Q q^k - Q q^-k,
+    so from the top down Q[j - k] = f[j] + Q[j + k].  Raises NonExactDivision,
+    with the remainder left by the failing bracket attached, unless every
+    bracket divides every a-layer.
+    """
+    sign = 1
+    widths = []
+    for k in orders:
+        if k == 0:
+            raise ZeroDivisionError("the bracket {0} is zero")
+        if k < 0:
+            sign, k = -sign, -k
+        widths.append(2 * k)
+    layers = {}
+    for (qe, ae), c in f.terms.items():
+        layers.setdefault(ae, {})[qe] = c
+    out = {}
+    for ae in sorted(layers):
+        layer = layers[ae]
+        # work[i] is the coefficient of q^(i + off); the quotient so far
+        # occupies work[base:]
+        off = min(layer)
+        top = max(layer) - off + 1
+        work = [0] * top
+        for qe, c in layer.items():
+            work[qe - off] = c
+        base = 0
+        for w in widths:
+            for i in range(top - 1, base + w - 1, -1):
+                c = work[i]
+                if c:
+                    work[i - w] += c
+            if any(work[base : base + w]):
+                rest = enumerate(work[base : base + w], base)
+                remainder = {(i + off, ae): c for i, c in rest if c}
+                raise NonExactDivision(
+                    f"not divisible by {{{w // 2}}} on a-layer {ae}",
+                    remainder=LaurentQA._raw(remainder),
+                )
+            base += w
+            off -= w // 2
+        for i in range(top - 1, base - 1, -1):
+            c = work[i]
+            if c:
+                out[(i + off, ae)] = c * sign
+    return LaurentQA._raw(out)
+
+
 # -- the dict routes of the verdict path, kept as references ---------------------
 
 

@@ -60,6 +60,24 @@ def test_verify_internal_error_exits_2(capsys, monkeypatch):
     assert "injected failure" in err
 
 
+def _too_large(argv, capsys, error):
+    # the closed form's first list cannot be allocated: the library raises at once
+    d, m, p = (int(argv[i + 1]) for i in (1, 3, 5))
+    with pytest.raises(error):
+        verify_hecke(TorusKnot(d, m), p)
+    assert run(argv) == 64
+    err = capsys.readouterr().err
+    assert "is too large" in err and "internal error" not in err
+
+
+def test_verify_case_too_large_to_allocate_is_a_usage_error(capsys):
+    _too_large(["verify", "--d", "2", "--m", "3", "--p", str(10**15)], capsys, MemoryError)
+
+
+def test_verify_case_past_the_index_range_is_a_usage_error(capsys):
+    _too_large(["verify", "--d", "2", "--m", "3", "--p", str(10**20 - 1)], capsys, OverflowError)
+
+
 def test_verify_json_report_matches_library(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert run(["verify", "--d", "2", "--m", "3", "--p", "2",

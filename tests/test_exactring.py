@@ -12,13 +12,16 @@ from conftest import (
     qnum,
     qnum_power,
     random_laurent,
+    sparse_times_brackets,
     substitute_a,
+    top_down_divide_brackets,
 )
 from heckelift.exactring import (
     LaurentQA,
     NonExactDivision,
     NotDivisible,
     RingFraction,
+    _times_brackets,
     abracket,
     abracket_of_partition,
     bracket_of_partition,
@@ -27,7 +30,9 @@ from heckelift.exactring import (
     divide_out_abracket,
     exact_div,
     kronecker_mul,
+    over_binomial,
     qbracket,
+    times_binomial,
     zsquared,
 )
 
@@ -394,6 +399,53 @@ def test_divide_brackets_remainder(f, orders, qe, ae):
         divide_brackets(g - remainder, orders)
     with pytest.raises(ZeroDivisionError):
         divide_brackets(g, orders + [0])
+
+
+@_PROPERTY
+@given(
+    st.builds(LaurentQA, _TERMS),
+    _ORDERS,
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(-2, 2),
+)
+def test_bracket_rows_match_the_sparse_and_top_down_references(f, orders, fail, qe, ae):
+    # _TERMS mixes q-parities within an a-layer, so both halves are exercised
+    g = sparse_times_brackets(f.terms, orders)
+    assert _times_brackets(f.terms, orders) == g
+    g = LaurentQA._raw(g)
+    if fail:
+        g = g + LaurentQA.monomial(1, qexp=qe, aexp=ae)
+    if fail and orders:
+        # a monomial is never a multiple of a bracket, so neither is g
+        for route in (divide_brackets, top_down_divide_brackets):
+            with pytest.raises(NonExactDivision) as caught:
+                route(g, orders)
+            remainder = caught.value.remainder
+            assert not remainder.is_zero()
+            assert {a for _, a in remainder.terms} == {ae}
+            if len(orders) == 1:
+                # one bracket: what is left after taking the remainder away divides
+                route(g - remainder, orders)
+    else:
+        assert divide_brackets(g, orders) == top_down_divide_brackets(g, orders)
+        assert fail or divide_brackets(g, orders) == f
+    with pytest.raises(ZeroDivisionError):
+        divide_brackets(g, orders + [0])
+
+
+@_PROPERTY
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12), st.integers(1, 6))
+def test_binomial_kernels_match_long_division(f, k):
+    binomial = [1] + [0] * (k - 1) + [-1]
+    assert times_binomial(f, k) == _schoolbook(f, binomial)
+    assert over_binomial(times_binomial(f, k), k) == f
+    quot, rem = dense_divmod(f, binomial)
+    if any(rem):
+        with pytest.raises(NonExactDivision):
+            over_binomial(list(f), k)
+    else:
+        assert over_binomial(list(f), k) == quot
 
 
 def _schoolbook(a, b):

@@ -2,7 +2,8 @@
 
 Each class is a Frozen subclass (exactring) with its fields in __slots__;
 these tests pin the behaviour the classes had as frozen dataclasses, and
-that importing the package pulls in neither dataclasses nor inspect.
+that importing the package pulls in neither dataclasses nor inspect and
+loads each module only when one of its names is first read.
 """
 
 import copy
@@ -161,7 +162,7 @@ def _new_modules(code: str) -> set:
 
 
 def test_import_and_verify_load_no_heavy_standard_modules():
-    loaded = _new_modules("import heckelift")
+    loaded = _new_modules("from heckelift import verify_hecke")
     assert "heckelift.exactring" in loaded
     assert not loaded & {"dataclasses", "inspect"}
     loaded = _new_modules(
@@ -169,3 +170,23 @@ def test_import_and_verify_load_no_heavy_standard_modules():
         "assert main(['verify', '--d', '2', '--m', '3', '--p', '3']) == 0"
     )
     assert not loaded & {"dataclasses", "inspect", "multiprocessing", "tokenize"}
+    assert not loaded & {"heckelift.lmov", "heckelift.alexlimit"}
+
+
+def test_package_names_load_their_module_on_first_use():
+    assert not {name for name in _new_modules("import heckelift") if "heckelift." in name}
+    loaded = _new_modules("from heckelift import TorusKnot")
+    assert "heckelift.torus" in loaded and "heckelift.lmov" not in loaded
+    assert len(heckelift.__all__) == 62 and heckelift.__all__ == sorted(set(heckelift.__all__))
+    for name in heckelift.__all__:
+        value = getattr(heckelift, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    star: dict = {}
+    exec("from heckelift import *", star)
+    assert set(star) - {"__builtins__"} == set(heckelift.__all__)
+    from heckelift import alexlimit, combinatorics, hecke, lmov, torus, zbasis
+
+    assert lmov.lmov_verdict is heckelift.lmov_verdict
+    assert {alexlimit, combinatorics, hecke, torus, zbasis} <= set(sys.modules.values())
+    with pytest.raises(AttributeError):
+        heckelift.no_such_name
