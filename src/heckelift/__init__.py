@@ -52,8 +52,6 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

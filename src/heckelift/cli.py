@@ -274,6 +274,19 @@ def _csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _too_large(d: int, m: int, p: int) -> bool:
+    """Whether the closed form of T(d, m) at colour p needs more memory than the machine has.
+
+    Its widest a-layer, j = 0 in closed_form_rows, holds (pd - 1) pm - p(d - 1) + 1
+    coefficients, at least one 8-byte pointer each.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = sys.maxsize
+    return 8 * ((p * d - 1) * p * m - p * (d - 1) + 1) > memory
+
+
 def cmd_verify(args) -> int:
     if args.d < 1 or args.m < 1:
         raise UsageError("need --d >= 1 and --m >= 1")
@@ -281,12 +294,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"gcd({args.d}, {args.m}) != 1: not a knot")
     if args.p < 1:
         raise UsageError("need --p >= 1")
-    try:
-        report = verify_hecke(TorusKnot(args.d, args.m), args.p)
-    except (MemoryError, OverflowError):
-        # a list of the closed form cannot be allocated, or its length is
-        # past the index range; both are raised before any memory is taken
+    if _too_large(args.d, args.m, args.p):
         raise UsageError(f"case d={args.d} m={args.m} p={args.p} is too large to compute")
+    report = verify_hecke(TorusKnot(args.d, args.m), args.p)
     verdict = "PASS" if report.verdict else "FAIL"
     # a CSV report on stdout keeps stdout CSV: the verdict line goes to stderr
     print(

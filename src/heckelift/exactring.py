@@ -9,7 +9,8 @@ Denominators are bracket monomials prod {k}^e_k in the q-brackets
 an int-coefficient LaurentQA numerator over a positive int scale times such
 a monomial: sums take the lcm of the two bracket monomials, products add
 exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
-out.  dense_divmod is the one long-division kernel: exact_div and the z^2
+and the scale out with resolve_rows, which lmov's verdict also calls on its
+rows.  dense_divmod is the one long-division kernel: exact_div and the z^2
 basis both run on it.  times_binomial and over_binomial, a shifted difference
 and a strided running sum on a dense list, are the one route for the
 binomials 1 - x^k: bracket_rows, every bracket product and division, and the
@@ -590,6 +591,33 @@ def bracket_rows(rows: dict, orders, divide: bool = False) -> dict:
     return out
 
 
+def resolve_rows(rows: dict, brackets: Counter, scale: int = 1) -> dict:
+    """rows over scale times the product of brackets: RingFraction.resolve on a row map.
+
+    Divides out the brackets, largest order first (NonExactDivision as in
+    bracket_rows), then the scale; a coefficient the scale does not divide
+    stays a Fraction.
+    """
+    rows = bracket_rows(rows, sorted(brackets.elements(), reverse=True), divide=True)
+    if scale == 1:
+        return rows
+    return {
+        ae: (lo, [c // scale if c % scale == 0 else Fraction(c, scale) for c in coeffs])
+        for ae, (lo, coeffs) in rows.items()
+    }
+
+
+def _by_parity(terms: dict, step) -> dict:
+    """The terms of step applied to the row map of each q-parity half of terms."""
+    halves: tuple[dict, dict] = ({}, {})
+    for key, c in terms.items():
+        halves[key[0] % 2][key] = c
+    out: dict = {}
+    for half in halves:
+        out.update(emit_rows(step(parse_rows(half))).terms)
+    return out
+
+
 def _times_brackets(terms: dict, orders, divide: bool = False) -> dict:
     """terms times, or with divide over, the product of {k} over orders.
 
@@ -598,13 +626,7 @@ def _times_brackets(terms: dict, orders, divide: bool = False) -> dict:
     orders = list(orders)
     if not orders:
         return terms
-    halves: tuple[dict, dict] = ({}, {})
-    for key, c in terms.items():
-        halves[key[0] % 2][key] = c
-    out: dict = {}
-    for half in halves:
-        out.update(emit_rows(bracket_rows(parse_rows(half), orders, divide)).terms)
-    return out
+    return _by_parity(terms, lambda rows: bracket_rows(rows, orders, divide))
 
 
 def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
@@ -823,14 +845,10 @@ class RingFraction:
     def resolve(self) -> LaurentQA:
         """Exact quotient as a Laurent polynomial; NonExactDivision if none.
 
-        Divides out the brackets, largest order first, then the scale; a
-        coefficient the scale does not divide stays a Fraction.
+        resolve_rows on each q-parity half of the numerator.
         """
-        orders = sorted(self.brackets.elements(), reverse=True)
-        out = divide_brackets(self.num, orders).terms
-        s = self.scale
         return LaurentQA._raw(
-            {key: c // s if c % s == 0 else Fraction(c, s) for key, c in out.items()}
+            _by_parity(self.num.terms, lambda rows: resolve_rows(rows, self.brackets, self.scale))
         )
 
 

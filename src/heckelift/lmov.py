@@ -48,6 +48,7 @@ from .exactring import (
     bracket_of_partition,
     bracket_rows,
     parse_rows,
+    resolve_rows,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
 from .zbasis import ZAPoly, z2_rows
@@ -332,19 +333,13 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     rows, L, common = _fhat(K, mu, D)
     ones = min(common[1], 2)
     try:
-        rows = bracket_rows(
-            bracket_rows(rows, [1] * (2 - ones)),
-            sorted((common - Counter({1: ones})).elements(), reverse=True),
-            divide=True,
-        )
+        rows = resolve_rows(bracket_rows(rows, [1] * (2 - ones)), common - Counter({1: ones}), L)
     except NonExactDivision as err:
         return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
     z2 = z2_rows(rows)
     if z2 is None:
         return LmovReport(False, mu, None, None, detail="not in Q[z^2, a^{+-1}]")
-    zz = ZAPoly.from_rows(
-        {ae: [c // L if c % L == 0 else Fraction(c, L) for c in row] for ae, row in z2.items()}
-    )
+    zz = ZAPoly.from_rows(z2)
     if zz.is_zero():
         return LmovReport(True, mu, zz, None)
     min_k = min(

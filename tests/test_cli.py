@@ -50,18 +50,22 @@ def test_verify_usage_errors(capsys):
 def test_verify_internal_error_exits_2(capsys, monkeypatch):
     import heckelift.cli as cli
 
-    def broken(knot, p):
-        raise RuntimeError("injected failure")
+    # a MemoryError inside a case verify lets through is an internal error too
+    for error in (RuntimeError, MemoryError):
 
-    monkeypatch.setattr(cli, "verify_hecke", broken)
-    assert run(["verify", "--d", "2", "--m", "3", "--p", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "internal error" in err
-    assert "injected failure" in err
+        def broken(knot, p):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "verify_hecke", broken)
+        assert run(["verify", "--d", "2", "--m", "3", "--p", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "injected failure" in err
 
 
 def _too_large(argv, capsys, error):
-    # the closed form's first list cannot be allocated: the library raises at once
+    # the closed form's first list cannot be allocated: the library raises at
+    # once, and verify refuses the case before calling it
     d, m, p = (int(argv[i + 1]) for i in (1, 3, 5))
     with pytest.raises(error):
         verify_hecke(TorusKnot(d, m), p)
@@ -72,6 +76,7 @@ def _too_large(argv, capsys, error):
 
 def test_verify_case_too_large_to_allocate_is_a_usage_error(capsys):
     _too_large(["verify", "--d", "2", "--m", "3", "--p", str(10**15)], capsys, MemoryError)
+    _too_large(["verify", "--d", "2", "--m", str(10**15 + 1), "--p", "1"], capsys, MemoryError)
 
 
 def test_verify_case_past_the_index_range_is_a_usage_error(capsys):
