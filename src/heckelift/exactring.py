@@ -789,10 +789,9 @@ class RingFraction:
     def __mul__(self, other) -> "RingFraction":
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
+            n = other.numerator
             return RingFraction._make(
-                {key: c * other.numerator for key, c in self.num.terms.items()}
-                if other
-                else {},
+                {key: c * n for key, c in self.num.terms.items()} if n else {},
                 self.scale * other.denominator,
                 self.brackets,
             )

@@ -27,7 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import add, mul
 
 from .combinatorics import (
     Partition,
@@ -44,7 +46,6 @@ from .exactring import (
     LaurentQA,
     NonExactDivision,
     RingFraction,
-    add_rows,
     bracket_of_partition,
     bracket_rows,
     parse_rows,
@@ -257,11 +258,13 @@ def m_inverse(lam: Partition, mu: Partition) -> RingFraction:
 
 @lru_cache(maxsize=4)
 def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
-    """Per weight w: (B_w, L, {nu: (L / s_nu, N_nu)}) for the nonzero h_nu.
+    """Per weight w: (D_w, L, spans, {nu: (L / s_nu, N_nu)}) for the nonzero h_nu.
 
     B_w is the lcm over nu |- w of the bracket monomials h_nu.brackets * {nu},
-    L the lcm of the scales s_nu of h_nu, and N_nu the rows of h_nu's
-    numerator padded to B_w, so that h_nu / {nu} = (L / s_nu) N_nu / (L * B_w).
+    L the lcm of the scales s_nu of h_nu, and N_nu the rows of h_nu's numerator
+    padded to B_w and times {1}^(2 - j), j = min(B_w[1], 2): z^2 = {1}^2 cancels
+    {1}^j, so z^2 h_nu / {nu} = (L / s_nu) N_nu / (L * D_w), D_w = B_w / {1}^j.
+    spans maps each a-layer to the q-span (lo, hi) the N_nu cover on it together.
     """
     h = _once_wound(free_energy(partition_function(K, degree)))
     out: dict[int, tuple] = {}
@@ -275,29 +278,44 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
         for den in dens.values():
             common |= den
         L = lcm(*(h[nu].scale for nu in dens))
-        out[w] = (
-            common,
-            L,
-            {
-                nu: (
-                    L // h[nu].scale,
-                    bracket_rows(parse_rows(h[nu].num.terms), (common - den).elements()),
-                )
-                for nu, den in dens.items()
-            },
-        )
+        ones = min(common[1], 2)
+        pad = [1] * (2 - ones)
+        numerators, spans = {}, {}
+        for nu, den in dens.items():
+            rows = bracket_rows(parse_rows(h[nu].num.terms), [*(common - den).elements(), *pad])
+            numerators[nu] = (L // h[nu].scale, rows)
+            for ae, (lo, row) in rows.items():
+                a, b = spans.get(ae, (lo, lo))
+                if (lo - a) % 2:
+                    raise ValueError(f"a-layer {ae} mixes q-parities")
+                spans[ae] = (min(a, lo), max(b, lo + 2 * len(row)))
+        out[w] = (common - Counter({1: ones}), L, spans, numerators)
     return out
 
 
 def _fhat(K, mu: Partition, degree: int) -> tuple[dict, int, Counter]:
-    """fhat_mu as (rows, L, B): one integer combination of the memoized numerators over L * B."""
-    common, L, numerators = _fhat_numerators(K, degree)[sum(mu)]
-    acc: dict = {}
+    """z^2 fhat_mu as (rows, L, D): the numerators added in place over their spans, then trimmed."""
+    divisors, L, spans, numerators = _fhat_numerators(K, degree)[sum(mu)]
+    acc = {ae: [0] * ((hi - lo) // 2) for ae, (lo, hi) in spans.items()}
     for nu, (ratio, rows) in numerators.items():
         c = chi(mu, nu) * ratio
         if c:
-            acc = add_rows(acc, {ae: (lo, [c * v for v in row]) for ae, (lo, row) in rows.items()})
-    return acc, L, common
+            for ae, (lo, row) in rows.items():
+                i = (lo - spans[ae][0]) // 2
+                j = i + len(row)
+                out = acc[ae]
+                out[i:j] = map(add, out[i:j], map(mul, row, repeat(c)))
+    rows = {}
+    for ae, out in acc.items():
+        hi = len(out)
+        while hi and not out[hi - 1]:
+            hi -= 1
+        if hi:
+            i = 0
+            while not out[i]:
+                i += 1
+            rows[ae] = (spans[ae][0] + 2 * i, out[i:hi])
+    return rows, L, divisors
 
 
 class LmovReport(Frozen):
@@ -329,11 +347,9 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     D = degree if degree is not None else w
     if D < w:
         raise ValueError("truncation degree below |mu|")
-    # z^2 = {1}^2: cancel it against fhat's {1}s and multiply in the rest
-    rows, L, common = _fhat(K, mu, D)
-    ones = min(common[1], 2)
+    rows, L, divisors = _fhat(K, mu, D)
     try:
-        rows = resolve_rows(bracket_rows(rows, [1] * (2 - ones)), common - Counter({1: ones}), L)
+        rows = resolve_rows(rows, divisors, L)
     except NonExactDivision as err:
         return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
     z2 = z2_rows(rows)

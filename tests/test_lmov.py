@@ -12,7 +12,14 @@ from conftest import (
 
 from heckelift import lmov
 from heckelift.combinatorics import partitions_of
-from heckelift.exactring import LaurentQA, RingFraction, abracket, emit_rows, qbracket
+from heckelift.exactring import (
+    LaurentQA,
+    RingFraction,
+    abracket,
+    emit_rows,
+    qbracket,
+    zsquared,
+)
 from heckelift.lmov import (
     PSeries,
     extract_f,
@@ -131,6 +138,56 @@ def test_lmov_verdict_validation():
         lmov_verdict(TREFOIL, (2, 1), degree=2)
 
 
+@pytest.fixture
+def wrong_invariant(monkeypatch):
+    """Install a wrong power_sum_invariant in lmov; the numerator memo is cleared around it."""
+
+    def install(wrong):
+        lmov._fhat_numerators.cache_clear()
+        monkeypatch.setattr(lmov, "power_sum_invariant", wrong)
+
+    yield install
+    lmov._fhat_numerators.cache_clear()
+
+
+def test_lmov_verdict_names_the_bracket_that_does_not_divide(wrong_invariant):
+    """A stray a^7 / {5} on the weight-2 invariants leaves {5} undivided on a-layer 7."""
+    stray = RingFraction.over_brackets(LaurentQA.monomial(1, 0, 7), 1, [5])
+    wrong_invariant(
+        lambda K, mu: power_sum_invariant(K, mu) + stray
+        if sum(mu) == 2
+        else power_sum_invariant(K, mu)
+    )
+    rep = lmov_verdict(TREFOIL, (2,))
+    assert not rep.passed
+    assert rep.detail == "not polynomial: not divisible by {5} on a-layer 7"
+    assert rep.z2_fhat is None
+    assert rep.min_z_power is None
+
+
+def test_lmov_verdict_rejects_an_odd_q_power(wrong_invariant):
+    """Invariants times q^|mu| put z^2 fhat_(2,1) at odd q-exponents."""
+    wrong_invariant(
+        lambda K, mu: power_sum_invariant(K, mu) * LaurentQA.monomial(1, sum(mu), 0)
+    )
+    rep = lmov_verdict(TREFOIL, (2, 1))
+    assert not rep.passed
+    assert rep.detail == "not in Q[z^2, a^{+-1}]"
+    assert rep.z2_fhat is None
+    assert rep.min_z_power is None
+
+
+def test_lmov_verdict_rejects_fractional_coefficients(wrong_invariant):
+    """Invariants times 1/3 give a third of the trefoil's z^2 fhat_(1)."""
+    wrong_invariant(lambda K, mu: power_sum_invariant(K, mu) * Fraction(1, 3))
+    rep = lmov_verdict(TREFOIL, (1,))
+    assert not rep.passed
+    assert rep.detail == "coefficients not integral"
+    third = Fraction(1, 3)
+    assert rep.z2_fhat.rows == ((1, (third,)), (3, (-1, -third)), (5, (2 * third, third)))
+    assert rep.min_z_power == -2
+
+
 def test_lmov_degree4():
     knots = [TREFOIL, TorusKnot(2, 5)] + [FramedUnknot(t) for t in range(-2, 3)]
     failures = [
@@ -144,11 +201,11 @@ def test_lmov_degree4():
 
 
 def test_orthogonality_route_matches_lambda_sum_route():
-    """sum_nu chi_mu(nu) h_nu / {nu} is the lambda-sum fhat, and its verdict."""
+    """z^2 times sum_nu chi_mu(nu) h_nu / {nu} is z^2 times the lambda-sum fhat, and its verdict."""
     for case in lmov_grid():
         rows, scale, brackets = lmov._fhat(*case)
-        fhat = RingFraction.over_brackets(emit_rows(rows), scale, brackets.elements())
-        assert fhat == lambda_sum_fhat(*case), case
+        z2_fhat = RingFraction.over_brackets(emit_rows(rows), scale, brackets.elements())
+        assert z2_fhat == lambda_sum_fhat(*case) * zsquared(), case
         assert lmov_verdict(*case) == lambda_sum_verdict(*case), case
 
 
