@@ -24,12 +24,13 @@ from .exactring import (
     abracket_quotient,
     adams_rows,
     add_rows,
+    bracket_rows,
     emit_rows,
     kronecker_mul,
     parse_rows,
     rows_at_a1,
 )
-from .hecke import _over_qnums, core_rows
+from .hecke import core_rows
 from .torus import alexander_rows, power_sum_invariant
 from .zbasis import CongruenceFragment, ZAPoly, qnum_sq_z2, z2_rows, z2_verdict
 
@@ -50,7 +51,7 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
         row[h + (p - 1 - 2 * leg) * p * tau // 2] += 1
     const = p if ((p - 1) * tau) % 2 == 0 else -p
     trace = add_rows({0: (-2 * h, row)}, {0: (0, [const])}, negate=True)
-    return ZAPoly.from_rows(z2_rows(_over_qnums(trace, (p, p))))
+    return ZAPoly.from_rows(z2_rows(bracket_rows(trace, (1, 1), (p, p))))
 
 
 def _limit_z2_rows(K, p: int) -> dict | None:

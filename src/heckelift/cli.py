@@ -2,7 +2,7 @@
 
 Exit codes: 0 all verdicts as expected, 1 a check failed (a sweep case that
 raises counts as failed and the others still run), 2 internal error, 64 usage
-error, which for verify includes a case too large to compute.  Sweep reports
+error, which includes a verify or sweep case too large to compute.  Sweep reports
 are deterministic apart from the millis fields; composite orders are probes
 whose expected verdict is FAIL.
 """
@@ -85,7 +85,7 @@ class SweepConfig:
         return cfg
 
     def validate(self):
-        """Raise UsageError on a wrong type or range, or on a run that checks nothing."""
+        """UsageError on a bad type or range, an oversized case or a run that checks nothing."""
         for name in ("primes", "composites", "d_values", "m_values", "lemma_primes"):
             _check_int_list(name, getattr(self, name), minimum=1)
         _check_int_list("lmov_framings", self.lmov_framings)
@@ -103,11 +103,15 @@ class SweepConfig:
         for name in ("lemma_d_max", "lemma_m_max", "degree", "workers"):
             _check_int(name, getattr(self, name), minimum=1)
         _check_int("seed", self.seed)
-        if not self.cases():
+        cases = self.cases()
+        if not cases:
             raise UsageError("the sweep grid is empty: no coprime (d, m) with p * d <= max_pd")
+        for d, m, p in cases:
+            if _too_large(d, m, p):
+                raise UsageError(f"case d={d} m={m} p={p} is too large to compute")
         if self.lemmas and not self.lemma_primes:
             raise UsageError("lemmas are enabled but lemma_primes is empty")
-        if self.alexander and not any(is_prime(p) or p == 1 for _, _, p in self.cases()):
+        if self.alexander and not any(is_prime(p) or p == 1 for _, _, p in cases):
             raise UsageError("alexander checks are enabled but the grid has no prime order")
         if self.lmov and not (self.lmov_knots or self.lmov_framings):
             raise UsageError("lmov is enabled but lists no knots")

@@ -13,10 +13,12 @@ and the scale out with resolve_rows, which lmov's verdict also calls on its
 rows.  dense_divmod is the one long-division kernel: exact_div and the z^2
 basis both run on it.  times_binomial and over_binomial, a shifted difference
 and a strided running sum on a dense list, are the one route for the
-binomials 1 - x^k: bracket_rows, every bracket product and division, and the
-q-numbers and Gaussian binomials of torus and hecke run on them.  Row maps
-{ae: (lo, coeffs)}, one dense list in q^2 per a-layer, carry a case from the
-closed form to the limit checks.  No floats.
+binomials 1 - x^k; bracket_row, on them, is the one route for a ratio of
+bracket products and tracks the q-offset and the sign itself: every bracket
+product and division, q-number [n]_{q^k} = {nk}/{k} and q-binomial of the
+package is a bracket_row or bracket_rows call.  Row maps {ae: (lo, coeffs)},
+one dense list in q^2 per a-layer, carry a case from the closed form to the
+limit checks.  No floats.
 Frozen is the base of the package's immutable value classes.
 """
 
@@ -450,7 +452,7 @@ def divide_out_abracket(f: LaurentQA, n: int = 1) -> LaurentQA:
 # -- dense a-layer rows ---------------------------------------------------------
 #
 # A row map {ae: (lo, coeffs)} holds a^ae layers of one q-parity each, coeffs[i] at
-# q^(lo + 2i), no zero at either end, never changed.  Only these helpers read them.
+# q^(lo + 2i), no zero at either end, never changed.
 
 
 def parse_rows(terms: dict) -> dict:
@@ -551,43 +553,56 @@ def abracket_quotient(rows: dict, n: int = 1) -> dict:
 # -- bracket monomials --------------------------------------------------------
 
 
-def bracket_rows(rows: dict, orders, divide: bool = False) -> dict:
-    """rows times, or with divide over, the product of {k} over orders, which may repeat.
+def bracket_row(lo: int, coeffs: list, times=(), over=()) -> tuple[int, list]:
+    """The row (lo, coeffs) times every {k} in times, then over every {k} in over, in order.
 
-    {k} = -q^-k (1 - x^k) on each row, and a negative order k stands for
-    {k} = -{-k}.  Dividing raises NonExactDivision, with the remainder the
-    failing bracket leaves on its a-layer attached, unless every bracket
-    divides every row; {0} raises ZeroDivisionError.
+    {k} = -q^-k (1 - x^k), and a negative order k stands for {k} = -{-k};
+    orders are nonzero sequences and may repeat.  A bracket that does not
+    divide raises NonExactDivision, with the remainder it leaves (at a^0)
+    attached.  coeffs is never changed.
     """
-    orders = list(orders)
-    if not orders:
-        return rows
-    if 0 in orders:
-        if divide:
-            raise ZeroDivisionError("the bracket {0} is zero")
+    flips = 0
+    for k in times:
+        size = k if k > 0 else -k
+        coeffs = times_binomial(coeffs, size)
+        lo -= size
+        flips += k > 0
+    if over and not times:
+        coeffs = list(coeffs)
+    for k in over:
+        size = k if k > 0 else -k
+        try:
+            over_binomial(coeffs, size)
+        except NonExactDivision:
+            top = range(max(len(coeffs) - size, 0), len(coeffs))
+            sign = (-1) ** flips
+            remainder = {(lo + 2 * i, 0): sign * coeffs[i] for i in top if coeffs[i]}
+            raise NonExactDivision(
+                f"not divisible by {{{size}}}", remainder=LaurentQA._raw(remainder)
+            ) from None
+        lo += size
+        flips += k > 0
+    return lo, list(map(neg, coeffs)) if flips % 2 else coeffs
+
+
+def bracket_rows(rows: dict, times=(), over=()) -> dict:
+    """bracket_row on every row of a row map; times and over are sequences.
+
+    {0} gives the zero map in times and raises ZeroDivisionError in over; a
+    failed division names its bracket and a-layer, the remainder attached.
+    """
+    if 0 in over:
+        raise ZeroDivisionError("the bracket {0} is zero")
+    if 0 in times:
         return {}
-    sizes = [abs(k) for k in orders]
-    negate = sum(k > 0 for k in orders) % 2
     out = {}
     for ae, (lo, coeffs) in rows.items():
-        if divide:
-            coeffs = list(coeffs)
-            for k in sizes:
-                try:
-                    over_binomial(coeffs, k)
-                except NonExactDivision:
-                    top = range(max(len(coeffs) - k, 0), len(coeffs))
-                    remainder = {(lo + 2 * i, ae): coeffs[i] for i in top if coeffs[i]}
-                    raise NonExactDivision(
-                        f"not divisible by {{{k}}} on a-layer {ae}",
-                        remainder=LaurentQA._raw(remainder),
-                    ) from None
-                lo += k
-        else:
-            for k in sizes:
-                coeffs = times_binomial(coeffs, k)
-                lo -= k
-        out[ae] = (lo, list(map(neg, coeffs)) if negate else coeffs)
+        try:
+            out[ae] = bracket_row(lo, coeffs, times, over)
+        except NonExactDivision as err:
+            raise NonExactDivision(
+                f"{err} on a-layer {ae}", remainder=err.remainder.shift(aexp=ae)
+            ) from None
     return out
 
 
@@ -598,7 +613,7 @@ def resolve_rows(rows: dict, brackets: Counter, scale: int = 1) -> dict:
     bracket_rows), then the scale; a coefficient the scale does not divide
     stays a Fraction.
     """
-    rows = bracket_rows(rows, sorted(brackets.elements(), reverse=True), divide=True)
+    rows = bracket_rows(rows, over=sorted(brackets.elements(), reverse=True))
     if scale == 1:
         return rows
     return {
@@ -618,20 +633,20 @@ def _by_parity(terms: dict, step) -> dict:
     return out
 
 
-def _times_brackets(terms: dict, orders, divide: bool = False) -> dict:
-    """terms times, or with divide over, the product of {k} over orders.
+def _times_brackets(terms: dict, times=(), over=()) -> dict:
+    """terms times every {k} in times, then over every {k} in over (see bracket_row).
 
     bracket_rows on each q-parity half; terms come back as they are for no order.
     """
-    orders = list(orders)
-    if not orders:
+    times, over = tuple(times), tuple(over)
+    if not times and not over:
         return terms
-    return _by_parity(terms, lambda rows: bracket_rows(rows, orders, divide))
+    return _by_parity(terms, lambda rows: bracket_rows(rows, times, over))
 
 
 def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
     """f divided exactly by the product of {k} over orders (see bracket_rows)."""
-    return LaurentQA._raw(_times_brackets(f.terms, orders, divide=True))
+    return LaurentQA._raw(_times_brackets(f.terms, over=orders))
 
 
 # -- ring fractions -----------------------------------------------------------

@@ -27,9 +27,11 @@ from .exactring import (
     abracket_quotient,
     adams_rows,
     add_rows,
+    bracket_row,
+    bracket_rows,
     emit_rows,
 )
-from .torus import _times_ratio, _zlcm, cable_params, closed_form_rows
+from .torus import _zlcm, cable_params, closed_form_rows
 from .zbasis import CongruenceFragment, ZAPoly, z2_rows, z2_verdict
 
 
@@ -92,48 +94,37 @@ def _adams_rows(d: int, m: int, p: int) -> dict:
     """Adams_p of the order-1 invariant by the paper's splitting step over nu |- d.
 
     a^m {1}/{m} (1/L) sum_{nu |- d} (L/z_nu) {nu}_a prod_i [m]_{q^nu_i}, stretched by
-    p; every q-product spans -(|m|-1)d..(|m|-1)d.  Shares only _times_ratio with Z_p.
+    p.  Shares only the exactring bracket kernel with Z_p.
     """
-    size, s = abs(m), (1 if m > 0 else -1)
     L = _zlcm(d)
     acc: dict = {}
     for nu in partitions_of(d):
-        qpart = _qnum_product(size, nu)
+        # every nu's q-product starts at the same q^lo: each spans (|m| - 1)d both ways
+        lo, qpart = _qnum_product(m, nu)[0]
         # {nu}_a = prod_i (a^nu_i - a^-nu_i), one term per choice of signs
         for signs in product((1, -1), repeat=len(nu)):
-            c = (L // z_mu(nu)) * s ** len(nu) * prod(signs)
+            c = (L // z_mu(nu)) * prod(signs)
             ae = m + sum(map(mul, signs, nu))
             acc[ae] = list(map(add, acc.get(ae, repeat(0)), map(mul, qpart, repeat(c))))
     rows = {}
     for ae, row in acc.items():
-        row = _times_ratio(row, 1, size)
+        start, row = bracket_row(lo, row, (1,), (m,))
         if any(map(mod, row, repeat(L))):
             raise NonExactDivision(f"splitting term not divisible by {L}")
-        # s = +-1, and L divides every entry
-        rows[ae] = (-(size - 1) * (d - 1), list(map(floordiv, row, repeat(s * L))))
+        rows[ae] = (start, list(map(floordiv, row, repeat(L))))
     return adams_rows(rows, p)
-
-
-def _over_qnums(rows: dict, orders) -> dict:
-    """rows / prod of [n] = q^-(n-1) (1 - q^2n)/(1 - q^2) over orders, or NonExactDivision."""
-    out = {}
-    for ae, (lo, coeffs) in rows.items():
-        for n in orders:
-            lo, coeffs = lo + n - 1, _times_ratio(coeffs, 1, n)
-        out[ae] = (lo, coeffs)
-    return out
 
 
 def defect_cofactor(K, p: int) -> LaurentQA:
     """The exact polynomial F with lifting_defect(K, p) == [p]^2 * F.
 
-    g's rows divided by [p] twice.  Resolves exactly, with int coefficients,
-    for prime p; composite p generally leaves a genuine fraction and the
-    division raises NonExactDivision.
+    g's rows times {1}^2 over {p}^2, [p] = {p}/{1}.  Resolves exactly, with
+    int coefficients, for prime p; composite p generally leaves a genuine
+    fraction and the division raises NonExactDivision.
     """
     if cable_params(K)[1] == 0:
         raise ValueError("zero framing has no twist bracket")
-    return emit_rows(_over_qnums(defect_rows(K, p), (p, p)))
+    return emit_rows(bracket_rows(defect_rows(K, p), (1, 1), (p, p)))
 
 
 class CongruenceReport(Frozen):
@@ -278,18 +269,15 @@ def _identity_check(K, g: dict, p: int) -> bool:
 def _family_ratio(num: dict, p: int, m: int) -> tuple[bool, ZAPoly | None]:
     """The z^2 rows of the family numerator's rows over [pm][p], if they exist."""
     try:
-        rows = z2_rows(_over_qnums(num, (p * m, p)))
+        rows = z2_rows(bracket_rows(num, (1, 1), (p * m, p)))
     except NonExactDivision:
         return False, None
     return (False, None) if rows is None else (True, ZAPoly.from_rows(rows))
 
 
-def _qnum_product(n: int, parts, scale: int = 1) -> list:
-    """scale * prod_i [n]_{q^k_i}, n >= 1, dense in q^2 from q^-((n-1) sum k_i)."""
-    out = [scale]
-    for k in parts:
-        out = _times_ratio(out, n * k, k)
-    return out
+def _qnum_product(n: int, parts, scale: int = 1) -> dict:
+    """{0: scale * prod_i [n]_{q^k_i}} as a row map, [n]_{q^k} = {nk}/{k}."""
+    return {0: bracket_row(0, [scale], [n * k for k in parts], parts)}
 
 
 def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly | None]:
@@ -310,10 +298,8 @@ def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly 
     if gcd(d, m) != 1:
         raise PreconditionViolated(f"|nu| = {d} and m = {m} are not coprime")
     parts = [p * part for part in nu]
-    top = {0: (-(p * m - 1) * p * d, _qnum_product(p * m, parts))}
-    scale = defect_sign(p, d * m) * p ** len(nu)
-    low = {0: (-(m - 1) * p * d, _qnum_product(m, parts, scale))}
-    return _family_ratio(add_rows(top, low, negate=True), p, m)
+    low = _qnum_product(m, parts, defect_sign(p, d * m) * p ** len(nu))
+    return _family_ratio(add_rows(_qnum_product(p * m, parts), low, negate=True), p, m)
 
 
 def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPoly | None]:
@@ -335,17 +321,4 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
         raise PreconditionViolated(
             f"|mu|/p = {sum(mu) // p} and m = {m} are not coprime"
         )
-    return _family_ratio({0: (-(p * m - 1) * sum(mu), _qnum_product(p * m, mu))}, p, m)
-
-
-__all__ = [
-    "CongruenceReport",
-    "PreconditionViolated",
-    "defect_cofactor",
-    "defect_sign",
-    "divisible_family_check",
-    "is_prime",
-    "lifting_defect",
-    "nondivisible_family_check",
-    "verify_hecke",
-]
+    return _family_ratio(_qnum_product(p * m, mu), p, m)

@@ -21,7 +21,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
-from operator import neg
 
 from .combinatorics import (
     Partition,
@@ -42,11 +41,10 @@ from .exactring import (
     abracket,
     abracket_of_partition,
     abracket_quotient,
+    bracket_row,
     emit_rows,
-    over_binomial,
     parse_rows,
     rows_at_a1,
-    times_binomial,
 )
 from .zbasis import ZAPoly, z2_rows
 
@@ -120,38 +118,22 @@ def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
 # -- the closed q-binomial form ------------------------------------------------
 
 
-def _times_ratio(out: list[int], s: int, i: int) -> list[int]:
-    """The dense list out times (1 - x^s) / (1 - x^i), exactly, or NonExactDivision."""
-    return over_binomial(times_binomial(out, s), i)
-
-
-def _gauss(N: int, K: int) -> list[int]:
-    """The Gaussian binomial G_x(N, K) as a dense list, entry i at x^i.
-
-    Built from the product formula prod_{i=1..K} (1 - x^(N-K+i)) / (1 - x^i).
-    Each partial product is G_x(N-K+i, i), a polynomial, so nothing is ever
-    truncated.
-    """
-    K = min(K, N - K)
-    out = [1]
-    for i in range(1, K + 1):
-        out = _times_ratio(out, N - K + i, i)
-    return out
-
-
 @lru_cache(maxsize=8)
 def closed_form_rows(K, p: int = 1) -> dict:
     """The rows of {p} * H(K * P_p): with c = pm, n = pd, for c > 0
 
         a^c ({p}/{n}) sum_{j=0}^{min(c,n)} (-1)^j a^(n-2j) [n, j] [c+n-1-j, n-1]
 
-    where [N, K] = q^(-K(N-K)) G_{q^2}(N, K) is the symmetric q-binomial.
-    For c < 0 the sum is mirrored (q, a -> 1/q, 1/a; the q-binomials are
-    palindromic, so only a moves) and {n} becomes {-n}.  Resolves exactly to
-    int rows for every p >= 1; a division failure here (NonExactDivision)
-    would be an implementation bug, not a conjecture failure.  Row j is
-    P_j = G(n, j) G(|c|+n-1-j, n-1) times {p}/{n} = q^(n-p) (1 - q^2p) /
-    (1 - q^2n); P_top is one Gaussian binomial and P_j is P_(j+1) times two ratios.
+    where [N, r] = prod_{i=1..r} {N-r+i}/{i} = q^(-r(N-r)) G_{q^2}(N, r) is the
+    symmetric q-binomial.  For c < 0 the sum is mirrored (q, a -> 1/q, 1/a;
+    the q-binomials are palindromic, so only a moves) and {n} becomes {-n}.
+    Resolves exactly to int rows for every p >= 1; a division failure here
+    (NonExactDivision) would be an implementation bug, not a conjecture
+    failure.  Every step is one bracket_row ratio, which tracks the q-offset
+    and the sign.  With P_j = [n, j] [|c|+n-1-j, n-1], P_top is one
+    q-binomial, built by single ratios so that each partial product
+    [N-r+i, i] is a polynomial; P_j is P_(j+1) times two ratios; and row j
+    is P_j {(-1)^j p}/{+-n}.
     """
     if p < 1:
         raise ValueError("color must be >= 1")
@@ -162,18 +144,19 @@ def closed_form_rows(K, p: int = 1) -> dict:
     size, mirror = abs(c), (1 if c > 0 else -1)
     top = min(size, n)
     # one of the two q-binomials of P_top is 1
-    prod = _gauss(size - 1, n - 1) if top == n else _gauss(n, top)
+    N, r = (size - 1, n - 1) if top == n else (n, top)
+    r = min(r, N - r)
+    lo, prod = 0, [1]
+    for i in range(1, r + 1):
+        lo, prod = bracket_row(lo, prod, (N - r + i,), (i,))
     rows = {}
     for j in range(top, -1, -1):
         if j < top:
             big = size + n - 1 - j
-            prod = _times_ratio(_times_ratio(prod, j + 1, n - j), big, big - n + 1)
-        layer = _times_ratio(prod, p, n)
-        if mirror * (-1) ** j < 0:
-            layer = list(map(neg, layer))
-        # q-exponent of layer[0]: P_j starts at q^-(j(n-j) + (n-1)(size-j))
-        low = n - p - j * (n - j) - (n - 1) * (size - j)
-        rows[c + mirror * (n - 2 * j)] = (low, layer)
+            lo, prod = bracket_row(lo, prod, (j + 1,), (n - j,))
+            lo, prod = bracket_row(lo, prod, (big,), (big - n + 1,))
+        # {-p} = -{p} carries (-1)^j, and {-n} the mirror's sign
+        rows[c + mirror * (n - 2 * j)] = bracket_row(lo, prod, ((-1) ** j * p,), (mirror * n,))
     return rows
 
 

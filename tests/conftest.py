@@ -29,7 +29,9 @@ from heckelift.exactring import (
     divide_brackets,
     divide_out_abracket,
     exact_div,
+    over_binomial,
     qbracket,
+    times_binomial,
     zsquared,
 )
 from heckelift.hecke import defect_sign, lifting_defect
@@ -46,7 +48,6 @@ from heckelift.torus import (
     TorusKnot,
     _cofactor,
     _den_brackets,
-    _gauss,
     _zlcm,
     alexander,
     cable_params,
@@ -86,6 +87,18 @@ def qnum_power(n: int, k: int) -> LaurentQA:
         e = k * (n - 1 - 2 * j)
         data[(e, 0)] = data.get((e, 0), 0) + 1
     return LaurentQA(data)
+
+
+@cache
+def gauss(N: int, k: int) -> tuple:
+    """The Gaussian binomial G_x(N, k), entry i at x^i, by q-Pascal and nothing else.
+
+    G(N, k) = G(N-1, k-1) + x^k G(N-1, k), memoized: the plain recursion is exponential.
+    """
+    if k in (0, N):
+        return (1,)
+    low, high = gauss(N - 1, k - 1), (0,) * k + gauss(N - 1, k)
+    return tuple(x + y for x, y in itertools.zip_longest(low, high, fillvalue=0))
 
 
 def exact_int_div(f: LaurentQA, k: int) -> LaurentQA:
@@ -508,7 +521,7 @@ def sparse_scaled_invariant(K, p=1):
     def binomial(N, k, aexp=0, coeff=1):
         low = k * (N - k)
         return LaurentQA._raw(
-            {(2 * i - low, aexp): coeff * v for i, v in enumerate(_gauss(N, k))}
+            {(2 * i - low, aexp): coeff * v for i, v in enumerate(gauss(N, k))}
         )
 
     acc = {}
@@ -659,6 +672,27 @@ def top_down_divide_brackets(f, orders):
             if c:
                 out[(i + off, ae)] = c * sign
     return LaurentQA._raw(out)
+
+
+def stepwise_qnum_product(n, parts, scale=1):
+    """scale * prod_i [n]_{q^k_i}, n >= 1, one ratio (1 - x^(nk)) / (1 - x^k) per part.
+
+    Dense in q^2 from q^-((n-1) sum k_i).
+    """
+    out = [scale]
+    for k in parts:
+        out = over_binomial(times_binomial(out, n * k), k)
+    return out
+
+
+def stepwise_over_qnums(rows, orders):
+    """rows / prod of [n] = q^-(n-1) (1 - x^n) / (1 - x) over orders, one ratio per [n]."""
+    out = {}
+    for ae, (lo, coeffs) in rows.items():
+        for n in orders:
+            lo, coeffs = lo + n - 1, over_binomial(times_binomial(coeffs, 1), n)
+        out[ae] = (lo, coeffs)
+    return out
 
 
 # -- the dict routes of the verdict path, kept as references ---------------------

@@ -83,6 +83,17 @@ def test_verify_case_past_the_index_range_is_a_usage_error(capsys):
     _too_large(["verify", "--d", "2", "--m", "3", "--p", str(10**20 - 1)], capsys, OverflowError)
 
 
+def test_sweep_case_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(
+        json.dumps({"primes": [10**15], "d_values": [2], "m_values": [3], "max_pd": None})
+    )
+    assert run(["sweep", "--sweep-config", str(cfg_path)]) == 64
+    err = capsys.readouterr().err
+    assert f"case d=2 m=3 p={10**15} is too large" in err
+    assert "Traceback" not in err and "raised" not in err
+
+
 def test_verify_json_report_matches_library(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert run(["verify", "--d", "2", "--m", "3", "--p", "2",

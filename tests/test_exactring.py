@@ -13,6 +13,8 @@ from conftest import (
     qnum_power,
     random_laurent,
     sparse_times_brackets,
+    stepwise_over_qnums,
+    stepwise_qnum_product,
     substitute_a,
     top_down_divide_brackets,
 )
@@ -25,16 +27,20 @@ from heckelift.exactring import (
     abracket,
     abracket_of_partition,
     bracket_of_partition,
+    bracket_rows,
     divide_brackets,
     dense_divmod,
     divide_out_abracket,
+    emit_rows,
     exact_div,
     kronecker_mul,
     over_binomial,
+    parse_rows,
     qbracket,
     times_binomial,
     zsquared,
 )
+from heckelift.hecke import _qnum_product
 
 
 def test_constructors_and_basic_queries():
@@ -432,6 +438,73 @@ def test_bracket_rows_match_the_sparse_and_top_down_references(f, orders, fail, 
         assert fail or divide_brackets(g, orders) == f
     with pytest.raises(ZeroDivisionError):
         divide_brackets(g, orders + [0])
+
+
+# -- bracket_rows: the ratio of two bracket products ----------------------------
+
+# row maps of one q-parity per a-layer; zeros at the ends are dropped by emit_rows
+_ROWS = st.dictionaries(
+    st.integers(-2, 2),
+    st.tuples(st.integers(-6, 6), st.lists(st.integers(-5, 5), max_size=5)),
+    max_size=3,
+)
+
+
+@_PROPERTY
+@given(_ROWS, _ORDERS, _ORDERS, st.booleans())
+@example({0: (0, [1, 1])}, [3], [1], False)  # (1 + x)(1 + x + x^2)
+@example({0: (0, [1, 0, 1])}, [2], [4], False)  # (1 + x^2)(1 - x^2) = 1 - x^4
+@example({0: (0, [1])}, [1], [2], False)
+@example({0: (0, [1])}, [1], [5], False)
+@example({0: (0, [1, 2])}, [3], [2], False)
+def test_bracket_rows_is_the_ratio_of_the_sparse_and_top_down_references(
+    raw, times, over, divisible
+):
+    f = emit_rows(raw)
+    if divisible:
+        f = LaurentQA._raw(sparse_times_brackets(f.terms, over))
+    rows = parse_rows(f.terms)
+    num = LaurentQA._raw(sparse_times_brackets(f.terms, times))
+    try:
+        expected = top_down_divide_brackets(num, over)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision) as caught:
+            bracket_rows(rows, times, over)
+        remainder = caught.value.remainder
+        (ae,) = {a for _, a in remainder.terms}
+        assert f"on a-layer {ae}" in str(caught.value)
+        if len(over) == 1:
+            # one bracket: the failing layer less the remainder divides
+            layer = {key: c for key, c in num.terms.items() if key[1] == ae}
+            top_down_divide_brackets(LaurentQA._raw(layer) - remainder, over)
+    else:
+        # the same rows: lo and sign included
+        assert bracket_rows(rows, times, over) == parse_rows(expected.terms)
+    assert bracket_rows(rows, [*times, 0], over[:1]) == {}
+    for zero_in_times in ([], [0]):
+        with pytest.raises(ZeroDivisionError):
+            bracket_rows(rows, [*times, *zero_in_times], [*over, 0])
+
+
+@_PROPERTY
+@given(
+    _ROWS,
+    st.integers(1, 6),
+    st.lists(st.integers(1, 4), max_size=3),
+    st.integers(-3, 3).filter(bool),
+)
+def test_qnumbers_are_bracket_ratios(raw, n, parts, scale):
+    """[n]_{q^k} = {nk}/{k}, against one ratio step per q-number."""
+    expected = stepwise_qnum_product(n, parts, scale)
+    assert _qnum_product(n, parts, scale) == {0: (-(n - 1) * sum(parts), expected)}
+    f = emit_rows(raw)
+    orders = [n, *parts]
+    g = f
+    for k in orders:
+        g = g * qnum(k)
+    rows = parse_rows(g.terms)
+    quotient = bracket_rows(rows, [1] * len(orders), orders)
+    assert quotient == stepwise_over_qnums(rows, orders) == parse_rows(f.terms)
 
 
 @_PROPERTY

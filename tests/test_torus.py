@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     character_pairing,
     dn_scaled_invariant,
+    gauss,
     nu_sum_power_sum_invariant,
     nu_sum_unknot_schur_value,
     plane_value_grid,
@@ -23,10 +24,11 @@ from heckelift.combinatorics import (
 )
 from heckelift.exactring import (
     LaurentQA,
-    NonExactDivision,
     RingFraction,
     abracket,
     bracket_of_partition,
+    bracket_row,
+    bracket_rows,
     exact_div,
     qbracket,
     zsquared,
@@ -35,8 +37,6 @@ from heckelift.torus import (
     FramedUnknot,
     _cofactor,
     _den_brackets,
-    _gauss,
-    _times_ratio,
     TorusKnot,
     alexander,
     cable_params,
@@ -209,27 +209,22 @@ def test_cofactor_is_bracket_monomial_quotient():
 
 
 def test_gauss_binomial_properties():
-    """G(N, K): comb(N, K) at x = 1, palindromic, and q-Pascal."""
+    """[N, K] = prod_{i=1..K} {N-K+i}/{i} by the bracket kernel is q^(-K(N-K)) G(N, K).
+
+    G is the q-Pascal reference: comb(N, K) at x = 1 and palindromic.  The
+    closed form builds its q-binomials by these single ratios; one
+    bracket_rows call with every product first gives the same row.
+    """
     for N in range(15):
         for K in range(N + 1):
-            g = _gauss(N, K)
-            assert len(g) == K * (N - K) + 1, (N, K)
-            assert sum(g) == comb(N, K), (N, K)
-            assert g == g[::-1], (N, K)
-            if 0 < K < N:
-                # G(N, K) = G(N-1, K-1) + x^K G(N-1, K)
-                low, high = _gauss(N - 1, K - 1), [0] * K + _gauss(N - 1, K)
-                low += [0] * (len(high) - len(low))
-                assert g == [x + y for x, y in zip(low, high)], (N, K)
-
-
-def test_times_ratio_is_exact_or_raises():
-    """out * (1 - x^s) / (1 - x^i): exact quotients come back, remainders raise."""
-    assert _times_ratio([1, 1], 3, 1) == [1, 2, 2, 1]  # (1 + x)(1 + x + x^2)
-    assert _times_ratio([1, 0, 1], 2, 4) == [1]  # (1 + x^2)(1 - x^2) = 1 - x^4
-    for out, s, i in (([1], 1, 2), ([1], 1, 5), ([1, 2], 3, 2)):
-        with pytest.raises(NonExactDivision):
-            _times_ratio(out, s, i)
+            g = list(gauss(N, K))
+            assert sum(g) == comb(N, K) and g == g[::-1], (N, K)
+            row = (0, [1])
+            for i in range(1, K + 1):
+                row = bracket_row(*row, (N - K + i,), (i,))
+            assert row == (-K * (N - K), g), (N, K)
+            ratio = bracket_rows({0: (0, [1])}, range(N - K + 1, N + 1), range(1, K + 1))
+            assert ratio == {0: row}, (N, K)
 
 
 def test_scaled_invariant_matches_dn_route():
