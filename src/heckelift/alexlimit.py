@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
 
 from .combinatorics import HookShape, character_table, partitions_of, z_mu
 from .exactring import (
@@ -24,7 +23,7 @@ from .exactring import (
     abracket_quotient,
     adams_rows,
     add_rows,
-    bracket_rows,
+    cosh_coeffs,
     emit_rows,
     kronecker_mul,
     parse_rows,
@@ -32,16 +31,15 @@ from .exactring import (
 )
 from .hecke import core_rows
 from .torus import alexander_rows, power_sum_invariant
-from .zbasis import CongruenceFragment, ZAPoly, qnum_sq_z2, z2_rows, z2_verdict
+from .zbasis import CongruenceFragment, ZAPoly, over_qnum_sq, z2_rows, z2_verdict
 
 
-def framing_correction(p: int, tau: int) -> ZAPoly:
-    """The weight-p hook trace divided by [p]^2, as a polynomial in z^2.
+def _hook_trace(p: int, tau: int) -> tuple[dict, dict]:
+    """The weight-p hook trace and its quotient by [p]^2, as row maps.
 
     The trace is sum over hooks of weight p of q^(kappa * tau) minus
-    p * (-1)^((p-1) tau); for prime p the quotient is integral, and
-    framing_correction(p, 0) == 0.  The hook with leg l has kappa = (p-1-2l)p.
-    Composite p raises NonExactDivision from the division by [p]^2.
+    p * (-1)^((p-1) tau); the hook with leg l has kappa = (p-1-2l)p.  For
+    prime p the quotient is integral; composite p raises NonExactDivision.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -51,22 +49,28 @@ def framing_correction(p: int, tau: int) -> ZAPoly:
         row[h + (p - 1 - 2 * leg) * p * tau // 2] += 1
     const = p if ((p - 1) * tau) % 2 == 0 else -p
     trace = add_rows({0: (-2 * h, row)}, {0: (0, [const])}, negate=True)
-    return ZAPoly.from_rows(z2_rows(bracket_rows(trace, (1, 1), (p, p))))
+    return trace, over_qnum_sq(trace, p)
 
 
-def _limit_z2_rows(K, p: int) -> dict | None:
-    """{0: z^2 row} of the core at a = 1: the sum of its z^2 rows, which a knot has."""
-    rows = core_rows(K, p)[1]
-    return None if rows is None else {0: list(map(sum, zip_longest(*rows.values(), fillvalue=0)))}
+def framing_correction(p: int, tau: int) -> ZAPoly:
+    """The weight-p hook trace divided by [p]^2, as a polynomial in z^2; 0 for tau = 0."""
+    return ZAPoly.from_rows(z2_rows(_hook_trace(p, tau)[1]))
+
+
+def _limit_rows(K, p: int) -> tuple[dict, bool]:
+    """The core's rows at a = 1, and whether every core layer is even and palindromic."""
+    core = core_rows(K, p)
+    return rows_at_a1(core), all(cosh_coeffs(row) is not None for row in core.values())
 
 
 def limit_identity_check(K, p: int) -> bool:
-    """lim defect/(a - a^-1) == [p]^2 * A(K; q^p) * correction, as z^2 rows."""
-    lhs = _limit_z2_rows(K, p)
-    alex_p = z2_rows(adams_rows(alexander_rows(K), p))[0]
-    corr = framing_correction(p, K.framing).row_map().get(0, ())
-    rhs = kronecker_mul(kronecker_mul(list(qnum_sq_z2(p)), alex_p), list(corr))
-    return lhs is not None and ZAPoly.from_rows(lhs) == ZAPoly.from_rows({0: rhs})
+    """lim defect/(a - a^-1) == A(K; q^p) * hook trace, that is [p]^2 A(K; q^p)
+    times the framing correction, as q-rows; composite p raises NonExactDivision."""
+    lim, palindromic = _limit_rows(K, p)
+    trace = _hook_trace(p, K.framing)[0]
+    ((lo, alex),) = adams_rows(alexander_rows(K), p).values()
+    rhs = {ae: (lo + lt, kronecker_mul(alex, row)) for ae, (lt, row) in trace.items()}
+    return palindromic and lim == rhs
 
 
 class LimitMembership(Frozen):
@@ -82,9 +86,9 @@ class LimitMembership(Frozen):
 
 def limit_membership_verdict(K, p: int) -> LimitMembership:
     """Check the a -> 1 limit of the defect against [p]^2 Z[z^2] membership."""
-    lim = emit_rows(rows_at_a1(core_rows(K, p)[0]))
-    frag = z2_verdict(_limit_z2_rows(K, p), p)
-    return LimitMembership(passed=frag.z2_member and frag.p2_divisible, value=lim, fragment=frag)
+    lim, palindromic = _limit_rows(K, p)
+    frag = z2_verdict(lim if palindromic else None, p)
+    return LimitMembership(frag.z2_member and frag.p2_divisible, emit_rows(lim), frag)
 
 
 class HookAlexanderReport(Frozen):

@@ -18,7 +18,7 @@ import os
 import random
 import sys
 from copy import deepcopy
-from math import gcd
+from math import gcd, lgamma, log
 from pathlib import Path
 
 from .combinatorics import partition_key, partitions_of
@@ -279,16 +279,25 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def _too_large(d: int, m: int, p: int) -> bool:
-    """Whether the closed form of T(d, m) at colour p needs more memory than the machine has.
+    """Whether T(d, m) at colour p needs more memory than the machine has.
 
-    Its widest a-layer, j = 0 in closed_form_rows, holds (pd - 1) pm - p(d - 1) + 1
-    coefficients, at least one 8-byte pointer each.
+    With n = pd and c = pm the closed form has min(c, n) + 1 a-layers of at
+    most (n - 1) c - p(d - 1) + 1 coefficients: [n, j] [c+n-1-j, n-1] over
+    [d]_{q^p}, whose q-binomials at q = 1 bound the bits b of a coefficient
+    by log2 C(n, n/2) C(c+n-1, n-1).  A coefficient takes 32 + 4 b/30 bytes,
+    and a case holds about four such row maps (Z_p, g, its core, the quotient).
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         memory = sys.maxsize
-    return 8 * ((p * d - 1) * p * m - p * (d - 1) + 1) > memory
+    n, c = p * d, p * m
+    cells = (min(c, n) + 1) * ((n - 1) * c - p * (d - 1) + 1)
+    if cells > memory:  # a byte each is too much already; lgamma needs a float
+        return True
+    bits = sum(lgamma(x + 1) - lgamma(k + 1) - lgamma(x - k + 1)
+               for x, k in ((n, n // 2), (c + n - 1, n - 1))) / log(2)
+    return 4 * cells * (32 + bits / 7.5) > memory
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import product, repeat, zip_longest
+from itertools import product, repeat
 from math import gcd, prod
 from operator import add, floordiv, mod, mul
 
@@ -32,7 +32,7 @@ from .exactring import (
     emit_rows,
 )
 from .torus import _zlcm, cable_params, closed_form_rows
-from .zbasis import CongruenceFragment, ZAPoly, z2_rows, z2_verdict
+from .zbasis import CongruenceFragment, ZAPoly, over_qnum_sq, z2_rows, z2_verdict
 
 
 class PreconditionViolated(ValueError):
@@ -74,14 +74,13 @@ def defect_rows(K, p: int) -> dict:
 
 
 @lru_cache(maxsize=4)
-def core_rows(K, p: int) -> tuple[dict, dict | None]:
-    """The rows of g / (a - a^-1) and their z^2 rows (None if one is not in Q[z^2]).
+def core_rows(K, p: int) -> dict:
+    """The rows of g / (a - a^-1); NotDivisible if g has no a-factor.
 
     verify_hecke and the a -> 1 limit checks of one case share it, so the
-    defect is divided and converted once per case.
+    defect is divided once per case.
     """
-    rows = abracket_quotient(defect_rows(K, p))
-    return rows, z2_rows(rows)
+    return abracket_quotient(defect_rows(K, p))
 
 
 @lru_cache(maxsize=4)
@@ -118,23 +117,23 @@ def _adams_rows(d: int, m: int, p: int) -> dict:
 def defect_cofactor(K, p: int) -> LaurentQA:
     """The exact polynomial F with lifting_defect(K, p) == [p]^2 * F.
 
-    g's rows times {1}^2 over {p}^2, [p] = {p}/{1}.  Resolves exactly, with
-    int coefficients, for prime p; composite p generally leaves a genuine
+    g's rows over [p]^2, as in a passing report.  Resolves exactly, with int
+    coefficients, for prime p; composite p generally leaves a genuine
     fraction and the division raises NonExactDivision.
     """
     if cable_params(K)[1] == 0:
         raise ValueError("zero framing has no twist bracket")
-    return emit_rows(bracket_rows(defect_rows(K, p), (1, 1), (p, p)))
+    return emit_rows(over_qnum_sq(defect_rows(K, p), p))
 
 
 class CongruenceReport(Frozen):
-    """Outcome of one congruence case, JSON/CSV serializable."""
+    """Outcome of one congruence case, JSON/CSV serializable; quotient_rows as in a fragment."""
 
     __slots__ = ("d", "m", "framing", "p", "p_prime", "a_factor", "z2_member", "p2_divisible",
-                 "quotient", "remainder_witness", "identity_gp_eq_p2F", "millis")
+                 "quotient_rows", "remainder_witness", "identity_gp_eq_p2F", "millis")
 
     def __init__(self, d: int, m: int, framing: int, p: int, p_prime: bool, a_factor: bool,
-                 z2_member: bool, p2_divisible: bool, quotient: ZAPoly | None,
+                 z2_member: bool, p2_divisible: bool, quotient_rows: tuple | None,
                  remainder_witness: ZAPoly | None, identity_gp_eq_p2F: bool, millis: float):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
@@ -144,17 +143,19 @@ class CongruenceReport(Frozen):
         object.__setattr__(self, "a_factor", a_factor)
         object.__setattr__(self, "z2_member", z2_member)
         object.__setattr__(self, "p2_divisible", p2_divisible)
-        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "quotient_rows", quotient_rows)
         object.__setattr__(self, "remainder_witness", remainder_witness)
         object.__setattr__(self, "identity_gp_eq_p2F", identity_gp_eq_p2F)
         object.__setattr__(self, "millis", millis)
+
+    quotient = CongruenceFragment.quotient
 
     @property
     def verdict(self) -> bool:
         return self.a_factor and self.z2_member and self.p2_divisible
 
-    # g / (a - a^-1) in [p]^2 Z[z^2, a^{+-1}]: the checks run on that core,
-    # so this is the verdict
+    # g / (a - a^-1) in [p]^2 Z[z^2, a^{+-1}]: the core's layers are running
+    # sums of g's, so with the a-factor g's checks are the core's
     strong_divisible = verdict
 
     def to_json_dict(self) -> dict:
@@ -167,7 +168,7 @@ class CongruenceReport(Frozen):
             "a_factor": _flag(self.a_factor),
             "z2_member": _flag(self.z2_member),
             "p2_divisible": _flag(self.p2_divisible),
-            "quotient": None if self.quotient is None else self.quotient.to_json_dict(),
+            "quotient": None if self.quotient_rows is None else self.quotient.to_json_dict(),
             "remainder_witness": (
                 None
                 if self.remainder_witness is None
@@ -180,13 +181,15 @@ class CongruenceReport(Frozen):
     CSV_COLUMNS = ("d", "m", "p", "p_prime", "verdict", "quotient_z2_degree", "millis")
 
     def csv_row(self) -> list:
+        rows = self.quotient_rows
         return [
             self.d,
             self.m,
             self.p,
             "true" if self.p_prime else "false",
             "PASS" if self.verdict else "FAIL",
-            "" if self.quotient is None else self.quotient.z2_degree(),
+            # a palindromic row spanning q^-2h..q^2h has z^2-degree h
+            "" if rows is None else max((len(c) // 2 for _, (_, c) in rows), default=-1),
             round(self.millis, 3),
         ]
 
@@ -197,21 +200,20 @@ def verify_hecke(K, p: int) -> CongruenceReport:
     Failures are verdicts, not errors: composite p is allowed and expected
     to FAIL with a remainder witness.
 
-    Only core = g / (a - a^-1) is converted: its layers are running sums of
-    g's, so g passes the z^2 and [p]^2 checks exactly when core does, and
-    g's quotient and remainder witness are (a - a^-1) times core's.  Only
-    when g has no a-factor is g itself checked.
+    z2_verdict decides on g's q-rows, with or without an a-factor (the
+    core's existence, which the limit checks reuse); nothing is converted to
+    z^2 unless the division fails (the witness) or the quotient is read.
     """
     t0 = time.perf_counter()
     d, m = cable_params(K)
     try:
-        frag = _times_abracket(z2_verdict(core_rows(K, p)[1], p))
+        core_rows(K, p)
         a_ok = True
     except NotDivisible:
-        frag = z2_verdict(z2_rows(defect_rows(K, p)), p)
         a_ok = False
-
-    identity = _identity_check(K, defect_rows(K, p), p)
+    g = defect_rows(K, p)
+    frag = z2_verdict(g, p)
+    identity = _identity_check(K, g, p)
 
     millis = (time.perf_counter() - t0) * 1000.0
     return CongruenceReport(
@@ -223,33 +225,10 @@ def verify_hecke(K, p: int) -> CongruenceReport:
         a_factor=a_ok,
         z2_member=frag.z2_member,
         p2_divisible=frag.p2_divisible,
-        quotient=frag.quotient,
+        quotient_rows=frag.quotient_rows,
         remainder_witness=frag.remainder_witness,
         identity_gp_eq_p2F=identity,
         millis=millis,
-    )
-
-
-def _times_abracket(frag: CongruenceFragment) -> CongruenceFragment:
-    """(a - a^-1) times frag's quotient and witness, both row-linear in f.
-
-    Row e of the product is row e - 1 minus row e + 1.
-    """
-
-    def lift(f: ZAPoly | None) -> ZAPoly | None:
-        if f is None:
-            return None
-        rows, out = f.row_map(), {}
-        for ae in {e + s for e in rows for s in (1, -1)}:
-            pairs = zip_longest(rows.get(ae - 1, ()), rows.get(ae + 1, ()), fillvalue=0)
-            out[ae] = [u - v for u, v in pairs]
-        return ZAPoly.from_rows(out)
-
-    return CongruenceFragment(
-        z2_member=frag.z2_member,
-        p2_divisible=frag.p2_divisible,
-        quotient=lift(frag.quotient),
-        remainder_witness=lift(frag.remainder_witness),
     )
 
 

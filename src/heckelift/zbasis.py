@@ -4,17 +4,29 @@ A Laurent polynomial lies in this subring iff every a-layer has only even
 integer q-exponents and is palindromic under q <-> q^{-1}, i.e. it is
 sum_k c_k B_k with B_k = q^(2k) + q^(-2k) = (z^2 + 2) B_(k-1) - B_(k-2).
 Each layer is converted by Clenshaw's recurrence in powers of z^2, holding
-three dense rows: no division, no recursion, no table of the B_k.  Division
-by [p]^2 (monic of degree p - 1 in z^2) is long division per a-layer.
+three dense rows: no division, no recursion, no table of the B_k.
+
+The verdict needs no conversion.  With x = q^2, Z[z^2] is exactly the set of
+palindromic integer Laurent polynomials in x, since z^(2k) = x^k + (lower
+terms) + x^-k is unitriangular over Z, and [p]^2 = x^-(p-1) ((1 - x^p) /
+(1 - x))^2.  So an int row map lies in [p]^2 Z[z^2, a^{+-1}] exactly when
+every layer is even and palindromic (cosh_coeffs is not None) and
+over_qnum_sq divides it exactly; the quotient is then palindromic and
+integral.  z2_verdict decides so on q-rows; a fragment converts its quotient
+only when it is read, and a remainder witness is the remainder of long
+division by [p]^2 (monic of degree p - 1 in z^2) of the converted rows.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from operator import add, sub
+from operator import add
 
-from .exactring import Frozen, LaurentQA, cosh_coeffs, dense_divmod, layer_row
+from .exactring import (
+    Frozen, LaurentQA, NonExactDivision, bracket_rows, cosh_coeffs, dense_divmod, layer_row,
+    parse_rows,
+)
 
 
 class NotInSubring(ValueError):
@@ -42,37 +54,12 @@ class ZAPoly(Frozen):
         cleaned = ((int(ae), _trim(row)) for ae, row in rows.items())
         return cls(rows=tuple(sorted((ae, row) for ae, row in cleaned if row)))
 
-    @classmethod
-    def zero(cls) -> "ZAPoly":
-        return cls(rows=())
-
-    def row_map(self) -> dict[int, tuple]:
-        return dict(self.rows)
-
     def is_zero(self) -> bool:
         return not self.rows
 
     @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for _, row in self.rows for c in row)
-
-    def z2_degree(self) -> int:
-        """Highest power of z^2 present; -1 for the zero polynomial."""
-        if not self.rows:
-            return -1
-        return max(len(row) - 1 for _, row in self.rows)
-
-    def to_laurent(self) -> LaurentQA:
-        """Expand back into q and a: Horner's rule in z^2 = q^2 - 2 + q^-2."""
-        out: dict = {}
-        for ae, row in self.rows:
-            acc: list = []  # acc[i] is the coefficient of q^(2(i - depth))
-            for depth, c in enumerate(reversed(row)):
-                up, down, mid = [0, 0] + acc, acc + [0, 0], [0] + acc + [0]
-                acc = list(map(sub, map(add, up, down), map(add, mid, mid)))
-                acc[depth] += c
-            out.update(((2 * (i - depth), ae), c) for i, c in enumerate(acc) if c)
-        return LaurentQA._raw(out)
 
     def to_json_dict(self) -> dict:
         return {str(ae): [str(c) for c in row] for ae, row in self.rows}
@@ -157,41 +144,54 @@ def divide_by_qnum_sq(f: ZAPoly, p: int) -> tuple["ZAPoly", bool, "ZAPoly"]:
     return quotient, remainder.is_zero(), remainder
 
 
+def over_qnum_sq(rows: dict, p: int) -> dict:
+    """rows / [p]^2 = rows {1}^2 / {p}^2; NonExactDivision names the first layer it leaves."""
+    return bracket_rows(rows, (1, 1), (p, p))
+
+
 class CongruenceFragment(Frozen):
-    """Outcome of the z^2-membership and [p]^2-divisibility checks."""
+    """The membership and [p]^2 checks; quotient_rows holds q-rows ((ae, (lo, coeffs)), ...)."""
 
-    __slots__ = ("z2_member", "p2_divisible", "quotient", "remainder_witness")
+    __slots__ = ("z2_member", "p2_divisible", "quotient_rows", "remainder_witness")
 
-    def __init__(self, z2_member: bool, p2_divisible: bool, quotient: ZAPoly | None,
+    def __init__(self, z2_member: bool, p2_divisible: bool, quotient_rows: tuple | None,
                  remainder_witness: ZAPoly | None):
         object.__setattr__(self, "z2_member", z2_member)
         object.__setattr__(self, "p2_divisible", p2_divisible)
-        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "quotient_rows", quotient_rows)
         object.__setattr__(self, "remainder_witness", remainder_witness)
+
+    @property
+    def quotient(self) -> ZAPoly | None:
+        """The quotient in the z^2 basis, converted from quotient_rows each time it is read."""
+        rows = self.quotient_rows
+        return None if rows is None else ZAPoly.from_rows(z2_rows(dict(rows)))
 
 
 def z2_verdict(rows: dict | None, p: int) -> CongruenceFragment:
-    """The fragment of a value given by its z^2 rows (None: not in Q[z^2, a^{+-1}]).
+    """The fragment of an int row map (None: known not to be in Z[z^2, a^{+-1}]).
 
-    Membership requires integer coefficients; divisibility requires an exact
-    integral quotient.  The fragment carries the quotient on success and the
-    remainder witness on failure.
+    Decided on q-rows by the lemma of the module docstring; only a failed
+    division converts the rows, for the remainder witness.
     """
-    if rows is None:
+    if rows is None or any(cosh_coeffs(row) is None for row in rows.values()):
         return CongruenceFragment(False, False, None, None)
-    zp = ZAPoly.from_rows(rows)
-    quotient, exact, remainder = divide_by_qnum_sq(zp, p)
-    if exact:
-        return CongruenceFragment(zp.is_integral, quotient.is_integral, quotient, None)
-    return CongruenceFragment(zp.is_integral, False, None, remainder)
+    try:
+        quotient = over_qnum_sq(rows, p)
+    except NonExactDivision:
+        witness = divide_by_qnum_sq(ZAPoly.from_rows(z2_rows(rows)), p)[2]
+        return CongruenceFragment(True, False, None, witness)
+    frozen = tuple(sorted((ae, (lo, tuple(coeffs))) for ae, (lo, coeffs) in quotient.items()))
+    return CongruenceFragment(True, True, frozen, None)
 
 
 def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
-    """Check f in Z[z^2, a^{+-1}] and divisibility by [p]^2 there."""
+    """Check f in Z[z^2, a^{+-1}] and divisibility by [p]^2 there, on f's q-rows."""
     try:
-        return z2_verdict(to_z2(f).row_map(), p)
-    except NotInSubring:
-        return z2_verdict(None, p)
+        rows = parse_rows(f.terms)
+    except ValueError:  # an a-layer mixes q-parities
+        rows = None
+    return z2_verdict(rows if all(c.denominator == 1 for c in f.terms.values()) else None, p)
 
 
 def _cyclotomic(n: int) -> list[int]:

@@ -4,8 +4,9 @@ import itertools
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, gcd, lcm
+from types import SimpleNamespace
 
-from heckelift.alexlimit import HookAlexanderReport
+from heckelift.alexlimit import HookAlexanderReport, framing_correction
 from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
@@ -24,17 +25,20 @@ from heckelift.exactring import (
     RingFraction,
     abracket,
     abracket_of_partition,
+    abracket_quotient,
+    adams_rows,
     bracket_of_partition,
     dense_divmod,
     divide_brackets,
     divide_out_abracket,
     exact_div,
+    kronecker_mul,
     over_binomial,
     qbracket,
     times_binomial,
     zsquared,
 )
-from heckelift.hecke import defect_sign, lifting_defect
+from heckelift.hecke import _identity_check, defect_rows, defect_sign, is_prime, lifting_defect
 from heckelift.lmov import (
     LmovReport,
     PSeries,
@@ -50,22 +54,42 @@ from heckelift.torus import (
     _den_brackets,
     _zlcm,
     alexander,
+    alexander_rows,
     cable_params,
     power_sum_invariant,
     unknot_schur_value,
 )
 from heckelift.zbasis import (
-    CongruenceFragment,
     NotInSubring,
     ZAPoly,
     _cosh_to_z2,
     congruence_verdict,
     divide_by_qnum_sq,
+    qnum_sq_z2,
     to_z2,
+    z2_rows,
 )
 
 
 # -- test-only arithmetic helpers ------------------------------------------------
+
+
+def z2_degree(f: ZAPoly) -> int:
+    """Highest power of z^2 in f; -1 for the zero polynomial."""
+    return max((len(row) - 1 for _, row in f.rows), default=-1)
+
+
+def z2_to_laurent(f: ZAPoly) -> LaurentQA:
+    """Expand f back into q and a: Horner's rule in z^2 = q^2 - 2 + q^-2."""
+    out: dict = {}
+    for ae, row in f.rows:
+        acc: list = []  # acc[i] is the coefficient of q^(2(i - depth))
+        for depth, c in enumerate(reversed(row)):
+            up, down, mid = [0, 0] + acc, acc + [0, 0], [0] + acc + [0]
+            acc = [u + v - 2 * w for u, v, w in zip(up, down, mid)]
+            acc[depth] += c
+        out.update(((2 * (i - depth), ae), c) for i, c in enumerate(acc) if c)
+    return LaurentQA._raw(out)
 
 
 def qnum(n: int) -> LaurentQA:
@@ -763,19 +787,25 @@ def dict_to_z2(f):
     return ZAPoly.from_rows(rows)
 
 
+def _z2_fragment(z2_member, p2_divisible, quotient, remainder_witness):
+    """A fragment whose quotient is a ZAPoly, as the references build it."""
+    return SimpleNamespace(z2_member=z2_member, p2_divisible=p2_divisible,
+                           quotient=quotient, remainder_witness=remainder_witness)
+
+
 def dict_congruence_verdict(f, p):
     """congruence_verdict through dict_to_z2, with [p]^2 from a sparse product."""
     try:
         zp = dict_to_z2(f)
     except NotInSubring:
-        return CongruenceFragment(False, False, None, None)
-    divisor = dict_to_z2(qnum(p) * qnum(p)).row_map()[0]
+        return _z2_fragment(False, False, None, None)
+    divisor = dict(dict_to_z2(qnum(p) * qnum(p)).rows)[0]
     q_rows, r_rows = {}, {}
     for ae, row in zp.rows:
         q_rows[ae], r_rows[ae] = dense_divmod(row, divisor)
     quotient, remainder = ZAPoly.from_rows(q_rows), ZAPoly.from_rows(r_rows)
     exact = remainder.is_zero()
-    return CongruenceFragment(
+    return _z2_fragment(
         zp.is_integral,
         exact and quotient.is_integral,
         quotient if exact else None,
@@ -846,7 +876,7 @@ def sparse_hook_alexander_check(K, hook):
     unknot = unknot_schur_value(lam)
     num = substitute_a(divide_out_abracket(normalized)) * unknot.den
     den = colored_sum.den * substitute_a(divide_out_abracket(unknot.num))
-    expected = alexander(K).to_laurent().adams(w)
+    expected = z2_to_laurent(alexander(K)).adams(w)
     try:
         colored = exact_div(num, den)
     except NonExactDivision:
@@ -865,3 +895,90 @@ def bench10_grid():
         if gcd(d, m) == 1 and p * d <= 15 and p * m <= 40
     ]
     return cases + [(FramedUnknot(t), p) for t in range(-3, 4) for p in range(1, 8)]
+
+
+# -- the conversion-first verdict route, kept as the reference -------------------
+
+
+def z2_first_verdict(rows, p):
+    """A fragment from z^2 rows (None: not in Q[z^2]) by long division by [p]^2 in z^2."""
+    if rows is None:
+        return _z2_fragment(False, False, None, None)
+    zp = ZAPoly.from_rows(rows)
+    quotient, exact, remainder = divide_by_qnum_sq(zp, p)
+    if exact:
+        return _z2_fragment(zp.is_integral, quotient.is_integral, quotient, None)
+    return _z2_fragment(zp.is_integral, False, None, remainder)
+
+
+def times_abracket(frag):
+    """(a - a^-1) times a fragment's quotient and witness: row e is row e - 1 minus row e + 1."""
+
+    def lift(f):
+        if f is None:
+            return None
+        rows, out = dict(f.rows), {}
+        for ae in {e + s for e in rows for s in (1, -1)}:
+            pairs = itertools.zip_longest(rows.get(ae - 1, ()), rows.get(ae + 1, ()), fillvalue=0)
+            out[ae] = [u - v for u, v in pairs]
+        return ZAPoly.from_rows(out)
+
+    return _z2_fragment(frag.z2_member, frag.p2_divisible, lift(frag.quotient),
+                        lift(frag.remainder_witness))
+
+
+def conversion_first_report(K, p):
+    """(report JSON body without millis, CSV row without millis) by converting first.
+
+    The core g / (a - a^-1) is converted to z^2, divided there and lifted
+    back to g by (a - a^-1); only when g has no a-factor is g converted.
+    """
+    d, m = cable_params(K)
+    g = defect_rows(K, p)
+    try:
+        frag = times_abracket(z2_first_verdict(z2_rows(abracket_quotient(g)), p))
+        a_ok = True
+    except NotDivisible:
+        frag = z2_first_verdict(z2_rows(g), p)
+        a_ok = False
+    flag = {True: "pass", False: "fail"}
+    verdict = a_ok and frag.z2_member and frag.p2_divisible
+    body = {
+        "d": d,
+        "m": m,
+        "framing": K.framing,
+        "p": p,
+        "p_prime": is_prime(p),
+        "a_factor": flag[a_ok],
+        "z2_member": flag[frag.z2_member],
+        "p2_divisible": flag[frag.p2_divisible],
+        "quotient": None if frag.quotient is None else frag.quotient.to_json_dict(),
+        "remainder_witness": (
+            None if frag.remainder_witness is None else frag.remainder_witness.to_json_dict()
+        ),
+        "identity_gp_eq_p2F": flag[_identity_check(K, g, p)],
+    }
+    csv = [d, m, p, "true" if is_prime(p) else "false", "PASS" if verdict else "FAIL",
+           "" if frag.quotient is None else z2_degree(frag.quotient)]
+    return body, csv
+
+
+def conversion_first_limits(K, p):
+    """(limit identity, limit membership fragment) from the core's z^2 rows.
+
+    The limit's z^2 row is the sum of the core's z^2 rows; the identity
+    compares it with [p]^2 A(K; q^p) times the correction as z^2 products.
+    The identity is NonExactDivision (the class) where the correction raises it.
+    """
+    rows = z2_rows(abracket_quotient(defect_rows(K, p)))
+    lim = None if rows is None else {
+        0: list(map(sum, itertools.zip_longest(*rows.values(), fillvalue=0)))
+    }
+    frag = z2_first_verdict(lim, p)
+    try:
+        corr = dict(framing_correction(p, K.framing).rows).get(0, ())
+    except NonExactDivision:
+        return NonExactDivision, frag
+    alex_p = z2_rows(adams_rows(alexander_rows(K), p))[0]
+    rhs = kronecker_mul(kronecker_mul(list(qnum_sq_z2(p)), alex_p), list(corr))
+    return lim is not None and ZAPoly.from_rows(lim) == ZAPoly.from_rows({0: rhs}), frag

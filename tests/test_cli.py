@@ -83,6 +83,27 @@ def test_verify_case_past_the_index_range_is_a_usage_error(capsys):
     _too_large(["verify", "--d", "2", "--m", "3", "--p", str(10**20 - 1)], capsys, OverflowError)
 
 
+def test_size_guard_counts_the_layers_and_the_coefficient_bits(monkeypatch, capsys):
+    """T(1,7) p=1000 has about 1,000 layers of up to 7.0 M wide coefficients of
+    thousands of bits: refused before any row is built (verify_hecke raises
+    here if it is reached).  T(1,13) p=53 (53 core layers, up to 35,829
+    coefficients of up to 302 bits) is still accepted."""
+    import heckelift.cli as cli
+
+    def reached(knot, p):
+        raise AssertionError("the size guard let the case through")
+
+    monkeypatch.setattr(cli, "verify_hecke", reached)
+    for argv in (["verify", "--d", "1", "--m", "7", "--p", "1000"],
+                 ["verify", "--d", "1", "--m", "7", "--p", str(10**400)]):
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert "is too large" in err and "Traceback" not in err and "internal" not in err
+    assert cli._too_large(1, 7, 1000)
+    assert not cli._too_large(1, 13, 53)
+    assert not cli._too_large(3, 2, 17)
+
+
 def test_sweep_case_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(

@@ -342,7 +342,8 @@ def test_verify_reaches_past_the_sweep_grid():
 
 
 def test_one_conversion_matches_two_conversion_route():
-    """Converting only g / (a - a^-1) gives g's flags, quotient and witness.
+    """The verdict on g's q-rows gives the flags, quotient and witness that
+    converting g and its core separately gives.
 
     On the twisted-sum grid and on the composite orders 4, 6, 8, 9 with
     p*d <= 12 and FramedUnknot(-3..3): the quotient and the witness are the
@@ -373,6 +374,25 @@ def test_one_conversion_matches_two_conversion_route():
             assert mine == route, (knot, p)
             if route is not None:
                 assert mine.to_json_dict() == route.to_json_dict(), (knot, p)
+
+
+def test_verdict_converts_nothing_until_the_quotient_is_read(monkeypatch):
+    """A verdict-only call runs no Clenshaw conversion; reading .quotient converts."""
+    import heckelift.zbasis as zbasis
+
+    calls = []
+    convert = zbasis._cosh_to_z2
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return convert(coeffs)
+
+    monkeypatch.setattr(zbasis, "_cosh_to_z2", counting)
+    report = verify_hecke(TorusKnot(3, 2), 5)
+    assert report.verdict and report.remainder_witness is None
+    assert calls == []
+    assert report.quotient.is_integral
+    assert calls
 
 
 def test_one_case_builds_its_defect_once():

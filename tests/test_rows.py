@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     bench10_grid,
+    conversion_first_limits,
+    conversion_first_report,
     dict_congruence_verdict,
     dict_divide_out_abracket,
     dict_framing_correction,
     reference_case,
     reference_limit_identity,
     substitute_a,
+    z2_first_verdict,
+    z2_to_laurent,
 )
 from heckelift.alexlimit import (
     framing_correction,
@@ -27,12 +31,15 @@ from heckelift.exactring import (
     abracket,
     abracket_quotient,
     add_rows,
+    cosh_coeffs,
     divide_out_abracket,
     emit_rows,
+    kronecker_mul,
     parse_rows,
 )
 from heckelift.hecke import core_rows, lifting_defect, verify_hecke
 from heckelift.torus import closed_form_rows
+from heckelift.zbasis import ZAPoly, z2_rows, z2_verdict
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -71,9 +78,10 @@ def test_row_route_matches_dict_routes_on_the_bench10_grid():
             with pytest.raises(NotDivisible):
                 core_rows(knot, p)
             continue
-        assert emit_rows(core_rows(knot, p)[0]).to_text() == core.to_text(), (knot, p)
-        # the core's z^2 rows exist for every knot: one q-parity, palindromic
-        assert core_rows(knot, p)[1] is not None, (knot, p)
+        assert emit_rows(core_rows(knot, p)).to_text() == core.to_text(), (knot, p)
+        # every layer of the core is in Z[z^2] for every knot: even and palindromic
+        assert all(cosh_coeffs(row) is not None for row in core_rows(knot, p).values()), (
+            knot, p)
         try:
             ref_identity = reference_limit_identity(knot, core, p)
         except NonExactDivision:
@@ -87,6 +95,66 @@ def test_row_route_matches_dict_routes_on_the_bench10_grid():
         assert membership.value.to_text() == substitute_a(core).to_text(), (knot, p)
         assert _fragment(membership.fragment) == _fragment(ref_frag), (knot, p)
         assert membership.passed is (ref_frag.z2_member and ref_frag.p2_divisible)
+
+
+def test_q_basis_verdict_matches_the_conversion_first_route_on_the_bench10_grid():
+    """Whole reports and both limit verdicts against the route that converts the
+    core to z^2, divides there and lifts back; composites included."""
+    for knot, p in bench10_grid():
+        body, csv = conversion_first_report(knot, p)
+        report = verify_hecke(knot, p)
+        assert json.dumps(_body(report)) == json.dumps(body), (knot, p)
+        assert report.csv_row()[:-1] == csv, (knot, p)
+        try:
+            core_rows(knot, p)
+        except NotDivisible:
+            continue
+        identity, frag = conversion_first_limits(knot, p)
+        if identity is NonExactDivision:
+            with pytest.raises(NonExactDivision):
+                limit_identity_check(knot, p)
+        else:
+            assert limit_identity_check(knot, p) is identity, (knot, p)
+        membership = limit_membership_verdict(knot, p)
+        assert _fragment(membership.fragment) == _fragment(frag), (knot, p)
+        assert membership.passed is (frag.z2_member and frag.p2_divisible), (knot, p)
+
+
+def _qnum_sq_row(p):
+    """[p]^2 = x^-(p-1) (1 + x + ... + x^(p-1))^2 as a q-row: 1, 2, ..., p, ..., 2, 1."""
+    return -2 * (p - 1), list(range(1, p)) + list(range(p, 0, -1))
+
+
+# even palindromic int rows: c_k x^-k + ... + c_0 + ... + c_k x^k with c_k != 0
+_cosh = st.lists(st.integers(-9, 9) | st.integers(-(2**70), 2**70), min_size=1, max_size=6).filter(
+    lambda c: c[-1] != 0
+)
+_palindromic_rows = st.dictionaries(st.integers(-3, 3), _cosh, min_size=1, max_size=4).map(
+    lambda layers: {ae: (-2 * (len(c) - 1), c[:0:-1] + c) for ae, c in layers.items()}
+)
+
+
+@_PROPERTY
+@given(_palindromic_rows, st.integers(2, 13), st.integers(0, 10**6), st.booleans())
+def test_qnum_sq_membership_lemma(rows, p, draw, mirrored):
+    """R [p]^2 passes with quotient R; after one bump (mirrored, it stays
+    palindromic) the q-row decision agrees with the conversion-first route."""
+    lo_p, row_p = _qnum_sq_row(p)
+    product = {ae: (lo + lo_p, kronecker_mul(coeffs, row_p)) for ae, (lo, coeffs) in rows.items()}
+    frag = z2_verdict(product, p)
+    assert frag.z2_member and frag.p2_divisible and frag.remainder_witness is None
+    assert {ae: (lo, list(c)) for ae, (lo, c) in frag.quotient_rows} == rows
+    assert frag.quotient == ZAPoly.from_rows(z2_rows(rows))
+    ae = sorted(product)[draw % len(product)]
+    lo, coeffs = product[ae]
+    coeffs = list(coeffs)
+    i = draw % len(coeffs)
+    coeffs[i] += 1
+    if mirrored and i != len(coeffs) - 1 - i:
+        coeffs[len(coeffs) - 1 - i] += 1
+    bumped = add_rows({k: v for k, v in product.items() if k != ae}, {ae: (lo, coeffs)})
+    mine, ref = z2_verdict(bumped, p), z2_first_verdict(z2_rows(bumped), p)
+    assert _fragment(mine) == _fragment(ref)
 
 
 def test_closed_form_rows_are_trimmed():
@@ -105,7 +173,7 @@ def test_framing_correction_matches_the_sparse_trace():
                 with pytest.raises(NonExactDivision):
                     framing_correction(p, tau)
                 continue
-            assert framing_correction(p, tau).to_laurent() == expected, (p, tau)
+            assert z2_to_laurent(framing_correction(p, tau)) == expected, (p, tau)
 
 
 # a-layers of one q-parity each, the parity drawn per a-exponent so that two

@@ -14,6 +14,7 @@ from conftest import (
     sparse_scaled_invariant,
     twist_power_sum,
     twisted_sum_grid,
+    z2_to_laurent,
 )
 from heckelift.combinatorics import (
     WeightMismatch,
@@ -181,7 +182,7 @@ def test_power_sum_invariant_multi_part():
 
 def test_alexander_closed_form():
     for d, m in ((1, 1), (1, 3), (2, 3), (2, 5), (3, 2), (3, 4)):
-        poly = alexander(TorusKnot(d, m)).to_laurent()
+        poly = z2_to_laurent(alexander(TorusKnot(d, m)))
         assert poly * qbracket(d) * qbracket(m) == qbracket(1) * qbracket(d * m)
     assert alexander(TREFOIL).to_json_dict() == {"0": ["1", "1"]}
     assert alexander(FramedUnknot(0)).to_json_dict() == {"0": ["1"]}

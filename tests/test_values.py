@@ -34,8 +34,10 @@ from heckelift import (
 )
 
 Q = ZAPoly.from_rows({0: [1, 2], 2: [-3]})
+# Q's q-rows: 1 + 2 z^2 = 2q^2 - 3 + 2q^-2 at a^0, -3 at a^2
+QROWS = ((0, (-2, (2, -3, 2))), (2, (0, (-3,))))
 W = ZAPoly.from_rows({1: [5]})
-FRAGMENT = CongruenceFragment(True, True, Q, None)
+FRAGMENT = CongruenceFragment(True, True, QROWS, None)
 
 # (class, a factory called twice for two equal values, a third value unequal to them)
 VALUES = [
@@ -45,7 +47,7 @@ VALUES = [
     (TorusKnot, lambda: TorusKnot(2, 3), TorusKnot(3, 2)),
     (FramedUnknot, lambda: FramedUnknot(-2), FramedUnknot(2)),
     (ZAPoly, lambda: ZAPoly.from_rows({0: [1, 2], 2: [-3]}), W),
-    (CongruenceFragment, lambda: CongruenceFragment(True, True, Q, None),
+    (CongruenceFragment, lambda: CongruenceFragment(True, True, QROWS, None),
      CongruenceFragment(True, False, None, W)),
     (LimitMembership, lambda: LimitMembership(True, LaurentQA.one(), FRAGMENT),
      LimitMembership(False, LaurentQA.one(), FRAGMENT)),
@@ -54,8 +56,8 @@ VALUES = [
      HookAlexanderReport(True, HookShape(0, 1), None, LaurentQA.one())),
     (LmovReport, lambda: lmov_verdict(FramedUnknot(1), (2,)), LmovReport(False, (2,), None, None)),
     (CongruenceReport,
-     lambda: CongruenceReport(2, 3, 6, 2, True, True, True, True, Q, None, True, 1.5),
-     CongruenceReport(2, 3, 6, 2, True, True, True, True, Q, None, True, 2.5)),
+     lambda: CongruenceReport(2, 3, 6, 2, True, True, True, True, QROWS, None, True, 1.5),
+     CongruenceReport(2, 3, 6, 2, True, True, True, True, QROWS, None, True, 2.5)),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
@@ -98,6 +100,18 @@ def test_pickle_and_copy_round_trip(cls, make, other):
         assert type(clone) is cls
         assert all(getattr(clone, n) == getattr(a, n) for n in cls.__slots__)
         assert clone == a
+
+
+def test_quotient_is_a_read_only_view_of_the_q_rows():
+    """The quotient converts the stored q-rows each time; it is no field."""
+    report = CongruenceReport(2, 3, 6, 2, True, True, True, True, QROWS, None, True, 1.5)
+    for value in (FRAGMENT, report):
+        assert "quotient" not in type(value).__slots__
+        assert value.quotient == Q and value.quotient is not value.quotient
+        with pytest.raises(AttributeError):
+            value.quotient = Q
+    assert report.csv_row()[5] == 1  # the z^2-degree of Q
+    assert CongruenceFragment(False, False, None, None).quotient is None
 
 
 def test_laurent_and_fraction_pickle_at_every_protocol():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import qnum, recursive_to_z2
+from conftest import qnum, recursive_to_z2, z2_degree, z2_to_laurent
 from heckelift.exactring import LaurentQA, abracket, qbracket, zsquared
 from heckelift.zbasis import (
     NotInSubring,
@@ -47,7 +47,7 @@ def test_to_z2_round_trip_random():
     rng = random.Random(4242)
     for _ in range(40):
         poly = random_zapoly(rng)
-        assert to_z2(poly.to_laurent()) == poly
+        assert to_z2(z2_to_laurent(poly)) == poly
 
 
 def test_to_z2_rejections():
@@ -110,7 +110,7 @@ def test_to_z2_matches_recursive_route(kind):
 def test_to_z2_wide_layer_from_cold_memos():
     """q^2800 + q^-2800: the earlier memoized recursion overflowed the stack here."""
     k = 1400
-    row = to_z2(LaurentQA({(2 * k, 0): 1, (-2 * k, 0): 1})).row_map()[0]
+    row = dict(to_z2(LaurentQA({(2 * k, 0): 1, (-2 * k, 0): 1})).rows)[0]
     assert len(row) == k + 1
     # q^2k + q^-2k = sum_i (2k / (k + i)) C(k + i, 2i) z^(2i)
     for i in (0, 1, 2, 700, k - 1, k):
@@ -142,20 +142,20 @@ def test_conversions_run_under_a_low_recursion_limit():
     sys.setrecursionlimit(_stack_depth() + 50)
     try:
         z = to_z2(f)
-        back = z.to_laurent()
+        back = z2_to_laurent(z)
         quotient, _, remainder = divide_by_qnum_sq(z, 3)
     finally:
         sys.setrecursionlimit(limit)
     assert back == f
-    assert z.z2_degree() == 600
-    assert quotient.z2_degree() == 598 and remainder.z2_degree() <= 1
+    assert z2_degree(z) == 600
+    assert z2_degree(quotient) == 598 and z2_degree(remainder) <= 1
 
 
 def test_zapoly_structure():
     poly = ZAPoly.from_rows({0: (Fraction(1), Fraction(2)), 2: (Fraction(0),)})
     assert poly.rows == ((0, (Fraction(1), Fraction(2))),)
-    assert poly.z2_degree() == 1
-    assert ZAPoly.zero().z2_degree() == -1
+    assert z2_degree(poly) == 1
+    assert ZAPoly.from_rows({}).is_zero() and z2_degree(ZAPoly.from_rows({})) == -1
     assert poly.is_integral
     frac = ZAPoly.from_rows({0: (Fraction(1, 2),)})
     assert not frac.is_integral
@@ -192,12 +192,12 @@ def test_divide_by_qnum_sq_reconstruction():
         quotient, exact, remainder = divide_by_qnum_sq(f, p)
         base = to_z2(qnum(p) * qnum(p))
         rebuilt = to_z2(
-            quotient.to_laurent() * base.to_laurent() + remainder.to_laurent()
+            z2_to_laurent(quotient) * z2_to_laurent(base) + z2_to_laurent(remainder)
         )
         assert rebuilt == f
         assert exact == remainder.is_zero()
         if not exact:
-            assert remainder.z2_degree() < p - 1
+            assert z2_degree(remainder) < p - 1
 
 
 def test_divide_by_qnum_sq_exact_case():
