@@ -270,6 +270,14 @@ def _write_output(path: str | None, text: str):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _write_json(path: str | None, payload):
+    """payload as indented JSON: streamed into the file at path, so no copy of the text is held."""
+    if not path:
+        return _write_output(None, json.dumps(payload, indent=2))
+    with open(path, "w") as out:
+        json.dump(payload, out, indent=2)
+
+
 def _csv_text(rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -322,7 +330,7 @@ def cmd_verify(args) -> int:
         if args.format == "csv":
             _write_output(args.out, _csv_text([report.csv_row()]))
         else:
-            _write_output(args.out, json.dumps(report.to_json_dict(), indent=2))
+            _write_json(args.out, report.to_json_dict())
     return 0 if report.verdict else 1
 
 
@@ -410,7 +418,7 @@ def cmd_sweep(args) -> int:
             "lmov": lmov_results,
             "summary": summary,
         }
-        _write_output(args.out, json.dumps(payload, indent=2))
+        _write_json(args.out, payload)
     print(
         f"sweep: {summary['cases']} cases, {summary['pass']} pass, "
         f"{summary['expected_fail']} expected fail, "

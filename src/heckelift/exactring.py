@@ -9,16 +9,17 @@ Denominators are bracket monomials prod {k}^e_k in the q-brackets
 an int-coefficient LaurentQA numerator over a positive int scale times such
 a monomial: sums take the lcm of the two bracket monomials, products add
 exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
-and the scale out with resolve_rows, which lmov's verdict also calls on its
-rows.  dense_divmod is the one long-division kernel: exact_div and the z^2
-basis both run on it.  times_binomial and over_binomial, a shifted difference
-and a strided running sum on a dense list, are the one route for the
-binomials 1 - x^k; bracket_row, on them, is the one route for a ratio of
-bracket products and tracks the q-offset and the sign itself: every bracket
-product and division, q-number [n]_{q^k} = {nk}/{k} and q-binomial of the
-package is a bracket_row or bracket_rows call.  Row maps {ae: (lo, coeffs)},
-one dense list in q^2 per a-layer, carry a case from the closed form to the
-limit checks.  No floats.
+and the scale out with resolve_rows, its row form.  dense_divmod is the one
+long-division kernel: exact_div and the z^2 basis both run on it.
+times_binomial and over_binomial, a shifted difference and a strided running
+sum on a dense list, are the one route for the binomials 1 - x^k;
+over_binomial cuts off the remainder and returns it.  bracket_row, on them,
+is the one route for a ratio of bracket products and tracks the q-offset and
+the sign itself: every bracket product and division, q-number [n]_{q^k} =
+{nk}/{k} and q-binomial of the package is a bracket_row or bracket_rows call,
+but for lmov's memo, which divides with over_binomial to keep the remainders.
+Row maps {ae: (lo, coeffs)}, one dense list in q^2 per a-layer, carry a
+case from the closed form to the limit checks.  No floats.
 Frozen is the base of the package's immutable value classes.
 """
 
@@ -188,7 +189,7 @@ class LaurentQA:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentQA":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             if other == 0:
                 return LaurentQA.zero()
             return LaurentQA._raw({k: c * other for k, c in self.terms.items()})
@@ -277,7 +278,7 @@ class LaurentQA:
 def _coerce(x):
     if isinstance(x, LaurentQA):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or type(x) is Fraction:
         return LaurentQA.monomial(x)
     return NotImplemented
 
@@ -383,8 +384,9 @@ def times_binomial(coeffs: list, k: int) -> list:
 def over_binomial(coeffs: list, k: int) -> list:
     """coeffs / (1 - x^k) in place, by running sums of stride k along each residue class.
 
-    The top k sums are the remainder: NonExactDivision unless they are zero,
-    and then they are cut off.
+    The top k sums (all of them on a shorter list) are the remainder: they are
+    cut off and returned, so coeffs holds the quotient exactly when they are
+    all zero.  Both the quotient and the remainder are linear in coeffs.
     """
     if k * k > len(coeffs):
         for i in range(k, len(coeffs)):
@@ -392,10 +394,9 @@ def over_binomial(coeffs: list, k: int) -> list:
     else:
         for r in range(k):
             coeffs[r::k] = accumulate(coeffs[r::k])
-    if any(coeffs[-k:]):
-        raise NonExactDivision(f"not divisible by 1 - x^{k}")
+    remainder = coeffs[-k:]
     del coeffs[-k:]
-    return coeffs
+    return remainder
 
 
 # -- exact division -----------------------------------------------------------
@@ -571,15 +572,13 @@ def bracket_row(lo: int, coeffs: list, times=(), over=()) -> tuple[int, list]:
         coeffs = list(coeffs)
     for k in over:
         size = k if k > 0 else -k
-        try:
-            over_binomial(coeffs, size)
-        except NonExactDivision:
-            top = range(max(len(coeffs) - size, 0), len(coeffs))
-            sign = (-1) ** flips
-            remainder = {(lo + 2 * i, 0): sign * coeffs[i] for i in top if coeffs[i]}
+        rest = over_binomial(coeffs, size)
+        if any(rest):
+            at, sign = lo + 2 * len(coeffs), (-1) ** flips
+            remainder = {(at + 2 * i, 0): sign * c for i, c in enumerate(rest) if c}
             raise NonExactDivision(
                 f"not divisible by {{{size}}}", remainder=LaurentQA._raw(remainder)
-            ) from None
+            )
         lo += size
         flips += k > 0
     return lo, list(map(neg, coeffs)) if flips % 2 else coeffs
@@ -802,8 +801,7 @@ class RingFraction:
         return other + (-self)
 
     def __mul__(self, other) -> "RingFraction":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+        if isinstance(other, int) or type(other) is Fraction:
             n = other.numerator
             return RingFraction._make(
                 {key: c * n for key, c in self.num.terms.items()} if n else {},
@@ -871,6 +869,6 @@ def _coerce_fraction(x):
         return x
     if isinstance(x, LaurentQA):
         return RingFraction(x, 1)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or type(x) is Fraction:
         return RingFraction(LaurentQA.monomial(x), 1)
     return NotImplemented

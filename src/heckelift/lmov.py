@@ -18,6 +18,9 @@ sum_lam f_lam M^-1(lam, mu) into
     fhat_mu = sum_nu chi_mu(nu) h_nu / {nu},
 
 one integer combination of per-knot numerators over one bracket monomial.
+Dividing by that monomial is linear, so the knot's memo divides each h_nu's
+numerator once and keeps the quotient and the remainders; a verdict combines
+both, fails on the first nonzero remainder and reads the quotient otherwise.
 extract_f, reassemble_free_energy, m_matrix and m_inverse give the Schur
 amplitudes and the pairing themselves; no verdict calls them.
 """
@@ -44,12 +47,11 @@ from .combinatorics import (
 from .exactring import (
     Frozen,
     LaurentQA,
-    NonExactDivision,
     RingFraction,
     bracket_of_partition,
     bracket_rows,
+    over_binomial,
     parse_rows,
-    resolve_rows,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
 from .zbasis import ZAPoly, z2_rows
@@ -258,13 +260,17 @@ def m_inverse(lam: Partition, mu: Partition) -> RingFraction:
 
 @lru_cache(maxsize=4)
 def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
-    """Per weight w: (D_w, L, spans, {nu: (L / s_nu, N_nu)}) for the nonzero h_nu.
+    """Per weight w: (S, layers, {nu: (L / s_nu, {ae: Q_nu + R_nu})}) for the nonzero h_nu.
 
     B_w is the lcm over nu |- w of the bracket monomials h_nu.brackets * {nu},
     L the lcm of the scales s_nu of h_nu, and N_nu the rows of h_nu's numerator
     padded to B_w and times {1}^(2 - j), j = min(B_w[1], 2): z^2 = {1}^2 cancels
     {1}^j, so z^2 h_nu / {nu} = (L / s_nu) N_nu / (L * D_w), D_w = B_w / {1}^j.
-    spans maps each a-layer to the q-span (lo, hi) the N_nu cover on it together.
+    Each row of N_nu, laid over the q-span its a-layer covers over nu, is divided
+    by D_w's brackets, largest first: Q_nu is the quotient and R_nu the blocks
+    over_binomial cuts, in order.  layers maps each a-layer to (lo, n, owners):
+    the quotients' q-offset and length, and the bracket that cut each remainder
+    entry; S = (-1)^|D_w| L takes in the brackets' sign.
     """
     h = _once_wound(free_energy(partition_function(K, degree)))
     out: dict[int, tuple] = {}
@@ -280,42 +286,30 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
         L = lcm(*(h[nu].scale for nu in dens))
         ones = min(common[1], 2)
         pad = [1] * (2 - ones)
-        numerators, spans = {}, {}
+        padded, spans = {}, {}
         for nu, den in dens.items():
             rows = bracket_rows(parse_rows(h[nu].num.terms), [*(common - den).elements(), *pad])
-            numerators[nu] = (L // h[nu].scale, rows)
+            padded[nu] = rows
             for ae, (lo, row) in rows.items():
                 a, b = spans.get(ae, (lo, lo))
                 if (lo - a) % 2:
                     raise ValueError(f"a-layer {ae} mixes q-parities")
                 spans[ae] = (min(a, lo), max(b, lo + 2 * len(row)))
-        out[w] = (common - Counter({1: ones}), L, spans, numerators)
-    return out
-
-
-def _fhat(K, mu: Partition, degree: int) -> tuple[dict, int, Counter]:
-    """z^2 fhat_mu as (rows, L, D): the numerators added in place over their spans, then trimmed."""
-    divisors, L, spans, numerators = _fhat_numerators(K, degree)[sum(mu)]
-    acc = {ae: [0] * ((hi - lo) // 2) for ae, (lo, hi) in spans.items()}
-    for nu, (ratio, rows) in numerators.items():
-        c = chi(mu, nu) * ratio
-        if c:
+        orders = sorted((common - Counter({1: ones})).elements(), reverse=True)
+        layers, numerators = {}, {}
+        for nu, rows in padded.items():
+            vectors = {}
             for ae, (lo, row) in rows.items():
-                i = (lo - spans[ae][0]) // 2
-                j = i + len(row)
-                out = acc[ae]
-                out[i:j] = map(add, out[i:j], map(mul, row, repeat(c)))
-    rows = {}
-    for ae, out in acc.items():
-        hi = len(out)
-        while hi and not out[hi - 1]:
-            hi -= 1
-        if hi:
-            i = 0
-            while not out[i]:
-                i += 1
-            rows[ae] = (spans[ae][0] + 2 * i, out[i:hi])
-    return rows, L, divisors
+                start, stop = spans[ae]
+                vec = [0] * ((stop - start) // 2)
+                i = (lo - start) // 2
+                vec[i : i + len(row)] = row
+                cuts = [(k, over_binomial(vec, k)) for k in orders]
+                layers[ae] = (start + sum(orders), len(vec), [k for k, cut in cuts for _ in cut])
+                vectors[ae] = vec + [c for _, cut in cuts for c in cut]
+            numerators[nu] = (L // h[nu].scale, vectors)
+        out[w] = ((-1) ** len(orders) * L, layers, numerators)
+    return out
 
 
 class LmovReport(Frozen):
@@ -347,11 +341,28 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     D = degree if degree is not None else w
     if D < w:
         raise ValueError("truncation degree below |mu|")
-    rows, L, divisors = _fhat(K, mu, D)
-    try:
-        rows = resolve_rows(rows, divisors, L)
-    except NonExactDivision as err:
-        return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
+    S, layers, numerators = _fhat_numerators(K, D)[w]
+    acc = {ae: [0] * (n + len(owners)) for ae, (_, n, owners) in layers.items()}
+    for nu, (ratio, vectors) in numerators.items():
+        c = chi(mu, nu) * ratio
+        if c:
+            for ae, vec in vectors.items():
+                out = acc[ae]
+                out[:] = map(add, out, map(mul, vec, repeat(c)))
+    rows = {}
+    for ae, (lo, n, owners) in layers.items():
+        out = acc[ae]
+        if any(out[n:]):
+            k = next(k for k, c in zip(owners, out[n:]) if c)
+            detail = f"not polynomial: not divisible by {{{k}}} on a-layer {ae}"
+            return LmovReport(False, mu, None, None, detail=detail)
+        while n and not out[n - 1]:
+            n -= 1
+        if n:
+            i = 0
+            while not out[i]:
+                i += 1
+            rows[ae] = (lo + 2 * i, [c // S if c % S == 0 else Fraction(c, S) for c in out[i:n]])
     z2 = z2_rows(rows)
     if z2 is None:
         return LmovReport(False, mu, None, None, detail="not in Q[z^2, a^{+-1}]")

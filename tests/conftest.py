@@ -1,6 +1,7 @@
 """Shared pure helpers for the test suite (no fixtures needed)."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, gcd, lcm
@@ -28,13 +29,16 @@ from heckelift.exactring import (
     abracket_quotient,
     adams_rows,
     bracket_of_partition,
+    bracket_rows,
     dense_divmod,
     divide_brackets,
     divide_out_abracket,
     exact_div,
     kronecker_mul,
     over_binomial,
+    parse_rows,
     qbracket,
+    resolve_rows,
     times_binomial,
     zsquared,
 )
@@ -42,6 +46,7 @@ from heckelift.hecke import _identity_check, defect_rows, defect_sign, is_prime,
 from heckelift.lmov import (
     LmovReport,
     PSeries,
+    _once_wound,
     extract_f,
     free_energy,
     m_inverse,
@@ -397,6 +402,73 @@ def lambda_sum_verdict(K, mu, degree):
     return LmovReport(zz.is_integral, mu, zz, 2 * min_k - 2, detail)
 
 
+# -- the combine-then-divide route of the LMOV verdict, kept as the reference ----
+# Per mu: add chi_mu(nu) (L / s_nu) times each h_nu's padded numerator rows into
+# one row per a-layer, then divide that sum by the brackets and the scale
+# (resolve_rows) and convert it with z2_rows.  The library divides each h_nu
+# once in its memo instead and combines the quotients and remainders.
+
+
+@lru_cache(maxsize=4)
+def _padded_numerators(K, degree):
+    """Per weight: (D_w, L, spans, {nu: (L / s_nu, N_nu)}), as lmov's memo held them."""
+    h = _once_wound(free_energy(partition_function(K, degree)))
+    out = {}
+    for w in range(1, degree + 1):
+        dens = {nu: h[nu].brackets + Counter(nu) for nu in partitions_of(w) if not h[nu].is_zero()}
+        common = Counter()
+        for den in dens.values():
+            common |= den
+        L = lcm(*(h[nu].scale for nu in dens))
+        ones = min(common[1], 2)
+        numerators, spans = {}, {}
+        for nu, den in dens.items():
+            pad = [*(common - den).elements(), *[1] * (2 - ones)]
+            rows = bracket_rows(parse_rows(h[nu].num.terms), pad)
+            numerators[nu] = (L // h[nu].scale, rows)
+            for ae, (lo, row) in rows.items():
+                a, b = spans.get(ae, (lo, lo))
+                spans[ae] = (min(a, lo), max(b, lo + 2 * len(row)))
+        out[w] = (common - Counter({1: ones}), L, spans, numerators)
+    return out
+
+
+def combined_fhat(K, mu, degree):
+    """z^2 fhat_mu as (rows, L, D): the padded numerators added over their spans, then trimmed."""
+    divisors, L, spans, numerators = _padded_numerators(K, degree)[sum(mu)]
+    acc = {ae: [0] * ((hi - lo) // 2) for ae, (lo, hi) in spans.items()}
+    for nu, (ratio, rows) in numerators.items():
+        c = chi(mu, nu) * ratio
+        for ae, (lo, row) in rows.items():
+            i = (lo - spans[ae][0]) // 2
+            acc[ae][i : i + len(row)] = [x + c * y for x, y in zip(acc[ae][i : i + len(row)], row)]
+    rows = {}
+    for ae, out in acc.items():
+        nonzero = [i for i, x in enumerate(out) if x]
+        if nonzero:
+            rows[ae] = (spans[ae][0] + 2 * nonzero[0], out[nonzero[0] : nonzero[-1] + 1])
+    return rows, L, divisors
+
+
+def combine_then_divide_verdict(K, mu, degree=None):
+    """The LMOV verdict of the combined rows: resolve_rows, then z2_rows."""
+    mu = as_partition(mu)
+    rows, L, divisors = combined_fhat(K, mu, degree or sum(mu))
+    try:
+        rows = resolve_rows(rows, divisors, L)
+    except NonExactDivision as err:
+        return LmovReport(False, mu, None, None, detail=f"not polynomial: {err}")
+    z2 = z2_rows(rows)
+    if z2 is None:
+        return LmovReport(False, mu, None, None, detail="not in Q[z^2, a^{+-1}]")
+    zz = ZAPoly.from_rows(z2)
+    if zz.is_zero():
+        return LmovReport(True, mu, zz, None)
+    min_k = min(next(i for i, c in enumerate(row) if c != 0) for _, row in zz.rows)
+    detail = "" if zz.is_integral else "coefficients not integral"
+    return LmovReport(zz.is_integral, mu, zz, 2 * min_k - 2, detail)
+
+
 def lmov_grid():
     """(knot, mu, degree) cases the orthogonality route is checked on.
 
@@ -705,7 +777,8 @@ def stepwise_qnum_product(n, parts, scale=1):
     """
     out = [scale]
     for k in parts:
-        out = over_binomial(times_binomial(out, n * k), k)
+        out = times_binomial(out, n * k)
+        assert not any(over_binomial(out, k))
     return out
 
 
@@ -714,7 +787,9 @@ def stepwise_over_qnums(rows, orders):
     out = {}
     for ae, (lo, coeffs) in rows.items():
         for n in orders:
-            lo, coeffs = lo + n - 1, over_binomial(times_binomial(coeffs, 1), n)
+            lo, coeffs = lo + n - 1, times_binomial(coeffs, 1)
+            if any(over_binomial(coeffs, n)):
+                raise NonExactDivision(f"not divisible by 1 - x^{n}")
         out[ae] = (lo, coeffs)
     return out
 

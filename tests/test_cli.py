@@ -396,6 +396,26 @@ def test_out_directory_is_a_usage_error_before_any_case(tmp_path, capsys, monkey
     assert err.count("is a directory") == 2 and "a case ran" not in err
 
 
+def test_json_out_is_streamed_and_byte_identical(tmp_path, capsys, monkeypatch):
+    """verify and sweep --out hold json.dumps(payload, indent=2), written without that string."""
+    cfg_path = tmp_path / "sweep.json"
+    write_config(cfg_path)
+    verify_out, sweep_out = tmp_path / "verify.json", tmp_path / "sweep_out.json"
+    dumps = json.dumps
+
+    def whole_text(*args, **kwargs):
+        raise AssertionError("the report was built as one string")
+
+    monkeypatch.setattr(json, "dumps", whole_text)
+    assert run(["verify", "--d", "2", "--m", "3", "--p", "2", "--out", str(verify_out)]) == 0
+    assert run(["sweep", "--sweep-config", str(cfg_path), "--out", str(sweep_out)]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    for path in (verify_out, sweep_out):
+        text = path.read_text()
+        assert text == dumps(json.loads(text), indent=2)
+
+
 def test_out_missing_parent_is_a_usage_error_before_any_case(tmp_path, capsys, monkeypatch):
     _refuse_cases(monkeypatch)
     out = tmp_path / "missing" / "sweep.json"

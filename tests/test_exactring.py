@@ -27,6 +27,7 @@ from heckelift.exactring import (
     abracket,
     abracket_of_partition,
     bracket_of_partition,
+    bracket_row,
     bracket_rows,
     divide_brackets,
     dense_divmod,
@@ -512,13 +513,44 @@ def test_qnumbers_are_bracket_ratios(raw, n, parts, scale):
 def test_binomial_kernels_match_long_division(f, k):
     binomial = [1] + [0] * (k - 1) + [-1]
     assert times_binomial(f, k) == _schoolbook(f, binomial)
-    assert over_binomial(times_binomial(f, k), k) == f
+    product = times_binomial(f, k)
+    assert not any(over_binomial(product, k)) and product == f
     quot, rem = dense_divmod(f, binomial)
-    if any(rem):
-        with pytest.raises(NonExactDivision):
-            over_binomial(list(f), k)
+    work = list(f)
+    cut = over_binomial(work, k)
+    assert len(cut) == min(k, len(f)) and len(work) == len(f) - len(cut)
+    assert any(cut) == any(rem)
+    if not any(rem):
+        assert work == quot
+
+
+@_PROPERTY
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=14),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=14),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.integers(1, 6),
+)
+@example([1, 0, -1], [0, 1, 0], 1, 0, 2)
+@example([1, 2, 3], [3, 2, 1], 1, -1, 6)
+def test_over_binomial_quotient_and_remainder_are_linear(a, b, s, t, k):
+    """Quotient and remainder are linear in the row; the remainder is 0 iff bracket_row divides."""
+    b = (b + [0] * len(a))[: len(a)]
+    combined = [s * x + t * y for x, y in zip(a, b)]
+    qa, qb, qc = list(a), list(b), list(combined)
+    ra, rb, rc = over_binomial(qa, k), over_binomial(qb, k), over_binomial(qc, k)
+    assert qc == [s * x + t * y for x, y in zip(qa, qb)]
+    assert rc == [s * x + t * y for x, y in zip(ra, rb)]
+    try:
+        lo, quot = bracket_row(3, combined, over=(k,))
+    except NonExactDivision as err:
+        assert any(rc)
+        top = 3 + 2 * len(qc)
+        assert err.remainder == LaurentQA({(top + 2 * i, 0): c for i, c in enumerate(rc)})
     else:
-        assert over_binomial(list(f), k) == quot
+        assert not any(rc)
+        assert (lo, quot) == (3 + k, [-c for c in qc])
 
 
 def _schoolbook(a, b):
@@ -560,3 +592,56 @@ def test_kronecker_mul_edges():
     # one slot holds the product exactly at a byte boundary of the width
     big = 2**63
     assert kronecker_mul([big, -big], [big, big]) == [big * big, 0, -big * big]
+
+
+_SCALARS = (0, 1, -3, 2**70, True, False, Fraction(2, 3), Fraction(-5, 1), Fraction(0))
+
+
+def test_scalar_operands_keep_their_meaning():
+    """int, bool and Fraction multiply, add and compare as numbers, coefficient types included."""
+    f = LaurentQA({(2, 1): 3, (-1, 0): Fraction(1, 2)})
+    rf = RingFraction.over_brackets(LaurentQA({(2, 1): 4, (0, 0): -6}), 5, [1, 3])
+    for s in _SCALARS:
+        expected = {key: c * s for key, c in f.terms.items()} if s else {}
+        for product in (f * s, s * f):
+            assert product.terms == expected, s
+            assert [type(c) for c in product.terms.values()] == [type(c) for c in expected.values()]
+        assert (f + s).terms == (f + LaurentQA.monomial(s)).terms
+        assert (s - f) == -(f - s) and (f == s) == (s == 0 and f.is_zero())
+        r = Fraction(s)
+        expected = RingFraction._make(
+            {key: c * r.numerator for key, c in rf.num.terms.items()} if r else {},
+            rf.scale * r.denominator,
+            rf.brackets,
+        )
+        for product in (rf * s, s * rf):
+            assert (product.num.terms, product.scale, product.brackets) == (
+                expected.num.terms, expected.scale, expected.brackets), s
+            assert all(type(c) is int for c in product.num.terms.values())
+            assert type(product.scale) is int
+        assert rf + s - s == rf and (rf == s) == (s == 0 and rf.is_zero())
+
+
+def test_scalar_dispatch_skips_the_numbers_abc():
+    """No product of two LaurentQA, and no RingFraction times an int or Fraction, asks an ABC."""
+    import sys
+
+    f = LaurentQA({(2, 1): 3, (-1, 0): 1})
+    rf = RingFraction.over_brackets(f, 5, [1, 3])
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__instancecheck__":
+            entered.append(frame.f_code.co_filename)
+
+    sys.setprofile(watch)
+    try:
+        f * f
+        rf * rf
+        rf * 7
+        rf * True
+        rf * Fraction(3, 7)
+        7 * rf
+    finally:
+        sys.setprofile(None)
+    assert entered == []

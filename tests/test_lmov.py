@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import conftest
 from conftest import (
+    combine_then_divide_verdict,
+    combined_fhat,
     free_energy_grid,
     lambda_sum_fhat,
     lambda_sum_verdict,
@@ -140,14 +143,18 @@ def test_lmov_verdict_validation():
 
 @pytest.fixture
 def wrong_invariant(monkeypatch):
-    """Install a wrong power_sum_invariant in lmov; the numerator memo is cleared around it."""
+    """Install a wrong power_sum_invariant in lmov; the numerator memos are cleared around it."""
+
+    def clear():
+        lmov._fhat_numerators.cache_clear()
+        conftest._padded_numerators.cache_clear()
 
     def install(wrong):
-        lmov._fhat_numerators.cache_clear()
+        clear()
         monkeypatch.setattr(lmov, "power_sum_invariant", wrong)
 
     yield install
-    lmov._fhat_numerators.cache_clear()
+    clear()
 
 
 def test_lmov_verdict_names_the_bracket_that_does_not_divide(wrong_invariant):
@@ -159,10 +166,28 @@ def test_lmov_verdict_names_the_bracket_that_does_not_divide(wrong_invariant):
         else power_sum_invariant(K, mu)
     )
     rep = lmov_verdict(TREFOIL, (2,))
+    assert rep == combine_then_divide_verdict(TREFOIL, (2,))
     assert not rep.passed
     assert rep.detail == "not polynomial: not divisible by {5} on a-layer 7"
     assert rep.z2_fhat is None
     assert rep.min_z_power is None
+
+
+def test_lmov_verdict_names_a_later_bracket_of_the_chain(wrong_invariant):
+    """A stray a^7 / {3}^2 divides by {4}, the chain's first bracket, and fails at {3}."""
+    stray = RingFraction.over_brackets(LaurentQA.monomial(1, 0, 7), 1, [3, 3])
+    wrong_invariant(
+        lambda K, mu: power_sum_invariant(K, mu) + stray
+        if sum(mu) == 2
+        else power_sum_invariant(K, mu)
+    )
+    divisors = combined_fhat(TREFOIL, (2,), 2)[2]
+    assert max(divisors) == 4 and divisors[3] == 2
+    for mu in ((2,), (1, 1)):
+        rep = lmov_verdict(TREFOIL, mu)
+        assert not rep.passed
+        assert rep.detail == "not polynomial: not divisible by {3} on a-layer 7"
+        assert rep == combine_then_divide_verdict(TREFOIL, mu)
 
 
 def test_lmov_verdict_rejects_an_odd_q_power(wrong_invariant):
@@ -171,6 +196,7 @@ def test_lmov_verdict_rejects_an_odd_q_power(wrong_invariant):
         lambda K, mu: power_sum_invariant(K, mu) * LaurentQA.monomial(1, sum(mu), 0)
     )
     rep = lmov_verdict(TREFOIL, (2, 1))
+    assert rep == combine_then_divide_verdict(TREFOIL, (2, 1))
     assert not rep.passed
     assert rep.detail == "not in Q[z^2, a^{+-1}]"
     assert rep.z2_fhat is None
@@ -181,6 +207,7 @@ def test_lmov_verdict_rejects_fractional_coefficients(wrong_invariant):
     """Invariants times 1/3 give a third of the trefoil's z^2 fhat_(1)."""
     wrong_invariant(lambda K, mu: power_sum_invariant(K, mu) * Fraction(1, 3))
     rep = lmov_verdict(TREFOIL, (1,))
+    assert rep == combine_then_divide_verdict(TREFOIL, (1,))
     assert not rep.passed
     assert rep.detail == "coefficients not integral"
     third = Fraction(1, 3)
@@ -203,7 +230,7 @@ def test_lmov_degree4():
 def test_orthogonality_route_matches_lambda_sum_route():
     """z^2 times sum_nu chi_mu(nu) h_nu / {nu} is z^2 times the lambda-sum fhat, and its verdict."""
     for case in lmov_grid():
-        rows, scale, brackets = lmov._fhat(*case)
+        rows, scale, brackets = combined_fhat(*case)
         z2_fhat = RingFraction.over_brackets(emit_rows(rows), scale, brackets.elements())
         assert z2_fhat == lambda_sum_fhat(*case) * zsquared(), case
         assert lmov_verdict(*case) == lambda_sum_verdict(*case), case
@@ -215,3 +242,17 @@ def test_lmov_verdict_does_not_depend_on_the_truncation_degree():
         for w in range(1, 4):
             for mu in partitions_of(w):
                 assert lmov_verdict(knot, mu, 3) == lmov_verdict(knot, mu, 4), (knot, mu)
+
+
+def test_divided_memo_matches_combine_then_divide_route():
+    """Quotients and remainders combined per mu give the verdict of dividing the combination."""
+    trefoil = TorusKnot(2, 3)
+    grid = [(K, 5) for K in [FramedUnknot(t) for t in range(-3, 4)] + [trefoil]]
+    grid += [(TorusKnot(2, 5), 4), (TorusKnot(3, 2), 4)]
+    for knot, degree in grid:
+        for w in range(1, degree + 1):
+            for mu in partitions_of(w):
+                new = lmov_verdict(knot, mu, degree)
+                old = combine_then_divide_verdict(knot, mu, degree)
+                assert (new.passed, new.min_z_power, new.z2_fhat, new.detail) == (
+                    old.passed, old.min_z_power, old.z2_fhat, old.detail), (knot, mu)
