@@ -31,7 +31,7 @@ from .exactring import (
 )
 from .hecke import core_rows
 from .torus import alexander_rows, power_sum_invariant
-from .zbasis import CongruenceFragment, ZAPoly, over_qnum_sq, z2_rows, z2_verdict
+from .zbasis import ZAPoly, over_qnum_sq, z2_rows, z2_verdict
 
 
 def _hook_trace(p: int, tau: int) -> tuple[dict, dict]:
@@ -74,14 +74,9 @@ def limit_identity_check(K, p: int) -> bool:
 
 
 class LimitMembership(Frozen):
-    """Verdict for the limit lying in [p]^2 * Z[z^2]."""
+    """Verdict for the limit (value, a LaurentQA) lying in [p]^2 * Z[z^2]."""
 
     __slots__ = ("passed", "value", "fragment")
-
-    def __init__(self, passed: bool, value: LaurentQA, fragment: CongruenceFragment):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "fragment", fragment)
 
 
 def limit_membership_verdict(K, p: int) -> LimitMembership:
@@ -92,16 +87,9 @@ def limit_membership_verdict(K, p: int) -> LimitMembership:
 
 
 class HookAlexanderReport(Frozen):
-    """Outcome of one hook-colored Alexander comparison."""
+    """A hook-colored Alexander check: colored (LaurentQA or None) against expected LaurentQA."""
 
     __slots__ = ("passed", "hook", "colored", "expected")
-
-    def __init__(self, passed: bool, hook: HookShape, colored: LaurentQA | None,
-                 expected: LaurentQA):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "hook", hook)
-        object.__setattr__(self, "colored", colored)
-        object.__setattr__(self, "expected", expected)
 
 
 def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:

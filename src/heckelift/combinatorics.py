@@ -96,6 +96,22 @@ def gcd_of_parts(mu: Partition) -> int:
     return math.gcd(*mu) if mu else 0
 
 
+def _mobius(n: int) -> int:
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+def _divisors(n: int):
+    return [e for e in range(1, n + 1) if n % e == 0]
+
+
 class HookShape(Frozen):
     """Hook partition (arm | leg) = (arm+1, 1^leg)."""
 
@@ -104,8 +120,7 @@ class HookShape(Frozen):
     def __init__(self, arm: int, leg: int):
         if arm < 0 or leg < 0:
             raise ValueError("hook arm and leg must be nonnegative")
-        object.__setattr__(self, "arm", arm)
-        object.__setattr__(self, "leg", leg)
+        super().__init__(arm, leg)
 
     @property
     def weight(self) -> int:
@@ -167,13 +182,9 @@ def partition_key(mu: Partition) -> str:
 
 
 class CharacterTable(Frozen):
-    """Full character table of S_n, rows and columns in canonical order."""
+    """Full character table of S_n: values maps (lam, mu) to chi^lam(mu)."""
 
     __slots__ = ("weight", "values")
-
-    def __init__(self, weight: int, values: dict[tuple[Partition, Partition], int]):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "values", values)
 
 
 @cache

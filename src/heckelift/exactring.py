@@ -20,7 +20,7 @@ the sign itself: every bracket product and division, q-number [n]_{q^k} =
 but for lmov's memo, which divides with over_binomial to keep the remainders.
 Row maps {ae: (lo, coeffs)}, one dense list in q^2 per a-layer, carry a
 case from the closed form to the limit checks.  No floats.
-Frozen is the base of the package's immutable value classes.
+Frozen is the base of the package's immutable value classes and their one constructor.
 """
 
 from __future__ import annotations
@@ -36,17 +36,38 @@ from operator import add, attrgetter, neg, sub
 class Frozen:
     """An immutable value whose fields are its __slots__, in order.
 
-    A subclass's __init__ takes the fields in slot order and sets each once
-    with object.__setattr__.  Equality (between instances of one class),
-    hash and repr run over the fields; assignment raises AttributeError, and
-    pickling and copying call the class with the fields.
+    The one constructor binds positionals, then keywords, to the fields in
+    slot order and sets each once; a field not given comes from the class's
+    _defaults, and too many positionals, a missing field or an unknown
+    keyword raise TypeError.  A subclass that checks its arguments calls it
+    after.  Equality (between instances of one class), hash and repr run
+    over the fields; assignment raises AttributeError, and pickling and
+    copying call the class with the fields.
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields, n = self.__slots__, len(args)
+        if n > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {n}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[n:]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected fields {sorted(kwargs)}")
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -127,26 +127,13 @@ def defect_cofactor(K, p: int) -> LaurentQA:
 
 
 class CongruenceReport(Frozen):
-    """Outcome of one congruence case, JSON/CSV serializable; quotient_rows as in a fragment."""
+    """Outcome of one congruence case, JSON/CSV serializable; quotient_rows as in a fragment.
+
+    millis (a float) times the verdict only, closed form through identity check: reading
+    quotient converts to z^2 after that, uncounted."""
 
     __slots__ = ("d", "m", "framing", "p", "p_prime", "a_factor", "z2_member", "p2_divisible",
                  "quotient_rows", "remainder_witness", "identity_gp_eq_p2F", "millis")
-
-    def __init__(self, d: int, m: int, framing: int, p: int, p_prime: bool, a_factor: bool,
-                 z2_member: bool, p2_divisible: bool, quotient_rows: tuple | None,
-                 remainder_witness: ZAPoly | None, identity_gp_eq_p2F: bool, millis: float):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "framing", framing)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_prime", p_prime)
-        object.__setattr__(self, "a_factor", a_factor)
-        object.__setattr__(self, "z2_member", z2_member)
-        object.__setattr__(self, "p2_divisible", p2_divisible)
-        object.__setattr__(self, "quotient_rows", quotient_rows)
-        object.__setattr__(self, "remainder_witness", remainder_witness)
-        object.__setattr__(self, "identity_gp_eq_p2F", identity_gp_eq_p2F)
-        object.__setattr__(self, "millis", millis)
 
     quotient = CongruenceFragment.quotient
 
@@ -254,6 +241,14 @@ def _family_ratio(num: dict, p: int, m: int) -> tuple[bool, ZAPoly | None]:
     return (False, None) if rows is None else (True, ZAPoly.from_rows(rows))
 
 
+def _check_prime_and_twist(p: int, m: int) -> None:
+    """The preconditions both ratio families share: p prime and m >= 1."""
+    if not is_prime(p):
+        raise PreconditionViolated(f"p = {p} is not prime")
+    if m < 1:
+        raise PreconditionViolated("twist exponent m must be >= 1")
+
+
 def _qnum_product(n: int, parts, scale: int = 1) -> dict:
     """{0: scale * prod_i [n]_{q^k_i}} as a row map, [n]_{q^k} = {nk}/{k}."""
     return {0: bracket_row(0, [scale], [n * k for k in parts], parts)}
@@ -268,10 +263,7 @@ def divisible_family_check(p: int, m: int, nu: Partition) -> tuple[bool, ZAPoly 
     Requires gcd(d, m) = 1; without it the ratio can fail to be polynomial
     or can pick up odd powers of x.
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"p = {p} is not prime")
-    if m < 1:
-        raise PreconditionViolated("twist exponent m must be >= 1")
+    _check_prime_and_twist(p, m)
     nu = as_partition(nu)
     d = sum(nu)
     if gcd(d, m) != 1:
@@ -287,17 +279,12 @@ def nondivisible_family_check(p: int, m: int, mu: Partition) -> tuple[bool, ZAPo
     Requires |mu| = p*d with gcd(d, m) = 1 and at least one part of mu not
     divisible by p; checks prod_i [pm]_{x^{mu_i}} / ([pm][p]) lies in Q[z^2].
     """
-    if not is_prime(p):
-        raise PreconditionViolated(f"p = {p} is not prime")
-    if m < 1:
-        raise PreconditionViolated("twist exponent m must be >= 1")
+    _check_prime_and_twist(p, m)
     mu = as_partition(mu)
     if not mu or sum(mu) % p != 0:
         raise PreconditionViolated(f"|mu| = {sum(mu)} is not a multiple of {p}")
     if all(x % p == 0 for x in mu):
         raise PreconditionViolated(f"every part of {mu} is divisible by {p}")
     if gcd(sum(mu) // p, m) != 1:
-        raise PreconditionViolated(
-            f"|mu|/p = {sum(mu) // p} and m = {m} are not coprime"
-        )
+        raise PreconditionViolated(f"|mu|/p = {sum(mu) // p} and m = {m} are not coprime")
     return _family_ratio(_qnum_product(p * m, mu), p, m)

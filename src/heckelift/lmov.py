@@ -37,6 +37,8 @@ from operator import add, mul
 from .combinatorics import (
     Partition,
     WeightMismatch,
+    _divisors,
+    _mobius,
     as_partition,
     character_table,
     chi,
@@ -149,25 +151,6 @@ def partition_function(K, degree: int) -> PSeries:
 def free_energy(Z: PSeries) -> PSeries:
     """log of the partition function, truncated at the same weight."""
     return Z.log()
-
-
-def _mobius(n: int) -> int:
-    out = 1
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            n //= k
-            if n % k == 0:
-                return 0
-            out = -out
-        k += 1
-    if n > 1:
-        out = -out
-    return out
-
-
-def _divisors(n: int):
-    return [e for e in range(1, n + 1) if n % e == 0]
 
 
 def _once_wound(F: PSeries) -> dict[Partition, RingFraction]:
@@ -313,17 +296,10 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
 
 
 class LmovReport(Frozen):
-    """Integrality verdict for one reformulated amplitude."""
+    """Integrality verdict for one amplitude; z2_fhat (a ZAPoly) and min_z_power may be None."""
 
     __slots__ = ("passed", "mu", "z2_fhat", "min_z_power", "detail")
-
-    def __init__(self, passed: bool, mu: Partition, z2_fhat: ZAPoly | None,
-                 min_z_power: int | None, detail: str = ""):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "z2_fhat", z2_fhat)
-        object.__setattr__(self, "min_z_power", min_z_power)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:

@@ -59,8 +59,7 @@ class TorusKnot(Frozen):
             raise ValueError("torus knot parameters must be >= 1")
         if gcd(d, m) != 1:
             raise ValueError(f"({d}, {m}) is a link, not a knot")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
+        super().__init__(d, m)
 
     @property
     def framing(self) -> int:
@@ -71,9 +70,6 @@ class FramedUnknot(Frozen):
     """An unknot with an arbitrary integer framing (0 and negatives allowed)."""
 
     __slots__ = ("framing",)
-
-    def __init__(self, framing: int):
-        object.__setattr__(self, "framing", framing)
 
 
 def cable_params(K) -> tuple[int, int]:

@@ -23,9 +23,10 @@ from functools import cache
 from math import gcd
 from operator import add
 
+from .combinatorics import _divisors, _mobius
 from .exactring import (
     Frozen, LaurentQA, NonExactDivision, bracket_rows, cosh_coeffs, dense_divmod, layer_row,
-    parse_rows,
+    over_binomial, parse_rows, times_binomial,
 )
 
 
@@ -42,12 +43,9 @@ def _trim(row) -> tuple:
 
 
 class ZAPoly(Frozen):
-    """Polynomial in z^2 with Laurent monomials in a: rows[aexp][k] * z^(2k) * a^aexp."""
+    """A polynomial in z^2 and a^{+-1}: rows ((aexp, (c_0, c_1, ...)), ...), c_k at z^(2k)."""
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, tuple], ...]):
-        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: dict) -> "ZAPoly":
@@ -150,16 +148,10 @@ def over_qnum_sq(rows: dict, p: int) -> dict:
 
 
 class CongruenceFragment(Frozen):
-    """The membership and [p]^2 checks; quotient_rows holds q-rows ((ae, (lo, coeffs)), ...)."""
+    """The membership and [p]^2 checks; quotient_rows holds q-rows ((ae, (lo, coeffs)), ...)
+    or None, and remainder_witness a ZAPoly or None."""
 
     __slots__ = ("z2_member", "p2_divisible", "quotient_rows", "remainder_witness")
-
-    def __init__(self, z2_member: bool, p2_divisible: bool, quotient_rows: tuple | None,
-                 remainder_witness: ZAPoly | None):
-        object.__setattr__(self, "z2_member", z2_member)
-        object.__setattr__(self, "p2_divisible", p2_divisible)
-        object.__setattr__(self, "quotient_rows", quotient_rows)
-        object.__setattr__(self, "remainder_witness", remainder_witness)
 
     @property
     def quotient(self) -> ZAPoly | None:
@@ -195,19 +187,17 @@ def congruence_verdict(f: LaurentQA, p: int) -> CongruenceFragment:
 
 
 def _cyclotomic(n: int) -> list[int]:
-    """Phi_n, lowest coefficient first.
-
-    Phi_d = (x^d - 1) / prod Phi_e over the proper divisors e of d, for d | n.
-    """
-    phis: dict = {}
-    for d in range(1, n + 1):
-        if n % d == 0:
-            poly = [-1] + [0] * (d - 1) + [1]
-            for e, phi in phis.items():
-                if d % e == 0:
-                    poly = dense_divmod(poly, phi)[0]
-            phis[d] = poly
-    return phis[n]
+    """Phi_n = prod_{e | n} (1 - x^e)^mu(n/e), negated for n = 1; lowest coefficient first."""
+    exponents = [(e, _mobius(n // e)) for e in _divisors(n)]
+    poly = [1]
+    for e, mu in exponents:
+        if mu == 1:
+            poly = times_binomial(poly, e)
+    for e, mu in exponents:
+        if mu == -1:
+            rest = over_binomial(poly, e)
+            assert not any(rest), f"Phi_{n}: 1 - x^{e} left a remainder"
+    return poly if n > 1 else [-c for c in poly]
 
 
 def double_root_residual(f: LaurentQA, p: int, a0: complex, s: int = 1) -> float:

@@ -1057,3 +1057,20 @@ def conversion_first_limits(K, p):
     alex_p = z2_rows(adams_rows(alexander_rows(K), p))[0]
     rhs = kronecker_mul(kronecker_mul(list(qnum_sq_z2(p)), alex_p), list(corr))
     return lim is not None and ZAPoly.from_rows(lim) == ZAPoly.from_rows({0: rhs}), frag
+
+
+# -- the divisor-by-divisor cyclotomic route, kept as the reference ---------------
+
+
+def divisor_cyclotomic(n):
+    """Phi_n, lowest coefficient first: Phi_d = (x^d - 1) / prod Phi_e over the proper
+    divisors e of d, by long division, for each d | n in turn."""
+    phis = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]
+            for e, phi in phis.items():
+                if d % e == 0:
+                    poly = dense_divmod(poly, phi)[0]
+            phis[d] = poly
+    return phis[n]

@@ -1,9 +1,10 @@
-"""The immutable value classes: equality, hash, repr, immutability, pickling.
+"""The immutable value classes: construction, equality, hash, repr, immutability, pickling.
 
-Each class is a Frozen subclass (exactring) with its fields in __slots__;
-these tests pin the behaviour the classes had as frozen dataclasses, and
-that importing the package pulls in neither dataclasses nor inspect and
-loads each module only when one of its names is first read.
+Each class is a Frozen subclass (exactring) with its fields in __slots__,
+built by the one Frozen constructor; these tests pin the behaviour the
+classes had as frozen dataclasses, and that importing the package pulls in
+neither dataclasses nor inspect and loads each module only when one of its
+names is first read.
 """
 
 import copy
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import divisor_cyclotomic
 
 import heckelift
 from heckelift import (
@@ -32,6 +34,8 @@ from heckelift import (
     character_table,
     lmov_verdict,
 )
+from heckelift.exactring import Frozen
+from heckelift.zbasis import _cyclotomic
 
 Q = ZAPoly.from_rows({0: [1, 2], 2: [-3]})
 # Q's q-rows: 1 + 2 z^2 = 2q^2 - 3 + 2q^-2 at a^0, -3 at a^2
@@ -206,3 +210,78 @@ def test_package_names_load_their_module_on_first_use():
     assert {alexlimit, combinatorics, hecke, torus, zbasis} <= set(sys.modules.values())
     with pytest.raises(AttributeError):
         heckelift.no_such_name
+
+
+def _fields(value) -> dict:
+    return {name: getattr(value, name) for name in type(value).__slots__}
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, make, other):
+    for value in (make(), other):
+        fields = _fields(value)
+        by_position = cls(*fields.values())
+        by_keyword = cls(**fields)
+        assert by_position == by_keyword == value
+        assert _fields(by_keyword) == fields
+        # a prefix by position, the rest by keyword, in any keyword order
+        mixed = cls(*list(fields.values())[:1], **dict(reversed(list(fields.items())[1:])))
+        assert mixed == value
+
+
+@pytest.mark.parametrize("cls, make, other", VALUES, ids=IDS)
+def test_bad_construction_raises_type_error_naming_the_class(cls, make, other):
+    fields = _fields(make())
+    first, *rest = fields
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(**{name: fields[name] for name in rest})  # the first field is missing
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*fields.values(), None)  # one positional too many
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*fields.values(), no_such_field=1)
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*fields.values(), **{first: fields[first]})  # a field given twice
+
+
+def test_lmov_report_detail_defaults_to_empty():
+    assert LmovReport._defaults == {"detail": ""}
+    assert LmovReport(False, (2,), None, None).detail == ""
+    assert LmovReport(passed=True, mu=(1,), z2_fhat=None, min_z_power=None).detail == ""
+    assert LmovReport(False, (2,), None, None, "x") == LmovReport(False, (2,), None, None,
+                                                                  detail="x")
+    for cls, _, _ in VALUES:
+        assert cls is LmovReport or not cls._defaults
+
+
+def _frozen_classes() -> set:
+    from heckelift import alexlimit, hecke, lmov, torus, zbasis  # every module with a value class
+
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("heckelift.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_only_the_checking_classes_write_a_constructor():
+    classes = _frozen_classes()
+    assert classes == {cls for cls, _, _ in VALUES}
+    own = {cls for cls in classes if "__init__" in cls.__dict__}
+    assert own == {TorusKnot, HookShape}
+
+
+def test_cyclotomic_on_the_binomial_kernel_matches_the_divisor_route():
+    for n in range(1, 301):
+        assert _cyclotomic(n) == divisor_cyclotomic(n), n
+
+
+def test_default_sweep_loads_no_heavy_module():
+    loaded = _new_modules(
+        "from heckelift.cli import main\n"
+        "assert main(['sweep']) == 0"
+    )
+    assert "heckelift.combinatorics" in loaded and "heckelift.zbasis" in loaded
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing", "mpmath"}
+    assert not loaded & {"heckelift.lmov", "heckelift.alexlimit"}
