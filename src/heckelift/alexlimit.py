@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import HookShape, character_table, partitions_of, z_mu
 from .exactring import (
@@ -26,7 +27,7 @@ from .exactring import (
     cosh_coeffs,
     emit_rows,
     kronecker_mul,
-    parse_rows,
+    resolve_rows,
     rows_at_a1,
 )
 from .hecke import core_rows
@@ -34,12 +35,12 @@ from .torus import alexander_rows, power_sum_invariant
 from .zbasis import ZAPoly, over_qnum_sq, z2_rows, z2_verdict
 
 
-def _hook_trace(p: int, tau: int) -> tuple[dict, dict]:
-    """The weight-p hook trace and its quotient by [p]^2, as row maps.
+def _hook_trace(p: int, tau: int) -> dict:
+    """The weight-p hook trace as a row map.
 
     The trace is sum over hooks of weight p of q^(kappa * tau) minus
     p * (-1)^((p-1) tau); the hook with leg l has kappa = (p-1-2l)p.  For
-    prime p the quotient is integral; composite p raises NonExactDivision.
+    prime p it is divisible by [p]^2 (framing_correction divides).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -48,15 +49,15 @@ def _hook_trace(p: int, tau: int) -> tuple[dict, dict]:
     for leg in range(p):
         row[h + (p - 1 - 2 * leg) * p * tau // 2] += 1
     const = p if ((p - 1) * tau) % 2 == 0 else -p
-    trace = add_rows({0: (-2 * h, row)}, {0: (0, [const])}, negate=True)
-    return trace, over_qnum_sq(trace, p)
+    return add_rows({0: (-2 * h, row)}, {0: (0, [const])}, negate=True)
 
 
 def framing_correction(p: int, tau: int) -> ZAPoly:
-    """The weight-p hook trace divided by [p]^2, as a polynomial in z^2; 0 for tau = 0."""
-    return ZAPoly.from_rows(z2_rows(_hook_trace(p, tau)[1]))
+    """The hook trace over [p]^2 in z^2: 0 for tau = 0, NonExactDivision for composite p."""
+    return ZAPoly.from_rows(z2_rows(over_qnum_sq(_hook_trace(p, tau), p)))
 
 
+@lru_cache(maxsize=4)
 def _limit_rows(K, p: int) -> tuple[dict, bool]:
     """The core's rows at a = 1, and whether every core layer is even and palindromic."""
     core = core_rows(K, p)
@@ -65,9 +66,9 @@ def _limit_rows(K, p: int) -> tuple[dict, bool]:
 
 def limit_identity_check(K, p: int) -> bool:
     """lim defect/(a - a^-1) == A(K; q^p) * hook trace, that is [p]^2 A(K; q^p)
-    times the framing correction, as q-rows; composite p raises NonExactDivision."""
+    times the framing correction, as q-rows."""
     lim, palindromic = _limit_rows(K, p)
-    trace = _hook_trace(p, K.framing)[0]
+    trace = _hook_trace(p, K.framing)
     ((lo, alex),) = adams_rows(alexander_rows(K), p).values()
     rhs = {ae: (lo + lt, kronecker_mul(alex, row)) for ae, (lt, row) in trace.items()}
     return palindromic and lim == rhs
@@ -110,14 +111,13 @@ def hook_alexander_check(K, hook: HookShape) -> HookAlexanderReport:
         if table[(lam, mu)]:
             piece = power_sum_invariant(K, mu) * Fraction(table[(lam, mu)], z_mu(mu))
             colored_sum = colored_sum + piece
-    normalized = colored_sum.num.shift(qexp=-hook.kappa * K.framing, aexp=-w * K.framing)
-    limit = emit_rows(rows_at_a1(abracket_quotient(parse_rows(normalized.terms))))
+    qs, as_ = -hook.kappa * K.framing, -w * K.framing
+    normalized = {ae + as_: (lo + qs, row) for ae, (lo, row) in colored_sum.rows.items()}
+    limit = rows_at_a1(abracket_quotient(normalized))
     # {w} is in the colored sum's brackets D(dw), so the quotient has no {w}
-    orders = (colored_sum.brackets - Counter({w: 1})).elements()
+    brackets = colored_sum.brackets - Counter({w: 1})
     try:
-        colored = RingFraction.over_brackets(
-            limit * (-1) ** hook.leg, colored_sum.scale, orders
-        ).resolve()
+        colored = emit_rows(resolve_rows(limit, brackets, (-1) ** hook.leg * colored_sum.scale))
     except NonExactDivision:
         colored = None
     expected = emit_rows(adams_rows(alexander_rows(K), w))

@@ -4,22 +4,24 @@ LaurentQA is a sparse Laurent polynomial with Fraction (or int) coefficients
 and int exponents in both q and a; any other exponent type raises
 TypeError.  Values on the verdict path (invariants, defects, cofactors for
 prime p) have int coefficients throughout.
+Row maps {ae: (lo, coeffs)}, one dense list in q^2 per a-layer, so one
+q-parity per a-layer, carry a case from the closed form to the limit checks.
 Denominators are bracket monomials prod {k}^e_k in the q-brackets
-{k} = q^k - q^-k = -q^-k (1 - x^k), x = q^2.  RingFraction is
-an int-coefficient LaurentQA numerator over a positive int scale times such
-a monomial: sums take the lcm of the two bracket monomials, products add
-exponents, Adams scaling maps {k} to {ek}, and resolve divides the brackets
-and the scale out with resolve_rows, its row form.  dense_divmod is the one
-long-division kernel: exact_div and the z^2 basis both run on it.
-times_binomial and over_binomial, a shifted difference and a strided running
-sum on a dense list, are the one route for the binomials 1 - x^k;
-over_binomial cuts off the remainder and returns it.  bracket_row, on them,
-is the one route for a ratio of bracket products and tracks the q-offset and
-the sign itself: every bracket product and division, q-number [n]_{q^k} =
-{nk}/{k} and q-binomial of the package is a bracket_row or bracket_rows call,
-but for lmov's memo, which divides with over_binomial to keep the remainders.
-Row maps {ae: (lo, coeffs)}, one dense list in q^2 per a-layer, carry a
-case from the closed form to the limit checks.  No floats.
+{k} = q^k - q^-k = -q^-k (1 - x^k), x = q^2.  RingFraction is an int row map
+over a positive int scale times such a monomial; a numerator whose a-layer
+mixes q-parities raises ValueError.  Sums take the lcm of the two bracket
+monomials, Adams scaling maps {k} to {ek}, resolve divides the brackets and
+the scale out with resolve_rows, all on rows; a product of two fractions is
+the one step through LaurentQA.__mul__, the one product kernel, and back.
+dense_divmod is the one long-division kernel: exact_div and the z^2 basis
+both run on it.  times_binomial and over_binomial, a shifted difference and
+a strided running sum on a dense list, are the one route for the binomials
+1 - x^k; over_binomial cuts off the remainder and returns it.  bracket_row,
+on them, is the one route for a ratio of bracket products and tracks the
+q-offset and the sign itself: every bracket product and division, q-number
+[n]_{q^k} = {nk}/{k} and q-binomial of the package is a bracket_row or
+bracket_rows call, but for lmov's memo, which divides with over_binomial to
+keep the remainders.  No floats.
 Frozen is the base of the package's immutable value classes and their one constructor.
 """
 
@@ -642,33 +644,6 @@ def resolve_rows(rows: dict, brackets: Counter, scale: int = 1) -> dict:
     }
 
 
-def _by_parity(terms: dict, step) -> dict:
-    """The terms of step applied to the row map of each q-parity half of terms."""
-    halves: tuple[dict, dict] = ({}, {})
-    for key, c in terms.items():
-        halves[key[0] % 2][key] = c
-    out: dict = {}
-    for half in halves:
-        out.update(emit_rows(step(parse_rows(half))).terms)
-    return out
-
-
-def _times_brackets(terms: dict, times=(), over=()) -> dict:
-    """terms times every {k} in times, then over every {k} in over (see bracket_row).
-
-    bracket_rows on each q-parity half; terms come back as they are for no order.
-    """
-    times, over = tuple(times), tuple(over)
-    if not times and not over:
-        return terms
-    return _by_parity(terms, lambda rows: bracket_rows(rows, times, over))
-
-
-def divide_brackets(f: LaurentQA, orders) -> LaurentQA:
-    """f divided exactly by the product of {k} over orders (see bracket_rows)."""
-    return LaurentQA._raw(_times_brackets(f.terms, over=orders))
-
-
 # -- ring fractions -----------------------------------------------------------
 
 
@@ -681,47 +656,58 @@ def _integral(terms: dict) -> tuple[dict, int]:
     return {key: int(c * m) for key, c in terms.items()}, m
 
 
+def _tally(orders) -> Counter:
+    """The Counter of orders, filled one by one (Counter(orders) asks an ABC)."""
+    out = Counter()
+    for k in orders:
+        out[k] += 1
+    return out
+
+
+def scale_rows(rows: dict, n: int) -> dict:
+    """Every coefficient of a row map times the nonzero int n."""
+    if n == 1:
+        return rows
+    return {ae: (lo, [c * n for c in coeffs]) for ae, (lo, coeffs) in rows.items()}
+
+
 def _peel_brackets(den: LaurentQA) -> tuple[Fraction, int, Counter]:
     """Write den as c * q^s * prod {k}^e_k; returns (c, s, Counter of k).
 
-    Peels brackets from the largest order down: no {k'} with k' > k divides
-    a product of brackets of order <= k, so the greedy split is the only one.
+    Peels brackets off den's row from the largest order down: no {k'} with
+    k' > k divides a product of brackets of order <= k, so the greedy split
+    is the only one.
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if not den.is_a_free():
         raise ValueError("denominator must be c * q^s * prod {k}^e in q only")
-    rest = den
-    brackets: Counter = Counter()
-    k = _qspan(rest.terms) // 2
-    while len(rest.terms) > 1 and k >= 1:
+    ((lo, row),) = parse_rows(den.terms).values()
+    brackets = Counter()
+    k = len(row) - 1
+    while len(row) > 1 and k >= 1:
         try:
-            rest = divide_brackets(rest, (k,))
+            lo, row = bracket_row(lo, row, over=(k,))
         except NonExactDivision:
             k -= 1
             continue
         brackets[k] += 1
-        k = min(k, _qspan(rest.terms) // 2)
-    if len(rest.terms) > 1:
+        k = min(k, len(row) - 1)
+    if len(row) > 1:
         raise ValueError(f"denominator {den.to_text()} is not c * q^s * prod {{k}}^e")
-    (((s, _), c),) = rest.terms.items()
-    return Fraction(c), s, brackets
-
-
-def _qspan(terms: dict) -> int:
-    exps = [qe for qe, _ in terms]
-    return max(exps) - min(exps)
+    return Fraction(row[0]), lo, brackets
 
 
 class RingFraction:
-    """num / (scale * prod_k {k}^e_k), with {k} = q^k - q^-k.
+    """rows / (scale * prod_k {k}^e_k), with {k} = q^k - q^-k.
 
-    The numerator has int coefficients, scale is a positive int and the
-    bracket exponents are a Counter over orders k >= 1.  Rational scalars
-    fold into scale, which is kept coprime to the numerator's content.
+    rows is an int row map, one q-parity per a-layer (ValueError otherwise),
+    scale a positive int kept coprime to the rows' content, and brackets a
+    Counter over orders k >= 1; rational scalars fold into scale.  Only a
+    product of two fractions leaves the rows, for LaurentQA.__mul__.
     """
 
-    __slots__ = ("num", "scale", "brackets")
+    __slots__ = ("rows", "scale", "brackets")
 
     def __init__(self, num: LaurentQA, den: LaurentQA | int | Fraction = 1):
         if isinstance(den, LaurentQA):
@@ -732,54 +718,61 @@ class RingFraction:
         else:
             c, brackets = Fraction(den), Counter()
         terms, m = _integral(num.terms)
-        if c.denominator != 1:
-            terms = {key: v * c.denominator for key, v in terms.items()}
-        self._set(terms, m * c.numerator, brackets)
+        self._set(scale_rows(parse_rows(terms), c.denominator), m * c.numerator, brackets)
 
-    def _set(self, terms: dict, scale: int, brackets: Counter):
-        """Store terms / (scale * brackets) with scale > 0 and coprime to terms."""
-        if not terms:
+    def _set(self, rows: dict, scale: int, brackets: Counter):
+        """Store rows / (scale * brackets) with scale > 0 and coprime to rows."""
+        if not rows:
             scale, brackets = 1, Counter()
         elif scale != 1:
             if scale < 0:
-                terms = {key: -c for key, c in terms.items()}
-                scale = -scale
-            g = gcd(scale, *terms.values())
+                rows, scale = scale_rows(rows, -1), -scale
+            g = gcd(scale, *(c for _, coeffs in rows.values() for c in coeffs))
             if g > 1:
-                terms = {key: c // g for key, c in terms.items()}
+                rows = {ae: (lo, [c // g for c in coeffs]) for ae, (lo, coeffs) in rows.items()}
                 scale //= g
-        self.num = LaurentQA._raw(terms)
+        self.rows = rows
         self.scale = scale
         self.brackets = brackets
 
     @classmethod
-    def _make(cls, terms: dict, scale: int, brackets: Counter) -> "RingFraction":
+    def _make(cls, rows: dict, scale: int, brackets: Counter) -> "RingFraction":
         obj = cls.__new__(cls)
-        obj._set(terms, scale, brackets)
+        obj._set(rows, scale, brackets)
         return obj
 
     @classmethod
     def over_brackets(cls, num: LaurentQA, scale: int = 1, orders=()) -> "RingFraction":
         """num / (scale * prod of {k} over orders, which may repeat)."""
         terms, m = _integral(num.terms)
-        return cls._make(terms, scale * m, Counter(orders))
+        return cls._make(parse_rows(terms), scale * m, _tally(orders))
+
+    @classmethod
+    def of_rows(cls, rows: dict, scale: int = 1, orders=()) -> "RingFraction":
+        """An int row map over scale times the product of {k} over orders."""
+        return cls._make(rows, scale, _tally(orders))
+
+    @property
+    def num(self) -> LaurentQA:
+        """The numerator as a Laurent polynomial."""
+        return emit_rows(self.rows)
 
     @property
     def den(self) -> LaurentQA:
         """The denominator expanded into a Laurent polynomial."""
-        return LaurentQA._raw(_times_brackets({(0, 0): self.scale}, self.brackets.elements()))
+        return emit_rows(bracket_rows({0: (0, [self.scale])}, tuple(self.brackets.elements())))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.rows
 
     def _aligned(self, other: "RingFraction") -> tuple[dict, dict, Counter]:
         """Both numerators over the lcm of the two bracket monomials."""
         if self.brackets == other.brackets:
-            return self.num.terms, other.num.terms, self.brackets
+            return self.rows, other.rows, self.brackets
         common = self.brackets | other.brackets
         return (
-            _times_brackets(self.num.terms, (common - self.brackets).elements()),
-            _times_brackets(other.num.terms, (common - other.brackets).elements()),
+            bracket_rows(self.rows, tuple((common - self.brackets).elements())),
+            bracket_rows(other.rows, tuple((common - other.brackets).elements())),
             common,
         )
 
@@ -794,20 +787,14 @@ class RingFraction:
         a, b, brackets = self._aligned(other)
         g = gcd(self.scale, other.scale)
         ma, mb = other.scale // g, self.scale // g
-        data = {key: c * ma for key, c in a.items()}
-        get = data.get
-        for key, c in b.items():
-            data[key] = get(key, 0) + c * mb
         return RingFraction._make(
-            {key: c for key, c in data.items() if c}, self.scale * ma, brackets
+            add_rows(scale_rows(a, ma), scale_rows(b, mb)), self.scale * ma, brackets
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingFraction":
-        return RingFraction._make(
-            {key: -c for key, c in self.num.terms.items()}, self.scale, self.brackets
-        )
+        return RingFraction._make(scale_rows(self.rows, -1), self.scale, self.brackets)
 
     def __sub__(self, other):
         other = _coerce_fraction(other)
@@ -825,17 +812,15 @@ class RingFraction:
         if isinstance(other, int) or type(other) is Fraction:
             n = other.numerator
             return RingFraction._make(
-                {key: c * n for key, c in self.num.terms.items()} if n else {},
+                scale_rows(self.rows, n) if n else {},
                 self.scale * other.denominator,
                 self.brackets,
             )
         other = _coerce_fraction(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RingFraction(LaurentQA.zero())
         return RingFraction._make(
-            (self.num * other.num).terms,
+            parse_rows((self.num * other.num).terms),
             self.scale * other.scale,
             self.brackets + other.brackets,
         )
@@ -849,15 +834,13 @@ class RingFraction:
         a, b, _ = self._aligned(other)
         if self.scale == other.scale:
             return a == b
-        return {key: c * other.scale for key, c in a.items()} == {
-            key: c * self.scale for key, c in b.items()
-        }
+        return scale_rows(a, other.scale) == scale_rows(b, self.scale)
 
     def __hash__(self):
         raise TypeError("RingFraction is not hashable")
 
     def __reduce__(self):
-        return RingFraction.over_brackets, (self.num, self.scale, tuple(self.brackets.elements()))
+        return RingFraction.of_rows, (self.rows, self.scale, tuple(self.brackets.elements()))
 
     def __repr__(self) -> str:
         return (
@@ -869,20 +852,14 @@ class RingFraction:
         """Exponent scaling q -> q^e, a -> a^e; {k} becomes {ek}."""
         if e == 1:
             return self
-        return RingFraction._make(
-            self.num.adams(e).terms,
-            self.scale,
-            Counter({k * e: v for k, v in self.brackets.items()}),
-        )
+        if e < 1:
+            raise ValueError("adams degree must be >= 1")
+        brackets = _tally(k * e for k in self.brackets.elements())
+        return RingFraction._make(adams_rows(self.rows, e), self.scale, brackets)
 
     def resolve(self) -> LaurentQA:
-        """Exact quotient as a Laurent polynomial; NonExactDivision if none.
-
-        resolve_rows on each q-parity half of the numerator.
-        """
-        return LaurentQA._raw(
-            _by_parity(self.num.terms, lambda rows: resolve_rows(rows, self.brackets, self.scale))
-        )
+        """Exact quotient as a Laurent polynomial; NonExactDivision if none."""
+        return emit_rows(resolve_rows(self.rows, self.brackets, self.scale))
 
 
 def _coerce_fraction(x):

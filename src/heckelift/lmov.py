@@ -48,18 +48,19 @@ from .combinatorics import (
 )
 from .exactring import (
     Frozen,
-    LaurentQA,
     RingFraction,
-    bracket_of_partition,
+    _tally,
+    add_rows,
+    bracket_row,
     bracket_rows,
     over_binomial,
-    parse_rows,
+    scale_rows,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
 from .zbasis import ZAPoly, z2_rows
 
-_ZERO = RingFraction(LaurentQA.zero())
-_ONE = RingFraction(LaurentQA.one())
+_ZERO = RingFraction.of_rows({})
+_ONE = RingFraction.of_rows({0: (0, [1])})
 
 
 class PSeries:
@@ -212,33 +213,29 @@ def reassemble_free_energy(f: dict[Partition, RingFraction], degree: int) -> PSe
 
 def m_matrix(lam: Partition, mu: Partition) -> RingFraction:
     """Bracket pairing sum over nu of chi(lam) chi(mu) / z_nu * {nu}."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise WeightMismatch(f"|{lam}| != |{mu}|")
-    n = sum(lam)
-    table = character_table(n).values
-    acc = LaurentQA.zero()
-    for nu in partitions_of(n):
-        v = table[(lam, nu)] * table[(mu, nu)]
-        if v:
-            acc = acc + bracket_of_partition(nu) * Fraction(v, z_mu(nu))
-    return RingFraction(acc)
+    return _pairing(lam, mu, inverse=False)
 
 
 def m_inverse(lam: Partition, mu: Partition) -> RingFraction:
     """Closed-form inverse pairing: sum of chi chi / (z_nu * {nu})."""
+    return _pairing(lam, mu, inverse=True)
+
+
+def _pairing(lam: Partition, mu: Partition, inverse: bool) -> RingFraction:
+    """sum over nu of chi_lam(nu) chi_mu(nu) {nu}^(+-1) / z_nu as rows over L = lcm z_nu."""
     lam, mu = as_partition(lam), as_partition(mu)
     if sum(lam) != sum(mu):
         raise WeightMismatch(f"|{lam}| != |{mu}|")
     n = sum(lam)
     table = character_table(n).values
     L = _zlcm(n)
-    acc = LaurentQA.zero()
+    acc: dict = {}
     for nu in partitions_of(n):
         v = table[(lam, nu)] * table[(mu, nu)]
         if v:
-            acc = acc + _cofactor(n, nu) * (v * (L // z_mu(nu)))
-    return RingFraction.over_brackets(acc, L, _den_brackets(n))
+            row = _cofactor(n, nu) if inverse else bracket_row(0, [1], times=nu)
+            acc = add_rows(acc, scale_rows({0: row}, v * (L // z_mu(nu))))
+    return RingFraction.of_rows(acc, L, _den_brackets(n) if inverse else ())
 
 
 @lru_cache(maxsize=4)
@@ -258,11 +255,7 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
     h = _once_wound(free_energy(partition_function(K, degree)))
     out: dict[int, tuple] = {}
     for w in range(1, degree + 1):
-        dens = {
-            nu: h[nu].brackets + Counter(nu)
-            for nu in partitions_of(w)
-            if not h[nu].is_zero()
-        }
+        dens = {nu: h[nu].brackets + _tally(nu) for nu in partitions_of(w) if not h[nu].is_zero()}
         common: Counter = Counter()
         for den in dens.values():
             common |= den
@@ -271,14 +264,14 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
         pad = [1] * (2 - ones)
         padded, spans = {}, {}
         for nu, den in dens.items():
-            rows = bracket_rows(parse_rows(h[nu].num.terms), [*(common - den).elements(), *pad])
-            padded[nu] = rows
+            padded[nu] = rows = bracket_rows(h[nu].rows, [*(common - den).elements(), *pad])
             for ae, (lo, row) in rows.items():
                 a, b = spans.get(ae, (lo, lo))
                 if (lo - a) % 2:
                     raise ValueError(f"a-layer {ae} mixes q-parities")
                 spans[ae] = (min(a, lo), max(b, lo + 2 * len(row)))
-        orders = sorted((common - Counter({1: ones})).elements(), reverse=True)
+        common[1] -= ones
+        orders = sorted(common.elements(), reverse=True)
         layers, numerators = {}, {}
         for nu, rows in padded.items():
             vectors = {}

@@ -6,19 +6,20 @@ each the product of two symmetric q-binomials times {p}/{n}, kept as a dense
 row in q^2; no partitions, no integer scale and no product of lists.  The
 power-sum route evaluates the d-fold cable as one sum over lam |- n of
 Rosso-Jones terms whose plane Schur values come from the hook-content
-formula, prod over the boxes of {a q^c} / {h}; the total keeps one common
-denominator D(n) = prod_k {k}^(n//k) as its list of bracket orders, each term
-carrying the bracket-monomial cofactor D(n)/{hooks of lam}, so no rational
-function arithmetic ever happens term by term; that term depends only on
-lam and d, so every mu of one weight and every knot of one cable width share
-it.  unknot_schur_value is the hook-content product itself; no verdict sums
-over nu |- n (lmov.m_inverse, off the verdict path, still does).
+formula, prod over the boxes of {a q^c} / {h}.  Everything is a row map: a
+hook term is the content rows (one add_rows of two shifted maps per box)
+times the cofactor D(n)/{hooks of lam}, one bracket_row at a^0, where
+D(n) = prod_k {k}^(n//k) is the total's one common denominator, so no
+rational function arithmetic happens term by term; that term depends only
+on lam and d, so every mu of one weight and every knot of one cable width
+share it, and the total adds chi times the terms' rows into one dense list
+per a-layer.  unknot_schur_value is the content rows over the hook lengths;
+no verdict sums over nu |- n (lmov.m_inverse, off the verdict path, still
+does).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 
@@ -37,12 +38,13 @@ from .exactring import (
     LaurentQA,
     ResidualFractionalExponent,
     RingFraction,
-    _times_brackets,
     abracket,
     abracket_of_partition,
     abracket_quotient,
+    add_rows,
     bracket_row,
     emit_rows,
+    kronecker_mul,
     parse_rows,
     rows_at_a1,
 )
@@ -99,16 +101,17 @@ def _zlcm(n: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _cofactor(n: int, mu: Partition, scale: int = 1) -> LaurentQA:
-    """D(n)/{mu} at q -> q^scale, multiplied out.
+def _cofactor(n: int, mu: Partition, scale: int = 1) -> tuple[int, list]:
+    """D(n)/{mu} at q -> q^scale, multiplied out: one row at a^0.
 
     mu is a multiset of orders inside D(n): a partition of n, or the hook
     lengths of one.  The product of the brackets {scale * k} over the orders
     of D(n) that mu does not use.
     """
-    rest = Counter(_den_brackets(n)) - Counter(mu)
-    brackets = Counter({scale * k: e for k, e in rest.items()})
-    return LaurentQA._raw(_times_brackets({(0, 0): 1}, brackets.elements()))
+    rest = list(_den_brackets(n))
+    for k in mu:
+        rest.remove(k)
+    return bracket_row(0, [1], times=[scale * k for k in rest])
 
 
 # -- the closed q-binomial form ------------------------------------------------
@@ -167,21 +170,27 @@ def scaled_invariant(K, p: int = 1) -> LaurentQA:
     return abracket(p) if cable_params(K)[1] == 0 else emit_rows(rows)
 
 
-def _content_row(lam: Partition, scale: int = 1) -> LaurentQA:
-    """prod over the boxes of lam of {a q^(scale * c)}, c the box's content."""
-    out = LaurentQA.one()
+def _content_rows(lam: Partition, scale: int = 1) -> dict:
+    """The rows of prod over the boxes of lam of {a q^(scale * c)}, c the box's content."""
+    rows = {0: (0, [1])}
     for c, _ in boxes(lam):
-        out = out * LaurentQA._raw({(scale * c, 1): 1, (-scale * c, -1): -1})
-    return out
+        s = scale * c
+        up = {ae + 1: (lo + s, row) for ae, (lo, row) in rows.items()}
+        down = {ae - 1: (lo - s, row) for ae, (lo, row) in rows.items()}
+        rows = add_rows(up, down, negate=True)
+    return rows
 
 
 @lru_cache(maxsize=256)
 def _hook_term(lam: Partition, d: int) -> dict:
-    """The terms of prod_boxes {a u^(dc)} times D(n)/{d * hooks}, n = |lam|.
+    """The rows of prod_boxes {a u^(dc)} times D(n)/{d * hooks}, n = |lam|, in u.
 
     Shared by every mu of one weight and every knot of one cable width d.
     """
-    return (_content_row(lam, d) * _cofactor(sum(lam), hook_lengths(lam), d)).terms
+    lc, cof = _cofactor(sum(lam), hook_lengths(lam), d)
+    return {
+        ae: (lo + lc, kronecker_mul(row, cof)) for ae, (lo, row) in _content_rows(lam, d).items()
+    }
 
 
 @lru_cache(maxsize=64)
@@ -191,8 +200,9 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
     With n = d|mu| and u = q^(1/d), a^(-|mu| m) H is the sum over lam |- n of
     chi_lam(d mu) u^(m kappa_lam) prod_boxes {a u^(d c)} / {d h}; each term
     goes over D(n) with the cofactor D(n)/{hooks}, which exists because lam
-    has at most n//k hooks of length k.  Fractional q-exponents must cancel
-    in the assembled total and a survivor raises ResidualFractionalExponent.
+    has at most n//k hooks of length k.  chi times the terms' rows, shifted
+    by m kappa_lam, add into one dense list per a-layer; a u-exponent that is
+    not a q^2-step of the total's rows raises ResidualFractionalExponent.
     """
     d, m = cable_params(K)
     mu = as_partition(mu)
@@ -201,34 +211,32 @@ def power_sum_invariant(K, mu: Partition) -> RingFraction:
     weight = sum(mu)
     n = d * weight
     dmu = tuple(d * x for x in mu)
-    acc: dict = {}
-    for lam in partitions_of(n):
-        ch = chi(lam, dmu)
-        if not ch:
-            continue
-        e = kappa(lam) * m
-        for (ue, ae), c in _hook_term(lam, d).items():
-            key = (ue + e, ae)
-            s = acc.get(key, 0) + ch * c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    num: dict = {}
-    for (ue, ae), cv in acc.items():
-        if ue % d:
-            raise ResidualFractionalExponent(
-                f"uncancelled q-exponent {Fraction(ue, d)} in the cable of {K}"
-            )
-        num[(ue // d, ae + weight * m)] = cv
-    return RingFraction.over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
+    terms = [(ch, kappa(lam) * m, lam) for lam in partitions_of(n) if (ch := chi(lam, dmu))]
+    spans = {}
+    for _, e, lam in terms:
+        for ae, (lo, row) in _hook_term(lam, d).items():
+            a, b = spans.get(ae, (lo + e, lo + e))
+            spans[ae] = (min(a, lo + e), max(b, lo + e + 2 * len(row)))
+    acc = {ae: (a, [0] * ((b - a) // 2)) for ae, (a, b) in spans.items()}
+    for ch, e, lam in terms:
+        for ae, (lo, row) in _hook_term(lam, d).items():
+            start, out = acc[ae]
+            span = slice((lo + e - start) // 2, (lo + e - start) // 2 + len(row))
+            out[span] = [x + ch * c for x, c in zip(out[span], row)]
+    num = {}
+    for ae, (lo, row) in add_rows({}, acc).items():
+        # the total must be a row in q: u-exponents in steps of u^(2d) from q^(lo/d)
+        if lo % d or any(any(row[r::d]) for r in range(1, d)):
+            raise ResidualFractionalExponent(f"uncancelled u-exponent in the cable of {K}")
+        num[ae + weight * m] = (lo // d, row[::d])
+    return RingFraction.of_rows(num, 1, _den_brackets(n))
 
 
 @lru_cache(maxsize=64)
 def unknot_schur_value(lam: Partition) -> RingFraction:
     """The plane evaluation of the Schur-colored unknot, W_lam(U), by hook-content."""
     lam = as_partition(lam)
-    return RingFraction.over_brackets(_content_row(lam), 1, hook_lengths(lam))
+    return RingFraction.of_rows(_content_rows(lam), 1, hook_lengths(lam))
 
 
 def power_sum_plane_value(mu: Partition) -> RingFraction:

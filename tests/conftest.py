@@ -11,8 +11,10 @@ from heckelift.alexlimit import HookAlexanderReport, framing_correction
 from heckelift.combinatorics import (
     WeightMismatch,
     as_partition,
+    boxes,
     character_table,
     chi,
+    hook_lengths,
     hook_shapes,
     kappa,
     partitions_of,
@@ -31,7 +33,6 @@ from heckelift.exactring import (
     bracket_of_partition,
     bracket_rows,
     dense_divmod,
-    divide_brackets,
     divide_out_abracket,
     exact_div,
     kronecker_mul,
@@ -55,7 +56,6 @@ from heckelift.lmov import (
 from heckelift.torus import (
     FramedUnknot,
     TorusKnot,
-    _cofactor,
     _den_brackets,
     _zlcm,
     alexander,
@@ -284,6 +284,63 @@ def character_pairing(mu, nu):
     return LaurentQA._raw(out)
 
 
+# -- the sparse route of the hook terms, kept as the reference -------------------
+# Content rows as one sparse LaurentQA product per box, the cofactor as sparse
+# bracket shifts and the Rosso-Jones sum as a dict of (u, a) terms.
+
+
+def sparse_cofactor(n, mu, scale=1):
+    """D(n)/{mu} at q -> q^scale: the brackets of D(n) that mu does not use, multiplied out."""
+    rest = Counter(_den_brackets(n)) - Counter(mu)
+    return LaurentQA._raw(sparse_times_brackets({(0, 0): 1}, [scale * k for k in rest.elements()]))
+
+
+def sparse_content_row(lam, scale=1):
+    """prod over the boxes of lam of {a q^(scale * c)}, one sparse product per box."""
+    out = LaurentQA.one()
+    for c, _ in boxes(lam):
+        out = out * LaurentQA._raw({(scale * c, 1): 1, (-scale * c, -1): -1})
+    return out
+
+
+@lru_cache(maxsize=256)
+def sparse_hook_term(lam, d):
+    """The terms of prod_boxes {a u^(dc)} times D(n)/{d * hooks}, n = |lam|."""
+    return (sparse_content_row(lam, d) * sparse_cofactor(sum(lam), hook_lengths(lam), d)).terms
+
+
+def sparse_power_sum_invariant(K, mu):
+    """H(K * P_mu): the hook terms summed as a dict of (u, a) terms."""
+    d, m = cable_params(K)
+    mu = as_partition(mu)
+    if not mu:
+        return RingFraction(LaurentQA.one())
+    weight = sum(mu)
+    n = d * weight
+    dmu = tuple(d * x for x in mu)
+    acc = {}
+    for lam in partitions_of(n):
+        ch = chi(lam, dmu)
+        if ch:
+            e = kappa(lam) * m
+            for (ue, ae), c in sparse_hook_term(lam, d).items():
+                acc[(ue + e, ae)] = acc.get((ue + e, ae), 0) + ch * c
+    num = {}
+    for (ue, ae), cv in acc.items():
+        if not cv:
+            continue
+        if ue % d:
+            raise ResidualFractionalExponent(f"uncancelled q-exponent {Fraction(ue, d)}")
+        num[(ue // d, ae + weight * m)] = cv
+    return RingFraction.over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
+
+
+def sparse_unknot_schur_value(lam):
+    """W_lam(U): the sparse content row over the hook lengths."""
+    lam = as_partition(lam)
+    return RingFraction.over_brackets(sparse_content_row(lam), 1, hook_lengths(lam))
+
+
 # -- the nu-sum route of the plane values, kept as the reference ----------------
 # Each plane Schur value is its character sum over nu |- n of
 # chi_lam(nu) {nu}_a / (z_nu {nu}), put over D(n) with the cofactor D(n)/{nu}
@@ -293,7 +350,7 @@ def character_pairing(mu, nu):
 @cache
 def _plane_row(n, nu, scale=1):
     """{nu}_a times the bracket-monomial cofactor D(n)/{nu}, q-scaled."""
-    return abracket_of_partition(nu) * _cofactor(n, nu, scale)
+    return abracket_of_partition(nu) * sparse_cofactor(n, nu, scale)
 
 
 def nu_sum_power_sum_invariant(K, mu):
@@ -568,7 +625,7 @@ def dn_bracket_sum(n, c):
     L = _zlcm(n)
     acc = LaurentQA.zero()
     for mu in partitions_of(n):
-        qpart = bracket_of_partition(mu, c) * _cofactor(n, mu)
+        qpart = bracket_of_partition(mu, c) * sparse_cofactor(n, mu)
         contrib = abracket_of_partition(mu) * qpart
         acc = acc + contrib * (L // z_mu(mu))
     return acc, L
@@ -581,7 +638,7 @@ def dn_scaled_invariant(K, p=1):
         return abracket(p)
     n, c = p * d, p * m
     acc, L = dn_bracket_sum(n, c)
-    resolved = divide_brackets(acc * qbracket(p), _den_brackets(n) + (c,))
+    resolved = top_down_divide_brackets(acc * qbracket(p), _den_brackets(n) + (c,))
     return exact_int_div(resolved, L).shift(aexp=p * m)
 
 
@@ -593,7 +650,7 @@ def dn_defect_cofactor_parts(p, d, m):
     s2 = LaurentQA.zero()
     for nu in partitions_of(d):
         pnu = tuple(p * x for x in nu)
-        qpart = bracket_of_partition(nu, c) * _cofactor(n, pnu)
+        qpart = bracket_of_partition(nu, c) * sparse_cofactor(n, pnu)
         s2 = s2 + abracket_of_partition(pnu) * qpart * (l2 // z_mu(nu))
     big = lcm(l1, l2)
     sign = defect_sign(p, d * m)
@@ -625,7 +682,7 @@ def sparse_scaled_invariant(K, p=1):
         layer = binomial(n, j, mirror * (n - 2 * j), (-1) ** j)
         acc.update((layer * binomial(size + n - 1 - j, n - 1)).terms)
     summed = LaurentQA._raw(acc) * qbracket(p)
-    return divide_brackets(summed, (mirror * n,)).shift(aexp=c)
+    return top_down_divide_brackets(summed, (mirror * n,)).shift(aexp=c)
 
 
 @cache
@@ -811,7 +868,7 @@ def sparse_adams_term(d, m, p):
         for part in nu:
             term = term * qnum_power(m, p * part)
         acc = acc + term
-    return exact_int_div(divide_brackets(acc * qbracket(p), (c,)), L).shift(aexp=c)
+    return exact_int_div(top_down_divide_brackets(acc * qbracket(p), (c,)), L).shift(aexp=c)
 
 
 def dict_divide_out_abracket(f, n=1):
@@ -888,13 +945,17 @@ def dict_congruence_verdict(f, p):
     )
 
 
-def dict_framing_correction(p, tau):
-    """The hook trace as a sparse sum over hook_shapes(p), divided by [p]^2."""
+def dict_hook_trace(p, tau):
+    """The hook trace as a sparse sum over hook_shapes(p)."""
     trace = LaurentQA.zero()
     for hook in hook_shapes(p):
         trace = trace + LaurentQA.monomial(1, qexp=hook.kappa * tau)
-    trace = trace - LaurentQA.monomial(p if ((p - 1) * tau) % 2 == 0 else -p)
-    return exact_div(trace, qnum(p) * qnum(p))
+    return trace - LaurentQA.monomial(p if ((p - 1) * tau) % 2 == 0 else -p)
+
+
+def dict_framing_correction(p, tau):
+    """The sparse hook trace divided by [p]^2."""
+    return exact_div(dict_hook_trace(p, tau), qnum(p) * qnum(p))
 
 
 def reference_case(K, p):
@@ -927,9 +988,18 @@ def reference_case(K, p):
 
 def reference_limit_identity(K, core, p):
     """lim core at a = 1 == [p]^2 A(K; q^p) * correction, by sparse products."""
-    alex_p = substitute_a(dict_divide_out_abracket(sparse_scaled_invariant(K, 1))).adams(p)
     corr = dict_framing_correction(p, K.framing)
-    return substitute_a(core) == qnum(p) * qnum(p) * alex_p * corr
+    return substitute_a(core) == qnum(p) * qnum(p) * _sparse_alexander(K, p) * corr
+
+
+def reference_trace_identity(K, core, p):
+    """lim core at a = 1 == A(K; q^p) * hook trace, by sparse products: no [p]^2 division."""
+    return substitute_a(core) == _sparse_alexander(K, p) * dict_hook_trace(p, K.framing)
+
+
+def _sparse_alexander(K, p):
+    """A(K; q^p) from the sparse closed form, its a-bracket quotient at a = 1."""
+    return substitute_a(dict_divide_out_abracket(sparse_scaled_invariant(K, 1))).adams(p)
 
 
 def sparse_hook_alexander_check(K, hook):

@@ -23,13 +23,12 @@ from heckelift.exactring import (
     NonExactDivision,
     NotDivisible,
     RingFraction,
-    _times_brackets,
     abracket,
     abracket_of_partition,
+    add_rows,
     bracket_of_partition,
     bracket_row,
     bracket_rows,
-    divide_brackets,
     dense_divmod,
     divide_out_abracket,
     emit_rows,
@@ -283,22 +282,31 @@ def test_ring_fraction_eval():
 # The oracle keeps a fraction as a plain (numerator, denominator) pair of
 # LaurentQA values and never cancels: a/b + c/d = (ad + cb)/(bd).
 
-_TERMS = st.dictionaries(
-    st.tuples(st.integers(-4, 4), st.integers(-2, 2)),
+# Numerators hold one q-parity per a-layer, as every invariant does: a term
+# (h, ae) stands for q^(2h + parity) a^ae with parity = ae + the denominator's
+# q-parity, mod 2, so each fraction's value has q-exponents = a-exponents mod 2
+# and any two of them add and multiply without mixing parities.
+_HALF_TERMS = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
     st.fractions(min_value=-9, max_value=9, max_denominator=3),
     max_size=4,
 )
 
 
+def _of_parity(half_terms, parity=0):
+    return LaurentQA({(2 * h + (ae + parity) % 2, ae): c for (h, ae), c in half_terms.items()})
+
+
 @st.composite
 def bracket_fractions(draw):
     """(RingFraction, oracle numerator, oracle denominator)."""
-    num = LaurentQA(draw(_TERMS))
     scale = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool))
-    den = LaurentQA.monomial(scale, qexp=draw(st.integers(-2, 2)))
+    shift = draw(st.integers(-2, 2))
+    den = LaurentQA.monomial(scale, qexp=shift)
     orders = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
     for k, e in orders.items():
         den = den * qbracket(k) ** e
+    num = _of_parity(draw(_HALF_TERMS), shift + sum(k * e for k, e in orders.items()))
     return RingFraction(num, den), num, den
 
 
@@ -331,7 +339,7 @@ def test_ring_fraction_adams_matches_oracle(x, e):
 
 
 @_PROPERTY
-@given(bracket_fractions(), st.builds(LaurentQA, _TERMS))
+@given(bracket_fractions(), st.builds(_of_parity, _HALF_TERMS))
 def test_ring_fraction_resolve_matches_oracle(x, quotient):
     fx, nx, dx = x
     assert RingFraction(quotient * dx, dx).resolve() == quotient
@@ -374,74 +382,30 @@ def test_ring_fraction_denominator_form():
         RingFraction(qbracket(1), qnum(3))
 
 
-# -- divide_brackets ------------------------------------------------------------
+def test_ring_fraction_refuses_a_mixed_parity_layer():
+    """A numerator whose a-layer mixes q-parities is refused, however it arrives."""
+    mixed = LaurentQA({(0, 1): 1, (1, 1): 2})
+    builds = (
+        lambda: RingFraction(mixed),
+        lambda: RingFraction(mixed, qbracket(1) * 3),
+        lambda: RingFraction.over_brackets(mixed, 2, [1, 3]),
+        lambda: RingFraction(LaurentQA.monomial(1, 0, 1)) + LaurentQA.monomial(1, 1, 1),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="mixes q-parities"):
+            build()
+    # a denominator of mixed parity is no bracket monomial either
+    with pytest.raises(ValueError):
+        RingFraction(LaurentQA.one(), qbracket(1) + 1)
+    # a product whose a^2 layer gets q^0 from a * a and q^1 from 1 * a^2
+    f = RingFraction(LaurentQA({(0, 0): 1, (0, 1): 1, (1, 2): 1}))
+    with pytest.raises(ValueError, match="mixes q-parities"):
+        f * f
+
+
+# -- bracket_rows: round trips and remainders ------------------------------------
 
 _ORDERS = st.lists(st.integers(-4, 4).filter(bool), max_size=6)
-
-
-@_PROPERTY
-@given(st.builds(LaurentQA, _TERMS), _ORDERS)
-def test_divide_brackets_round_trip(f, orders):
-    # bracket_of_partition takes negative orders as {k} = -{-k}
-    assert divide_brackets(f * bracket_of_partition(orders), orders) == f
-
-
-@_PROPERTY
-@given(
-    st.builds(LaurentQA, _TERMS),
-    _ORDERS.filter(bool),
-    st.integers(-6, 6),
-    st.integers(-2, 2),
-)
-def test_divide_brackets_remainder(f, orders, qe, ae):
-    # a monomial is never a multiple of a bracket, so neither is this sum
-    g = f * bracket_of_partition(orders) + LaurentQA.monomial(1, qexp=qe, aexp=ae)
-    with pytest.raises(NonExactDivision) as caught:
-        divide_brackets(g, orders)
-    remainder = caught.value.remainder
-    assert not remainder.is_zero()
-    assert {a for _, a in remainder.terms} == {ae}
-    if len(orders) == 1:
-        # one bracket: what is left after taking the remainder away divides
-        divide_brackets(g - remainder, orders)
-    with pytest.raises(ZeroDivisionError):
-        divide_brackets(g, orders + [0])
-
-
-@_PROPERTY
-@given(
-    st.builds(LaurentQA, _TERMS),
-    _ORDERS,
-    st.booleans(),
-    st.integers(-6, 6),
-    st.integers(-2, 2),
-)
-def test_bracket_rows_match_the_sparse_and_top_down_references(f, orders, fail, qe, ae):
-    # _TERMS mixes q-parities within an a-layer, so both halves are exercised
-    g = sparse_times_brackets(f.terms, orders)
-    assert _times_brackets(f.terms, orders) == g
-    g = LaurentQA._raw(g)
-    if fail:
-        g = g + LaurentQA.monomial(1, qexp=qe, aexp=ae)
-    if fail and orders:
-        # a monomial is never a multiple of a bracket, so neither is g
-        for route in (divide_brackets, top_down_divide_brackets):
-            with pytest.raises(NonExactDivision) as caught:
-                route(g, orders)
-            remainder = caught.value.remainder
-            assert not remainder.is_zero()
-            assert {a for _, a in remainder.terms} == {ae}
-            if len(orders) == 1:
-                # one bracket: what is left after taking the remainder away divides
-                route(g - remainder, orders)
-    else:
-        assert divide_brackets(g, orders) == top_down_divide_brackets(g, orders)
-        assert fail or divide_brackets(g, orders) == f
-    with pytest.raises(ZeroDivisionError):
-        divide_brackets(g, orders + [0])
-
-
-# -- bracket_rows: the ratio of two bracket products ----------------------------
 
 # row maps of one q-parity per a-layer; zeros at the ends are dropped by emit_rows
 _ROWS = st.dictionaries(
@@ -449,6 +413,37 @@ _ROWS = st.dictionaries(
     st.tuples(st.integers(-6, 6), st.lists(st.integers(-5, 5), max_size=5)),
     max_size=3,
 )
+
+
+@_PROPERTY
+@given(_ROWS, _ORDERS)
+def test_bracket_rows_round_trip(raw, orders):
+    # a negative order k stands for {k} = -{-k}
+    rows = parse_rows(emit_rows(raw).terms)
+    assert bracket_rows(bracket_rows(rows, orders), over=orders) == rows
+
+
+@_PROPERTY
+@given(_ROWS, _ORDERS.filter(bool), st.integers(-3, 3), st.integers(-2, 2))
+def test_bracket_rows_remainder(raw, orders, i, ae):
+    product = bracket_rows(parse_rows(emit_rows(raw).terms), orders)
+    lo = product[ae][0] if ae in product else 0
+    # a monomial is never a multiple of a bracket, so neither is this sum
+    g = add_rows(product, {ae: (lo + 2 * i, [1])})
+    with pytest.raises(NonExactDivision) as caught:
+        bracket_rows(g, over=orders)
+    remainder = caught.value.remainder
+    assert not remainder.is_zero()
+    assert {a for _, a in remainder.terms} == {ae}
+    assert f"on a-layer {ae}" in str(caught.value)
+    if len(orders) == 1:
+        # one bracket: what is left after taking the remainder away divides
+        bracket_rows(add_rows(g, parse_rows(remainder.terms), negate=True), over=orders)
+    with pytest.raises(ZeroDivisionError):
+        bracket_rows(g, over=orders + [0])
+
+
+# -- bracket_rows: the ratio of two bracket products ----------------------------
 
 
 @_PROPERTY
@@ -609,10 +604,10 @@ def test_scalar_operands_keep_their_meaning():
         assert (f + s).terms == (f + LaurentQA.monomial(s)).terms
         assert (s - f) == -(f - s) and (f == s) == (s == 0 and f.is_zero())
         r = Fraction(s)
-        expected = RingFraction._make(
-            {key: c * r.numerator for key, c in rf.num.terms.items()} if r else {},
+        expected = RingFraction.over_brackets(
+            LaurentQA._raw({key: c * r.numerator for key, c in rf.num.terms.items()} if r else {}),
             rf.scale * r.denominator,
-            rf.brackets,
+            rf.brackets.elements(),
         )
         for product in (rf * s, s * rf):
             assert (product.num.terms, product.scale, product.brackets) == (

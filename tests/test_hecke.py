@@ -10,6 +10,7 @@ from conftest import (
     exact_int_div,
     qnum,
     sparse_adams_term,
+    top_down_divide_brackets,
     twisted_sum_grid,
     two_conversion_verdict,
 )
@@ -20,7 +21,6 @@ from heckelift.exactring import (
     abracket,
     add_rows,
     bracket_of_partition,
-    divide_brackets,
     emit_rows,
     parse_rows,
 )
@@ -279,7 +279,7 @@ def _dn_cross_multiplied(g, p, parts):
         return g.is_zero()
     num, orders, big = parts
     c = orders[-2]
-    rest = divide_brackets(num, orders[:-2])
+    rest = top_down_divide_brackets(num, orders[:-2])
     return g * bracket_of_partition((c, p)) * big == qnum(p) * qnum(p) * rest
 
 
@@ -289,7 +289,7 @@ def _dn_identity(g, p, parts):
         return g.is_zero()
     num, orders, big = parts
     try:
-        return divide_brackets(qnum(p) * qnum(p) * num, orders) == g * big
+        return top_down_divide_brackets(qnum(p) * qnum(p) * num, orders) == g * big
     except NonExactDivision:
         return False
 
@@ -315,7 +315,7 @@ def test_identity_check_matches_cross_multiplied():
             assert _dn_identity(h, p, old) is expected, (knot, p)
         if m and is_prime(p):
             num, orders, big = old
-            quotient = exact_int_div(divide_brackets(num, orders), big)
+            quotient = exact_int_div(top_down_divide_brackets(num, orders), big)
             assert defect_cofactor(knot, p) == quotient, (knot, p)
 
 
@@ -414,7 +414,10 @@ def test_one_case_builds_its_defect_once():
 
 
 def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
-    """One case divides its defect by (a - a^-1) once; Z_1's limit is the other call."""
+    """One case divides its defect by (a - a^-1) once; Z_1's limit is the other call.
+
+    The two limit checks share one a -> 1 limit of the core: rows_at_a1 runs once.
+    """
     import heckelift.alexlimit as alexlimit
     import heckelift.torus as torus
 
@@ -425,16 +428,27 @@ def test_defect_core_is_shared_by_the_verdict_and_the_limit_checks(monkeypatch):
         calls.append(n)
         return divide(f, n)
 
+    limits = []
+    at_a1 = alexlimit.rows_at_a1
+
+    def counting_limit(rows):
+        limits.append(rows)
+        return at_a1(rows)
+
     monkeypatch.setattr(torus, "abracket_quotient", counting)
     monkeypatch.setattr(hecke, "abracket_quotient", counting)
+    monkeypatch.setattr(alexlimit, "rows_at_a1", counting_limit)
     hecke.core_rows.cache_clear()
+    alexlimit._limit_rows.cache_clear()
     knot = TorusKnot(2, 3)
     assert verify_hecke(knot, 3).verdict
     assert alexlimit.limit_identity_check(knot, 3)
     assert alexlimit.limit_membership_verdict(knot, 3).passed
     assert len(calls) == 2
-    maxsize = hecke.core_rows.cache_info().maxsize
-    assert isinstance(maxsize, int) and 0 < maxsize <= 16
+    assert len(limits) == 1
+    for memo in (hecke.core_rows, alexlimit._limit_rows):
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 16
 
 
 def test_sympy_division_agrees_with_the_verdict():

@@ -11,7 +11,10 @@ from conftest import (
     nu_sum_power_sum_invariant,
     nu_sum_unknot_schur_value,
     plane_value_grid,
+    sparse_hook_term,
+    sparse_power_sum_invariant,
     sparse_scaled_invariant,
+    sparse_unknot_schur_value,
     twist_power_sum,
     twisted_sum_grid,
     z2_to_laurent,
@@ -30,6 +33,7 @@ from heckelift.exactring import (
     bracket_of_partition,
     bracket_row,
     bracket_rows,
+    emit_rows,
     exact_div,
     qbracket,
     zsquared,
@@ -38,6 +42,7 @@ from heckelift.torus import (
     FramedUnknot,
     _cofactor,
     _den_brackets,
+    _hook_term,
     TorusKnot,
     alexander,
     cable_params,
@@ -109,6 +114,27 @@ def test_power_sum_invariant_matches_nu_sum_route():
     for n in range(8):
         for lam in partitions_of(n):
             assert unknot_schur_value(lam) == nu_sum_unknot_schur_value(lam), lam
+
+
+def test_hook_rows_match_the_sparse_route():
+    """The hook terms, plane Schur values and power-sum invariants built on rows
+    equal the sparse route term for term: every mu with |mu| <= 5 on a knot of
+    each cable width d <= 3 and on U_-3..U_3."""
+    knots = [TorusKnot(3, 2), TREFOIL] + [FramedUnknot(t) for t in range(-3, 4)]
+    for knot in knots:
+        d = cable_params(knot)[0]
+        for w in range(1, 6):
+            for lam in partitions_of(d * w):
+                assert emit_rows(_hook_term(lam, d)).terms == sparse_hook_term(lam, d), (lam, d)
+            for mu in partitions_of(w):
+                new, old = power_sum_invariant(knot, mu), sparse_power_sum_invariant(knot, mu)
+                assert new.num.terms == old.num.terms, (knot, mu)
+                assert (new.scale, new.brackets) == (old.scale, old.brackets), (knot, mu)
+    for n in range(6):
+        for lam in partitions_of(n):
+            new, old = unknot_schur_value(lam), sparse_unknot_schur_value(lam)
+            assert new.num.terms == old.num.terms, lam
+            assert (new.scale, new.brackets) == (old.scale, old.brackets), lam
 
 
 def test_hook_lengths_lie_inside_den_brackets():
@@ -198,15 +224,18 @@ def _prefix_cofactor(n, mu, scale=1):
 
 
 def test_cofactor_is_bracket_monomial_quotient():
+    def cofactor(n, mu, scale=1):
+        return emit_rows({0: _cofactor(n, mu, scale)})
+
     for n in range(1, 9):
-        full = _cofactor(n, ())
+        full = cofactor(n, ())
         assert full == bracket_of_partition(_den_brackets(n))
         for mu in partitions_of(n):
-            assert _cofactor(n, mu) * bracket_of_partition(mu) == full, mu
-            assert _cofactor(n, mu) == _prefix_cofactor(n, mu), mu
+            assert cofactor(n, mu) * bracket_of_partition(mu) == full, mu
+            assert cofactor(n, mu) == _prefix_cofactor(n, mu), mu
     for n in range(1, 6):
         for mu in partitions_of(n):
-            assert _cofactor(n, mu, 2) == _prefix_cofactor(n, mu, 2), mu
+            assert cofactor(n, mu, 2) == _prefix_cofactor(n, mu, 2), mu
 
 
 def test_gauss_binomial_properties():
