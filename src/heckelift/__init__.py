@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "exactring": (
         "LaurentQA", "NonExactDivision", "NotDivisible", "ResidualFractionalExponent",
-        "RingFraction", "abracket", "bracket_of_partition", "divide_out_abracket",
-        "exact_div", "qbracket", "zsquared",
+        "RingFraction", "abracket", "divide_out_abracket", "exact_div", "qbracket",
     ),
     "hecke": (
         "CongruenceReport", "PreconditionViolated", "defect_cofactor", "defect_sign",
@@ -40,7 +39,7 @@ _EXPORTS = {
     ),
     "torus": (
         "FramedUnknot", "TorusKnot", "alexander", "cable_params", "power_sum_invariant",
-        "power_sum_plane_value", "scaled_invariant", "unknot_schur_value",
+        "scaled_invariant", "unknot_schur_value",
     ),
     "zbasis": (
         "CongruenceFragment", "NotInSubring", "ZAPoly", "congruence_verdict",

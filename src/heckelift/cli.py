@@ -18,7 +18,7 @@ import os
 import random
 import sys
 from copy import deepcopy
-from math import gcd, lgamma, log
+from math import gcd, lgamma, log, pi, sqrt
 from pathlib import Path
 
 from .combinatorics import partition_key, partitions_of
@@ -115,6 +115,9 @@ class SweepConfig:
             raise UsageError("alexander checks are enabled but the grid has no prime order")
         if self.lmov and not (self.lmov_knots or self.lmov_framings):
             raise UsageError("lmov is enabled but lists no knots")
+        # a framed unknot is a cable of width 1
+        if self.lmov and _lmov_too_large(max([d for d, _ in self.lmov_knots] + [1]), self.degree):
+            raise UsageError(f"the LMOV suite at degree {self.degree} is too large to compute")
 
     def cases(self) -> list[tuple[int, int, int]]:
         out = set()
@@ -286,6 +289,27 @@ def _csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _memory() -> int:
+    """The machine's memory in bytes; sys.maxsize where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return sys.maxsize
+
+
+def _lmov_too_large(width: int, degree: int) -> bool:
+    """Whether the LMOV suite to degree, widest cable width, needs more memory than the machine has.
+
+    Its memos grow with the hook terms of lam |- n, n = width * degree, n
+    a-layers of about n^2 coefficients each.  Above the interpreter's 20 MB
+    the measured sweep peaks grew by 94 to 133 p(n) n^3 bytes at n = 10 to
+    18, p(n) over-estimated by exp(pi sqrt(2n/3)) / (4 sqrt(3) n); 150 bounds it.
+    """
+    n, memory = width * degree, _memory()
+    # n > memory is too large already, and a float of n may overflow
+    return n > memory or pi * sqrt(2 * n / 3) + log(150 * n * n / 4 / sqrt(3)) > log(memory)
+
+
 def _too_large(d: int, m: int, p: int) -> bool:
     """Whether T(d, m) at colour p needs more memory than the machine has.
 
@@ -295,10 +319,7 @@ def _too_large(d: int, m: int, p: int) -> bool:
     by log2 C(n, n/2) C(c+n-1, n-1).  A coefficient takes 32 + 4 b/30 bytes,
     and a case holds about four such row maps (Z_p, g, its core, the quotient).
     """
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        memory = sys.maxsize
+    memory = _memory()
     n, c = p * d, p * m
     cells = (min(c, n) + 1) * ((n - 1) * c - p * (d - 1) + 1)
     if cells > memory:  # a byte each is too much already; lgamma needs a float

@@ -11,8 +11,9 @@ Denominators are bracket monomials prod {k}^e_k in the q-brackets
 over a positive int scale times such a monomial; a numerator whose a-layer
 mixes q-parities raises ValueError.  Sums take the lcm of the two bracket
 monomials, Adams scaling maps {k} to {ek}, resolve divides the brackets and
-the scale out with resolve_rows, all on rows; a product of two fractions is
-the one step through LaurentQA.__mul__, the one product kernel, and back.
+the scale out with resolve_rows, and a product of two fractions is mul_rows,
+kronecker_mul on every pair of a-layers: every step stays on rows.
+kronecker_mul is the one product kernel of the package's dense lists.
 dense_divmod is the one long-division kernel: exact_div and the z^2 basis
 both run on it.  times_binomial and over_binomial, a shifted difference and
 a strided running sum on a dense list, are the one route for the binomials
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from itertools import accumulate
 from operator import add, attrgetter, neg, sub
@@ -236,18 +236,6 @@ class LaurentQA:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentQA":
-        if n < 0:
-            raise ValueError("negative powers are not defined on LaurentQA")
-        result = LaurentQA.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
@@ -323,34 +311,13 @@ def abracket(n: int) -> LaurentQA:
     return LaurentQA._raw({(0, n): 1, (0, -n): -1})
 
 
-def bracket_of_partition(mu, scale: int = 1) -> LaurentQA:
-    """{scale * mu} = prod_i (q^(scale*mu_i) - q^-(scale*mu_i))."""
-    out = LaurentQA.one()
-    for part in mu:
-        out = out * qbracket(scale * part)
-    return out
-
-
-def abracket_of_partition(mu, scale: int = 1) -> LaurentQA:
-    """{scale * mu}_a = prod_i (a^(scale*mu_i) - a^-(scale*mu_i))."""
-    out = LaurentQA.one()
-    for part in mu:
-        out = out * abracket(scale * part)
-    return out
-
-
-@cache
-def zsquared() -> LaurentQA:
-    """z^2 = (q - q^-1)^2 = q^2 - 2 + q^-2."""
-    return qbracket(1) * qbracket(1)
-
-
 # -- dense int-list products ---------------------------------------------------
 
 
 def kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     """The product of two dense int lists (entry i at x^i), by Kronecker substitution.
 
+    The one product kernel: hook terms, the limit identity and mul_rows run on it.
     Each list is packed into one int at x = 2^(8w), w bytes per slot holding
     max|a| max|b| min(len a, len b), and the ints are multiplied once.  Slots
     are biased by 2^(8w-1), so packing and unpacking are one from_bytes and
@@ -537,6 +504,18 @@ def add_rows(f: dict, g: dict, negate: bool = False) -> dict:
     return out
 
 
+def mul_rows(f: dict, g: dict) -> dict:
+    """The product of two row maps: kronecker_mul on each pair of a-layers, summed by add_rows.
+
+    A piece that meets a partial sum of the other q-parity raises ValueError,
+    so every product raises on which parse_rows of the sparse product would.
+    """
+    out: dict = {}
+    for ae, (lo, a) in f.items():
+        out = add_rows(out, {ae + be: (lo + mo, kronecker_mul(a, b)) for be, (mo, b) in g.items()})
+    return out
+
+
 def adams_rows(rows: dict, k: int) -> dict:
     """q -> q^k, a -> a^k on a row map: k - 1 zeros between entries."""
     out = {}
@@ -703,8 +682,8 @@ class RingFraction:
 
     rows is an int row map, one q-parity per a-layer (ValueError otherwise),
     scale a positive int kept coprime to the rows' content, and brackets a
-    Counter over orders k >= 1; rational scalars fold into scale.  Only a
-    product of two fractions leaves the rows, for LaurentQA.__mul__.
+    Counter over orders k >= 1; rational scalars fold into scale.  Every
+    operation stays on rows: a product of two fractions is mul_rows.
     """
 
     __slots__ = ("rows", "scale", "brackets")
@@ -740,12 +719,6 @@ class RingFraction:
         obj = cls.__new__(cls)
         obj._set(rows, scale, brackets)
         return obj
-
-    @classmethod
-    def over_brackets(cls, num: LaurentQA, scale: int = 1, orders=()) -> "RingFraction":
-        """num / (scale * prod of {k} over orders, which may repeat)."""
-        terms, m = _integral(num.terms)
-        return cls._make(parse_rows(terms), scale * m, _tally(orders))
 
     @classmethod
     def of_rows(cls, rows: dict, scale: int = 1, orders=()) -> "RingFraction":
@@ -820,7 +793,7 @@ class RingFraction:
         if other is NotImplemented:
             return NotImplemented
         return RingFraction._make(
-            parse_rows((self.num * other.num).terms),
+            mul_rows(self.rows, other.rows),
             self.scale * other.scale,
             self.brackets + other.brackets,
         )

@@ -8,14 +8,15 @@ power-sum route evaluates the d-fold cable as one sum over lam |- n of
 Rosso-Jones terms whose plane Schur values come from the hook-content
 formula, prod over the boxes of {a q^c} / {h}.  Everything is a row map: a
 hook term is the content rows (one add_rows of two shifted maps per box)
-times the cofactor D(n)/{hooks of lam}, one bracket_row at a^0, where
+times the cofactor D(n)/{hooks of lam}, one bracket_row at a^0, by
+exactring.kronecker_mul, the kernel that also multiplies RingFractions;
 D(n) = prod_k {k}^(n//k) is the total's one common denominator, so no
-rational function arithmetic happens term by term; that term depends only
-on lam and d, so every mu of one weight and every knot of one cable width
-share it, and the total adds chi times the terms' rows into one dense list
-per a-layer.  unknot_schur_value is the content rows over the hook lengths;
-no verdict sums over nu |- n (lmov.m_inverse, off the verdict path, still
-does).
+rational function arithmetic happens term by term.  A hook term depends
+only on lam and d, so every mu of one weight and every knot of one cable
+width share it, and the total adds chi times the terms' rows into one
+dense list per a-layer.  unknot_schur_value is the content rows over the
+hook lengths; no plane value of a power-sum color is built on its own, and
+no verdict sums over nu |- n (lmov.m_inverse, off the verdict path, does).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .exactring import (
     ResidualFractionalExponent,
     RingFraction,
     abracket,
-    abracket_of_partition,
     abracket_quotient,
     add_rows,
     bracket_row,
@@ -237,12 +237,6 @@ def unknot_schur_value(lam: Partition) -> RingFraction:
     """The plane evaluation of the Schur-colored unknot, W_lam(U), by hook-content."""
     lam = as_partition(lam)
     return RingFraction.of_rows(_content_rows(lam), 1, hook_lengths(lam))
-
-
-def power_sum_plane_value(mu: Partition) -> RingFraction:
-    """Plane evaluation of a power-sum color: prod_j {mu_j}_a / {mu_j}."""
-    mu = as_partition(mu)
-    return RingFraction.over_brackets(abracket_of_partition(mu), 1, mu)
 
 
 def alexander_rows(K) -> dict:

@@ -27,13 +27,12 @@ from heckelift.exactring import (
     ResidualFractionalExponent,
     RingFraction,
     abracket,
-    abracket_of_partition,
     abracket_quotient,
     adams_rows,
-    bracket_of_partition,
     bracket_rows,
     dense_divmod,
     divide_out_abracket,
+    emit_rows,
     exact_div,
     kronecker_mul,
     over_binomial,
@@ -41,7 +40,6 @@ from heckelift.exactring import (
     qbracket,
     resolve_rows,
     times_binomial,
-    zsquared,
 )
 from heckelift.hecke import _identity_check, defect_rows, defect_sign, is_prime, lifting_defect
 from heckelift.lmov import (
@@ -77,6 +75,52 @@ from heckelift.zbasis import (
 
 
 # -- test-only arithmetic helpers ------------------------------------------------
+
+
+def power(f: LaurentQA, n: int) -> LaurentQA:
+    """f^n for n >= 0 by repeated sparse products."""
+    out = LaurentQA.one()
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def bracket_of_partition(mu, scale: int = 1) -> LaurentQA:
+    """{scale * mu} = prod_i (q^(scale*mu_i) - q^-(scale*mu_i)), by sparse products."""
+    out = LaurentQA.one()
+    for part in mu:
+        out = out * qbracket(scale * part)
+    return out
+
+
+def abracket_of_partition(mu, scale: int = 1) -> LaurentQA:
+    """{scale * mu}_a = prod_i (a^(scale*mu_i) - a^-(scale*mu_i)), by sparse products."""
+    out = LaurentQA.one()
+    for part in mu:
+        out = out * abracket(scale * part)
+    return out
+
+
+def zsquared() -> LaurentQA:
+    """z^2 = (q - q^-1)^2 = q^2 - 2 + q^-2."""
+    return qbracket(1) * qbracket(1)
+
+
+def over_brackets(num: LaurentQA, scale: int = 1, orders=()) -> RingFraction:
+    """num / (scale * prod of {k} over orders, which may repeat), num parsed into rows."""
+    m = lcm(1, *(Fraction(c).denominator for c in num.terms.values()))
+    rows = parse_rows({key: int(c * m) for key, c in num.terms.items()})
+    return RingFraction.of_rows(rows, scale * m, orders)
+
+
+def power_sum_plane_value(mu) -> RingFraction:
+    """Plane evaluation of a power-sum color: prod_j {mu_j}_a / {mu_j}."""
+    return over_brackets(abracket_of_partition(mu), 1, mu)
+
+
+def sparse_mul_rows(f: dict, g: dict) -> dict:
+    """The product of two row maps through the sparse LaurentQA product and back."""
+    return parse_rows((emit_rows(f) * emit_rows(g)).terms)
 
 
 def z2_degree(f: ZAPoly) -> int:
@@ -332,13 +376,13 @@ def sparse_power_sum_invariant(K, mu):
         if ue % d:
             raise ResidualFractionalExponent(f"uncancelled q-exponent {Fraction(ue, d)}")
         num[(ue // d, ae + weight * m)] = cv
-    return RingFraction.over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
+    return over_brackets(LaurentQA._raw(num), 1, _den_brackets(n))
 
 
 def sparse_unknot_schur_value(lam):
     """W_lam(U): the sparse content row over the hook lengths."""
     lam = as_partition(lam)
-    return RingFraction.over_brackets(sparse_content_row(lam), 1, hook_lengths(lam))
+    return over_brackets(sparse_content_row(lam), 1, hook_lengths(lam))
 
 
 # -- the nu-sum route of the plane values, kept as the reference ----------------
@@ -384,7 +428,7 @@ def nu_sum_power_sum_invariant(K, mu):
         if ue % d:
             raise ResidualFractionalExponent(f"uncancelled q-exponent {Fraction(ue, d)}")
         num[(ue // d, ae + weight * m)] = cv
-    return RingFraction.over_brackets(LaurentQA._raw(num), L, _den_brackets(n))
+    return over_brackets(LaurentQA._raw(num), L, _den_brackets(n))
 
 
 def nu_sum_unknot_schur_value(lam):
@@ -399,7 +443,7 @@ def nu_sum_unknot_schur_value(lam):
         ch = chi(lam, nu)
         if ch:
             acc = acc + _plane_row(n, nu) * (ch * (L // z_mu(nu)))
-    return RingFraction.over_brackets(acc, L, _den_brackets(n))
+    return over_brackets(acc, L, _den_brackets(n))
 
 
 def plane_value_grid():

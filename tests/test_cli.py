@@ -10,10 +10,14 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import heckelift
 from heckelift import CongruenceReport, TorusKnot, verify_hecke
 from heckelift.cli import SweepConfig, UsageError, main
 
@@ -113,6 +117,32 @@ def test_sweep_case_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"case d=2 m=3 p={10**15} is too large" in err
     assert "Traceback" not in err and "raised" not in err
+
+
+def test_lmov_degree_too_large_is_a_usage_error():
+    """Degree 40 (p(80) = 15.8 M partitions) is refused before any case runs, lmov unloaded."""
+    src = str(Path(heckelift.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "heckelift.cli", "sweep", "--lmov",
+         "--degree", "40"],
+        capture_output=True, text=True, cwd=src, timeout=60,
+    )
+    assert proc.returncode == 64
+    assert "the LMOV suite at degree 40 is too large" in proc.stderr
+    assert "Traceback" not in proc.stderr and "heckelift.lmov" not in proc.stderr
+    assert not proc.stdout
+
+
+def test_lmov_size_guard_accepts_degree8_and_counts_the_cable_width():
+    import heckelift.cli as cli
+
+    assert not cli._lmov_too_large(2, 8)
+    assert cli._lmov_too_large(2, 40) and cli._lmov_too_large(40, 2)
+    assert cli._lmov_too_large(1, 10**400)
+    SweepConfig(lmov=True, degree=8).validate()
+    with pytest.raises(UsageError, match="too large"):
+        SweepConfig(lmov=True, degree=16, lmov_knots=[[5, 2]]).validate()
+    SweepConfig(lmov=False, degree=40).validate()
 
 
 def test_verify_json_report_matches_library(tmp_path, capsys):

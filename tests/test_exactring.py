@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     a_derivative_at_1,
+    bracket_of_partition,
     eval_numeric,
     exact_int_div,
+    over_brackets,
+    power,
     qnum,
     qnum_power,
     random_laurent,
+    sparse_mul_rows,
     sparse_times_brackets,
     stepwise_over_qnums,
     stepwise_qnum_product,
@@ -24,9 +28,7 @@ from heckelift.exactring import (
     NotDivisible,
     RingFraction,
     abracket,
-    abracket_of_partition,
     add_rows,
-    bracket_of_partition,
     bracket_row,
     bracket_rows,
     dense_divmod,
@@ -34,11 +36,11 @@ from heckelift.exactring import (
     emit_rows,
     exact_div,
     kronecker_mul,
+    mul_rows,
     over_binomial,
     parse_rows,
     qbracket,
     times_binomial,
-    zsquared,
 )
 from heckelift.hecke import _qnum_product
 
@@ -99,18 +101,6 @@ def test_ring_axioms_random():
         assert 2 * f == f + f
 
 
-def test_pow_matches_repeated_multiplication():
-    rng = random.Random(7)
-    for _ in range(10):
-        f = random_laurent(rng, terms=3)
-        acc = LaurentQA.one()
-        for k in range(5):
-            assert f**k == acc
-            acc = acc * f
-    with pytest.raises(ValueError):
-        qbracket(1) ** -1
-
-
 def test_adams_is_a_ring_homomorphism():
     rng = random.Random(11)
     for _ in range(15):
@@ -137,13 +127,6 @@ def test_quantum_integers():
         for k in range(1, 5):
             assert qnum_power(n, k) * qbracket(k) == qbracket(n * k)
     assert qnum_power(4, 0) == LaurentQA.monomial(4)
-
-
-def test_partition_brackets():
-    assert bracket_of_partition((3, 2), 2) == qbracket(6) * qbracket(4)
-    assert bracket_of_partition((), 5) == LaurentQA.one()
-    assert abracket_of_partition((2, 1)) == abracket(2) * abracket(1)
-    assert zsquared() == qbracket(1) * qbracket(1)
 
 
 def test_substitute_a_and_derivative():
@@ -305,7 +288,7 @@ def bracket_fractions(draw):
     den = LaurentQA.monomial(scale, qexp=shift)
     orders = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
     for k, e in orders.items():
-        den = den * qbracket(k) ** e
+        den = den * power(qbracket(k), e)
     num = _of_parity(draw(_HALF_TERMS), shift + sum(k * e for k, e in orders.items()))
     return RingFraction(num, den), num, den
 
@@ -366,17 +349,17 @@ def test_ring_fraction_equality_across_representations(x, c, s, orders):
     extra = LaurentQA.monomial(c, qexp=s) * bracket_of_partition(orders)
     other = RingFraction(nx * extra, dx * extra)
     assert other == fx and fx == other
-    assert fx == RingFraction.over_brackets(fx.num * bracket_of_partition(orders),
+    assert fx == over_brackets(fx.num * bracket_of_partition(orders),
                                             fx.scale, list(fx.brackets.elements()) + orders)
     assert fx + 1 != fx
 
 
 def test_ring_fraction_denominator_form():
-    rf = RingFraction(qbracket(1), qbracket(3) * qbracket(1) ** 2 * Fraction(-4, 3))
+    rf = RingFraction(qbracket(1), qbracket(3) * power(qbracket(1), 2) * Fraction(-4, 3))
     assert rf.scale == 4
     assert rf.brackets == {1: 2, 3: 1}
     assert rf.num == qbracket(1) * -3
-    assert rf.den == qbracket(3) * qbracket(1) ** 2 * 4
+    assert rf.den == qbracket(3) * power(qbracket(1), 2) * 4
     assert RingFraction(LaurentQA.monomial(6), 4).scale == 2
     with pytest.raises(ValueError):
         RingFraction(qbracket(1), qnum(3))
@@ -388,7 +371,7 @@ def test_ring_fraction_refuses_a_mixed_parity_layer():
     builds = (
         lambda: RingFraction(mixed),
         lambda: RingFraction(mixed, qbracket(1) * 3),
-        lambda: RingFraction.over_brackets(mixed, 2, [1, 3]),
+        lambda: over_brackets(mixed, 2, [1, 3]),
         lambda: RingFraction(LaurentQA.monomial(1, 0, 1)) + LaurentQA.monomial(1, 1, 1),
     )
     for build in builds:
@@ -441,6 +424,32 @@ def test_bracket_rows_remainder(raw, orders, i, ae):
         bracket_rows(add_rows(g, parse_rows(remainder.terms), negate=True), over=orders)
     with pytest.raises(ZeroDivisionError):
         bracket_rows(g, over=orders + [0])
+
+
+# -- mul_rows: the product of two row maps ----------------------------------------
+
+
+@_PROPERTY
+@given(_ROWS, _ROWS)
+# the a^1 layer gets q^1 from 1 * a q and q^0 from a * 1: both routes refuse it
+@example({0: (0, [1]), 1: (0, [1])}, {0: (0, [1]), 1: (1, [1])})
+def test_mul_rows_matches_the_sparse_product(raw_f, raw_g):
+    f, g = (parse_rows(emit_rows(raw).terms) for raw in (raw_f, raw_g))
+    try:
+        expected = sparse_mul_rows(f, g)
+    except ValueError:
+        with pytest.raises(ValueError, match="mixes q-parities"):
+            mul_rows(f, g)
+        return
+    try:
+        assert mul_rows(f, g) == expected
+    except ValueError:
+        # a piece met a partial sum of the other parity that cancels later
+        parities: dict = {}
+        for ae, (lo, _) in f.items():
+            for be, (mo, _) in g.items():
+                parities.setdefault(ae + be, set()).add((lo + mo) % 2)
+        assert any(len(found) == 2 for found in parities.values())
 
 
 # -- bracket_rows: the ratio of two bracket products ----------------------------
@@ -595,7 +604,7 @@ _SCALARS = (0, 1, -3, 2**70, True, False, Fraction(2, 3), Fraction(-5, 1), Fract
 def test_scalar_operands_keep_their_meaning():
     """int, bool and Fraction multiply, add and compare as numbers, coefficient types included."""
     f = LaurentQA({(2, 1): 3, (-1, 0): Fraction(1, 2)})
-    rf = RingFraction.over_brackets(LaurentQA({(2, 1): 4, (0, 0): -6}), 5, [1, 3])
+    rf = over_brackets(LaurentQA({(2, 1): 4, (0, 0): -6}), 5, [1, 3])
     for s in _SCALARS:
         expected = {key: c * s for key, c in f.terms.items()} if s else {}
         for product in (f * s, s * f):
@@ -604,7 +613,7 @@ def test_scalar_operands_keep_their_meaning():
         assert (f + s).terms == (f + LaurentQA.monomial(s)).terms
         assert (s - f) == -(f - s) and (f == s) == (s == 0 and f.is_zero())
         r = Fraction(s)
-        expected = RingFraction.over_brackets(
+        expected = over_brackets(
             LaurentQA._raw({key: c * r.numerator for key, c in rf.num.terms.items()} if r else {}),
             rf.scale * r.denominator,
             rf.brackets.elements(),
@@ -622,7 +631,7 @@ def test_scalar_dispatch_skips_the_numbers_abc():
     import sys
 
     f = LaurentQA({(2, 1): 3, (-1, 0): 1})
-    rf = RingFraction.over_brackets(f, 5, [1, 3])
+    rf = over_brackets(f, 5, [1, 3])
     entered = []
 
     def watch(frame, event, arg):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    bracket_of_partition,
     dn_defect_cofactor_parts,
     exact_div_family_ratio,
     exact_int_div,
@@ -20,7 +21,6 @@ from heckelift.exactring import (
     NonExactDivision,
     abracket,
     add_rows,
-    bracket_of_partition,
     emit_rows,
     parse_rows,
 )

@@ -9,19 +9,22 @@ from conftest import (
     lambda_sum_fhat,
     lambda_sum_verdict,
     lmov_grid,
+    over_brackets,
+    sparse_mul_rows,
     truncated_power_exp,
     truncated_power_log,
+    zsquared,
 )
 
-from heckelift import lmov
+from heckelift import exactring, lmov
 from heckelift.combinatorics import partitions_of
 from heckelift.exactring import (
     LaurentQA,
     RingFraction,
     abracket,
     emit_rows,
+    mul_rows,
     qbracket,
-    zsquared,
 )
 from heckelift.lmov import (
     PSeries,
@@ -159,7 +162,7 @@ def wrong_invariant(monkeypatch):
 
 def test_lmov_verdict_names_the_bracket_that_does_not_divide(wrong_invariant):
     """A stray a^7 / {5} on the weight-2 invariants leaves {5} undivided on a-layer 7."""
-    stray = RingFraction.over_brackets(LaurentQA.monomial(1, 0, 7), 1, [5])
+    stray = over_brackets(LaurentQA.monomial(1, 0, 7), 1, [5])
     wrong_invariant(
         lambda K, mu: power_sum_invariant(K, mu) + stray
         if sum(mu) == 2
@@ -175,7 +178,7 @@ def test_lmov_verdict_names_the_bracket_that_does_not_divide(wrong_invariant):
 
 def test_lmov_verdict_names_a_later_bracket_of_the_chain(wrong_invariant):
     """A stray a^7 / {3}^2 divides by {4}, the chain's first bracket, and fails at {3}."""
-    stray = RingFraction.over_brackets(LaurentQA.monomial(1, 0, 7), 1, [3, 3])
+    stray = over_brackets(LaurentQA.monomial(1, 0, 7), 1, [3, 3])
     wrong_invariant(
         lambda K, mu: power_sum_invariant(K, mu) + stray
         if sum(mu) == 2
@@ -227,11 +230,32 @@ def test_lmov_degree4():
     assert not failures
 
 
+def test_every_product_of_the_degree6_trefoil_run_matches_the_sparse_route(monkeypatch):
+    """Each RingFraction product of every verdict of T(2,3) at degree 6, against the sparse product."""
+    products = []
+
+    def checked(f, g):
+        got = mul_rows(f, g)
+        assert got == sparse_mul_rows(f, g)
+        products.append(got)
+        return got
+
+    monkeypatch.setattr(exactring, "mul_rows", checked)
+    lmov._fhat_numerators.cache_clear()
+    try:
+        for w in range(1, 7):
+            for mu in partitions_of(w):
+                assert lmov_verdict(TREFOIL, mu, 6).passed, mu
+    finally:
+        lmov._fhat_numerators.cache_clear()
+    assert len(products) == 80
+
+
 def test_orthogonality_route_matches_lambda_sum_route():
     """z^2 times sum_nu chi_mu(nu) h_nu / {nu} is z^2 times the lambda-sum fhat, and its verdict."""
     for case in lmov_grid():
         rows, scale, brackets = combined_fhat(*case)
-        z2_fhat = RingFraction.over_brackets(emit_rows(rows), scale, brackets.elements())
+        z2_fhat = over_brackets(emit_rows(rows), scale, brackets.elements())
         assert z2_fhat == lambda_sum_fhat(*case) * zsquared(), case
         assert lmov_verdict(*case) == lambda_sum_verdict(*case), case
 

@@ -5,12 +5,14 @@ from math import comb
 import pytest
 
 from conftest import (
+    bracket_of_partition,
     character_pairing,
     dn_scaled_invariant,
     gauss,
     nu_sum_power_sum_invariant,
     nu_sum_unknot_schur_value,
     plane_value_grid,
+    power_sum_plane_value,
     sparse_hook_term,
     sparse_power_sum_invariant,
     sparse_scaled_invariant,
@@ -18,6 +20,7 @@ from conftest import (
     twist_power_sum,
     twisted_sum_grid,
     z2_to_laurent,
+    zsquared,
 )
 from heckelift.combinatorics import (
     WeightMismatch,
@@ -30,13 +33,11 @@ from heckelift.exactring import (
     LaurentQA,
     RingFraction,
     abracket,
-    bracket_of_partition,
     bracket_row,
     bracket_rows,
     emit_rows,
     exact_div,
     qbracket,
-    zsquared,
 )
 from heckelift.torus import (
     FramedUnknot,
@@ -47,7 +48,6 @@ from heckelift.torus import (
     alexander,
     cable_params,
     power_sum_invariant,
-    power_sum_plane_value,
     scaled_invariant,
     unknot_schur_value,
 )
