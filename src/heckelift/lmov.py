@@ -18,9 +18,11 @@ sum_lam f_lam M^-1(lam, mu) into
     fhat_mu = sum_nu chi_mu(nu) h_nu / {nu},
 
 one integer combination of per-knot numerators over one bracket monomial.
-Dividing by that monomial is linear, so the knot's memo divides each h_nu's
-numerator once and keeps the quotient and the remainders; a verdict combines
-both, fails on the first nonzero remainder and reads the quotient otherwise.
+Dividing by that monomial and converting to z^2 are linear, so the knot's
+memo divides each h_nu's numerator once, keeps the remainders, and splits and
+converts the quotient once (zbasis.z2_split); a verdict combines them, fails
+on the first nonzero remainder or non-palindromic part, and otherwise reads
+its z^2 rows off the combined conversions.
 extract_f, reassemble_free_energy, m_matrix and m_inverse give the Schur
 amplitudes and the pairing themselves; no verdict calls them.
 """
@@ -57,7 +59,7 @@ from .exactring import (
     scale_rows,
 )
 from .torus import _cofactor, _den_brackets, _zlcm, power_sum_invariant
-from .zbasis import ZAPoly, z2_rows
+from .zbasis import ZAPoly, z2_split
 
 _ZERO = RingFraction.of_rows({})
 _ONE = RingFraction.of_rows({0: (0, [1])})
@@ -240,17 +242,17 @@ def _pairing(lam: Partition, mu: Partition, inverse: bool) -> RingFraction:
 
 @lru_cache(maxsize=4)
 def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
-    """Per weight w: (S, layers, {nu: (L / s_nu, {ae: Q_nu + R_nu})}) for the nonzero h_nu.
+    """Per weight w: (S, layers, {nu: (L / s_nu, {ae: U_nu + A_nu + R_nu})}) for the nonzero h_nu.
 
     B_w is the lcm over nu |- w of the bracket monomials h_nu.brackets * {nu},
     L the lcm of the scales s_nu of h_nu, and N_nu the rows of h_nu's numerator
     padded to B_w and times {1}^(2 - j), j = min(B_w[1], 2): z^2 = {1}^2 cancels
     {1}^j, so z^2 h_nu / {nu} = (L / s_nu) N_nu / (L * D_w), D_w = B_w / {1}^j.
     Each row of N_nu, laid over the q-span its a-layer covers over nu, is divided
-    by D_w's brackets, largest first: Q_nu is the quotient and R_nu the blocks
-    over_binomial cuts, in order.  layers maps each a-layer to (lo, n, owners):
-    the quotients' q-offset and length, and the bracket that cut each remainder
-    entry; S = (-1)^|D_w| L takes in the brackets' sign.
+    by D_w's brackets, largest first: R_nu are the blocks over_binomial cuts,
+    in order, and U_nu, A_nu the z2_split of the quotient.  layers maps each
+    a-layer to (len U_nu, len A_nu, owners), owners the bracket that cut each
+    remainder entry; S = (-1)^|D_w| L takes in the brackets' sign.
     """
     h = _once_wound(free_energy(partition_function(K, degree)))
     out: dict[int, tuple] = {}
@@ -281,8 +283,9 @@ def _fhat_numerators(K, degree: int) -> dict[int, tuple]:
                 i = (lo - start) // 2
                 vec[i : i + len(row)] = row
                 cuts = [(k, over_binomial(vec, k)) for k in orders]
-                layers[ae] = (start + sum(orders), len(vec), [k for k, cut in cuts for _ in cut])
-                vectors[ae] = vec + [c for _, cut in cuts for c in cut]
+                z2, asym = z2_split((start + sum(orders), vec))
+                layers[ae] = (len(z2), len(asym), [k for k, cut in cuts for _ in cut])
+                vectors[ae] = z2 + asym + [c for _, cut in cuts for c in cut]
             numerators[nu] = (L // h[nu].scale, vectors)
         out[w] = ((-1) ** len(orders) * L, layers, numerators)
     return out
@@ -311,40 +314,30 @@ def lmov_verdict(K, mu: Partition, degree: int | None = None) -> LmovReport:
     if D < w:
         raise ValueError("truncation degree below |mu|")
     S, layers, numerators = _fhat_numerators(K, D)[w]
-    acc = {ae: [0] * (n + len(owners)) for ae, (_, n, owners) in layers.items()}
+    acc = {ae: [0] * (m + n + len(owners)) for ae, (m, n, owners) in layers.items()}
     for nu, (ratio, vectors) in numerators.items():
         c = chi(mu, nu) * ratio
         if c:
             for ae, vec in vectors.items():
                 out = acc[ae]
                 out[:] = map(add, out, map(mul, vec, repeat(c)))
-    rows = {}
-    for ae, (lo, n, owners) in layers.items():
-        out = acc[ae]
-        if any(out[n:]):
-            k = next(k for k, c in zip(owners, out[n:]) if c)
+    for ae, (m, n, owners) in layers.items():
+        k = next((k for k, c in zip(owners, acc[ae][m + n :]) if c), None)
+        if k is not None:
             detail = f"not polynomial: not divisible by {{{k}}} on a-layer {ae}"
             return LmovReport(False, mu, None, None, detail=detail)
-        while n and not out[n - 1]:
-            n -= 1
-        if n:
-            i = 0
-            while not out[i]:
-                i += 1
-            rows[ae] = (lo + 2 * i, [c // S if c % S == 0 else Fraction(c, S) for c in out[i:n]])
-    z2 = z2_rows(rows)
-    if z2 is None:
+    if any(any(acc[ae][m : m + n]) for ae, (m, n, _) in layers.items()):
         return LmovReport(False, mu, None, None, detail="not in Q[z^2, a^{+-1}]")
-    zz = ZAPoly.from_rows(z2)
-    if zz.is_zero():
-        return LmovReport(True, mu, zz, None)
-    min_k = min(
-        next(i for i, c in enumerate(row) if c != 0) for _, row in zz.rows
-    )
-    return LmovReport(
-        passed=zz.is_integral,
-        mu=mu,
-        z2_fhat=zz,
-        min_z_power=2 * min_k - 2,
-        detail="" if zz.is_integral else "coefficients not integral",
-    )
+    rows = []
+    for ae in sorted(layers):
+        out, m = acc[ae], layers[ae][0]
+        while m and not out[m - 1]:
+            m -= 1
+        if m:
+            rows.append((ae, tuple(c // S if c % S == 0 else Fraction(c, S) for c in out[:m])))
+    if not rows:
+        return LmovReport(True, mu, ZAPoly(()), None)
+    integral = all(type(c) is int for _, row in rows for c in row)
+    min_k = min(next(i for i, c in enumerate(row) if c) for _, row in rows)
+    detail = "" if integral else "coefficients not integral"
+    return LmovReport(integral, mu, ZAPoly(tuple(rows)), 2 * min_k - 2, detail)

@@ -15,13 +15,21 @@ over_qnum_sq divides it exactly; the quotient is then palindromic and
 integral.  z2_verdict decides so on q-rows; a fragment converts its quotient
 only when it is read, and a remainder witness is the remainder of long
 division by [p]^2 (monic of degree p - 1 in z^2) of the converted rows.
+
+Membership and conversion are linear too.  A row (lo, Q) of even lo, with its
+q^0 entry at c0 = -lo/2 in [0, len Q), lies in Q[z^2] iff it is palindromic
+about c0, i.e. iff A = [Q[i] - Q[2 c0 - i] for i < c0] + Q[2 c0 + 1:] is zero
+(an entry beyond Q is 0); its z^2 row is then U = _cosh_to_z2(Q[c0:]).  For
+any other lo every nonzero entry breaks membership: U = [] and A = Q.  So
+rows on one grid may be split once by z2_split and combined after: the
+combination is in Q[z^2] iff its A is zero, and its U is then its z^2 row.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from .combinatorics import _divisors, _mobius
 from .exactring import (
@@ -89,6 +97,17 @@ def z2_rows(rows: dict) -> dict | None:
             return None
         out[ae] = _cosh_to_z2(cosh)
     return out
+
+
+def z2_split(row) -> tuple[list, list]:
+    """(U, A) of a row (lo, coeffs) by the lemma of the module docstring, both linear in coeffs."""
+    lo, coeffs = row
+    c0 = -lo // 2
+    if lo % 2 or not 0 <= c0 < len(coeffs):
+        return [], list(coeffs)
+    mirror = coeffs[c0 + 1 : 2 * c0 + 1][::-1]
+    asym = map(sub, coeffs[:c0], [0] * (c0 - len(mirror)) + mirror)
+    return _cosh_to_z2(coeffs[c0:]), [*asym, *coeffs[2 * c0 + 1 :]]
 
 
 def to_z2(f: LaurentQA) -> ZAPoly:

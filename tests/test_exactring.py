@@ -22,6 +22,7 @@ from conftest import (
     substitute_a,
     top_down_divide_brackets,
 )
+from heckelift import exactring
 from heckelift.exactring import (
     LaurentQA,
     NonExactDivision,
@@ -587,6 +588,36 @@ _kronecker_lists = st.tuples(
 @example([0, 0, 5, 0], [0, -1])
 def test_kronecker_mul_matches_schoolbook(a, b):
     assert kronecker_mul(a, b) == _schoolbook(a, b)
+
+
+def _packed(a, b):
+    """kronecker_mul with its schoolbook base case switched off."""
+    saved, exactring._SCHOOLBOOK = exactring._SCHOOLBOOK, 0
+    try:
+        return kronecker_mul(a, b)
+    finally:
+        exactring._SCHOOLBOOK = saved
+
+
+_wide_entries = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
+
+
+@_PROPERTY
+@given(
+    st.integers(1, 2 * exactring._SCHOOLBOOK + 2).flatmap(
+        lambda n: st.lists(_wide_entries, min_size=n, max_size=n)
+    ),
+    st.lists(_wide_entries, min_size=1, max_size=24),
+    st.booleans(),
+)
+@example([-(2**64), 0, 3], [5, -1], False)
+@example([0] * exactring._SCHOOLBOOK, [1, -2, 3], True)
+def test_kronecker_mul_base_case_matches_packed_path_and_sparse_product(short, other, swap):
+    """Short factors across the base-case threshold, on either side, give the packed product."""
+    a, b = (other, short) if swap else (short, other)
+    got = kronecker_mul(a, b)
+    assert got == _packed(a, b) == _schoolbook(a, b)
+    assert add_rows({}, {0: (0, got)}) == sparse_mul_rows({0: (0, a)}, {0: (0, b)})
 
 
 def test_kronecker_mul_edges():

@@ -206,6 +206,19 @@ def test_lmov_verdict_rejects_an_odd_q_power(wrong_invariant):
     assert rep.min_z_power is None
 
 
+def test_lmov_verdict_rejects_an_even_asymmetric_layer(wrong_invariant):
+    """Invariants times q^(2|mu|) put z^2 fhat at even q-exponents, off the palindromes."""
+    wrong_invariant(
+        lambda K, mu: power_sum_invariant(K, mu) * LaurentQA.monomial(1, 2 * sum(mu), 0)
+    )
+    for mu in ((1,), (2,), (2, 1)):
+        rep = lmov_verdict(TREFOIL, mu)
+        assert rep == combine_then_divide_verdict(TREFOIL, mu), mu
+        assert not rep.passed
+        assert rep.detail == "not in Q[z^2, a^{+-1}]"
+        assert rep.z2_fhat is None and rep.min_z_power is None
+
+
 def test_lmov_verdict_rejects_fractional_coefficients(wrong_invariant):
     """Invariants times 1/3 give a third of the trefoil's z^2 fhat_(1)."""
     wrong_invariant(lambda K, mu: power_sum_invariant(K, mu) * Fraction(1, 3))

@@ -11,14 +11,18 @@ import pytest
 
 from conftest import power, qnum, recursive_to_z2, z2_degree, z2_to_laurent, zsquared
 from heckelift.exactring import LaurentQA, abracket, qbracket
+from heckelift.exactring import add_rows
 from heckelift.zbasis import (
     NotInSubring,
     ZAPoly,
+    _trim,
     congruence_verdict,
     divide_by_qnum_sq,
     double_root_residual,
     qnum_sq_z2,
     to_z2,
+    z2_rows,
+    z2_split,
 )
 
 
@@ -159,6 +163,71 @@ def test_zapoly_structure():
     assert poly.is_integral
     frac = ZAPoly.from_rows({0: (Fraction(1, 2),)})
     assert not frac.is_integral
+
+
+def _split_verdict(row):
+    """The z^2 row of a row by z2_split, trimmed; None where its A part is nonzero."""
+    z2, asym = z2_split(row)
+    return None if any(asym) else _trim(z2)
+
+
+def _trimmed_verdict(row):
+    """The same by cosh_coeffs and z2_rows on the trimmed row, as the verdict once took it."""
+    trimmed = add_rows({}, {0: row})
+    if not trimmed:
+        return ()
+    z2 = z2_rows(trimmed)
+    return None if z2 is None else _trim(z2[0])
+
+
+@pytest.mark.parametrize(
+    "row, accepted",
+    [
+        ((2, [1, 0, 1]), False),  # c0 = -1, left of the vector
+        ((2, [0, 0]), True),  # c0 left of a zero vector
+        ((-8, [1, 0, 1]), False),  # c0 = 4, right of the vector
+        ((-8, [0, 0, 0]), True),
+        ((-3, [1, 0, 0, 1]), False),  # odd lo: palindromic at odd q-exponents
+        ((-2, [1, 2, 1, 0, 5]), False),  # nonzero tail beyond 2 c0
+        ((-2, [1, 2, 1, 0, 0]), True),
+        ((-4, [1, 2, 3]), False),  # mirrors of the head lie past the end
+        ((-4, [0, 0, 3]), True),
+        ((-4, [5, 0, 7, 0, 5]), True),
+        ((0, [4, 0, 0]), True),
+    ],
+)
+def test_z2_split_edge_layouts(row, accepted):
+    """z2_split rejects exactly where cosh_coeffs on the trimmed row does, and converts as z2_rows."""
+    assert (_split_verdict(row) is not None) == accepted
+    assert _split_verdict(row) == _trimmed_verdict(row)
+
+
+def _grid_row(rng, lo, n):
+    """A random row on the grid (lo, n): palindromic about q^0 where the grid allows, at times perturbed."""
+    c0, row = -lo // 2, [0] * n
+    if lo % 2 == 0 and 0 <= c0 < n:
+        for j in range(min(c0, n - 1 - c0) + 1):
+            row[c0 - j] = row[c0 + j] = rng.randrange(-3, 4)
+    if not any(row) or rng.random() < 0.2:
+        row[rng.randrange(n)] += rng.randrange(-2, 3)
+    return row
+
+
+def test_z2_split_commutes_with_combinations():
+    """Split-then-combine decides and converts as combine-then-trim, on rows of one grid."""
+    rng = random.Random(2828)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        lo = rng.randrange(-2 * n - 3, 4)
+        rows = [_grid_row(rng, lo, n) for _ in range(3)]
+        weights = [rng.randrange(-4, 5) for _ in rows]
+        combined = [sum(w * row[i] for w, row in zip(weights, rows)) for i in range(n)]
+        parts = [z2_split((lo, row)) for row in rows]
+        z2 = [sum(w * p[0][i] for w, p in zip(weights, parts)) for i in range(len(parts[0][0]))]
+        asym = [sum(w * p[1][i] for w, p in zip(weights, parts)) for i in range(len(parts[0][1]))]
+        expected = _trimmed_verdict((lo, combined))
+        assert (None if any(asym) else _trim(z2)) == expected, (lo, rows, weights)
+        assert _split_verdict((lo, combined)) == expected
 
 
 def test_qnum_sq_z2_values():
